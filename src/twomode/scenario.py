@@ -13,6 +13,12 @@ constant, linear in s, quadratic in s, or slaved to a mixing angle rho(s).
 The condition theta12(s) = phi(s) + pi/2 - rho(s) (mod 2pi) ties the raw
 coupling phase theta12 to the eta phase model phi; check_phase_condition
 measures the residual on a grid.
+
+Every case's coupling() and every drive also take a 1-D array of times and
+return arrays; an entry that does not depend on time stays a scalar, which
+broadcasts against the others.  A scalar time still gives scalars, through
+the math module where a case needs elementary functions, so the per-point
+calls of the adaptive integrators cost no more than before.
 """
 
 from __future__ import annotations
@@ -119,6 +125,7 @@ class Scenario:
                 raise ValueError("scalar drive B must be real-valued")
 
     def coupling(self, t: float) -> tuple[float, float, complex]:
+        """(w11, w22, w12) at time t, or at each time of a 1-D array t."""
         raise NotImplementedError
 
     def diag_integrals(self, t: float) -> tuple[float, float]:
@@ -473,14 +480,16 @@ class LogRhoScenario(Scenario):
 
     def _log_term(self, t: float) -> float:
         u = t + self.t0
-        return math.log((1.0 + u * u) / (1.0 + self.t0 * self.t0))
+        ratio = (1.0 + u * u) / (1.0 + self.t0 * self.t0)
+        return np.log(ratio) if isinstance(ratio, np.ndarray) else math.log(ratio)
 
     def coupling(self, t):
         u = t + self.t0
         den = 1.0 + u * u
+        atan_u = np.arctan(u) if isinstance(u, np.ndarray) else math.atan(u)
         theta12 = (self.theta_beta0 - self.theta_alpha0
                    + (self.w0 / (2.0 * self.eta0)) * self._log_term(t)
-                   + t + 2.0 * math.atan(self.t0) - 2.0 * math.atan(u))
+                   + t + 2.0 * math.atan(self.t0) - 2.0 * atan_u)
         return 1.0 / den, u * u / den, (u / den) * np.exp(1j * theta12)
 
     def diag_integrals(self, t):
@@ -574,6 +583,9 @@ class FresnelNormScenario(Scenario):
         return 2.0 * math.atan(math.tanh(0.5 * self.norm_integral(t)))
 
     def coupling(self, t):
+        if isinstance(t, np.ndarray):
+            # one quadrature per time
+            return np.vectorize(self.coupling, otypes=[float, float, complex])(t)
         q = self.tilt_angle(t)
         theta12 = (3.0 * q - math.tan(q) + self.theta_v0 - self.theta_u0
                    - math.pi / 2.0)
@@ -650,13 +662,16 @@ class TabulatedScenario(Scenario):
 
     def _check_domain(self, t):
         lo, hi = self.grid[0], self.grid[-1]
-        if t < lo - 1e-9 or t > hi + 1e-9:
-            raise ValueError(f"time {t} outside tabulated domain [{lo}, {hi}]")
+        first, last = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+        if first < lo - 1e-9 or last > hi + 1e-9:
+            bad = first if first < lo - 1e-9 else last
+            raise ValueError(f"time {bad} outside tabulated domain [{lo}, {hi}]")
 
     def coupling(self, t):
         self._check_domain(t)
-        return (float(self._w11(t)), float(self._w22(t)),
-                complex(self._w12re(t) + 1j * self._w12im(t)))
+        # [()] turns the splines' 0-d results for a scalar t into scalars
+        return (self._w11(t)[()], self._w22(t)[()],
+                (self._w12re(t) + 1j * self._w12im(t))[()])
 
     def diag_integrals(self, t):
         self._check_domain(t)
@@ -680,4 +695,4 @@ class _SplineDrive:
         return cls(re=CubicSpline(t, values.real), im=CubicSpline(t, values.imag))
 
     def __call__(self, t):
-        return complex(self.re(t) + 1j * self.im(t))
+        return (self.re(t) + 1j * self.im(t))[()]

@@ -1,15 +1,70 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twomode.fock import coherent_state, make_space
+import twomode.oracle
+from twomode.fock import annihilator, coherent_state, make_space, number_diagonals
 from twomode.oracle import (InsufficientSamples, brute_force_propagator,
                             brute_force_smatrix, compare_operators,
                             hamiltonian_matrix, hamiltonian_ops, ode_residual)
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
-                              ConstantPhaseScenario, LinearPhaseScenario)
+                              ConstantPhaseScenario, CosineDrive,
+                              LinearPhaseScenario, RotatingDrive,
+                              eval_coeffs)
 from twomode.smatrix import smatrix_closed
+
+
+# Sequential midpoint products, one eval_coeffs and one eigendecomposition
+# per step: the loops the batched oracles replaced, kept as their reference.
+
+def _loop_step_unitary(h, dt):
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
+
+
+def _loop_hamiltonian(space, scenario, t):
+    a1 = annihilator(space, 1)
+    a2 = annihilator(space, 2)
+    n1, n2 = number_diagonals(space)
+    k12 = a1.conj().T @ a2
+    c = eval_coeffs(scenario, t)
+    h = (c.w11 * np.diag(n1) + c.w22 * np.diag(n2)
+         + c.w12 * k12 + np.conj(c.w12) * k12.conj().T)
+    if c.f1 != 0:
+        h = h + c.f1 * a1.conj().T + np.conj(c.f1) * a1
+    if c.f2 != 0:
+        h = h + c.f2 * a2.conj().T + np.conj(c.f2) * a2
+    if c.b != 0:
+        h = h + c.b * np.eye(space.dim)
+    return h
+
+
+def loop_propagator(space, scenario, t, n_steps):
+    dt = t / n_steps
+    u = np.eye(space.dim, dtype=complex)
+    for k in range(n_steps):
+        h = _loop_hamiltonian(space, scenario, (k + 0.5) * dt)
+        u = _loop_step_unitary(h, dt) @ u
+    return u
+
+
+def loop_smatrix(scenario, t, n_steps):
+    dt = t / n_steps
+    s = np.eye(2, dtype=complex)
+    for k in range(n_steps):
+        c = eval_coeffs(scenario, (k + 0.5) * dt)
+        w = np.array([[c.w11, c.w12], [np.conj(c.w12), c.w22]], dtype=complex)
+        s = _loop_step_unitary(w, dt) @ s
+    return s
+
+
+DRIVEN = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j,
+                             f1=RotatingDrive(0.1, 1.0, 0.0),
+                             f2=ConstantDrive(-0.05 + 0.08j),
+                             b=CosineDrive(0.2, 1.5, 0.3))
 
 
 def test_hamiltonian_is_hermitian():
@@ -146,3 +201,47 @@ def test_shared_ops_reuse():
     a = hamiltonian_matrix(space, scenario, 0.7, ops)
     b = hamiltonian_matrix(space, scenario, 0.7)
     assert np.array_equal(a, b)
+
+
+def test_smatrix_oracle_matches_sequential_loop():
+    scenario = LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, w11=0.15,
+                                   w22=0.05)
+    got = brute_force_smatrix(scenario, 1.3, 4096)
+    assert np.max(np.abs(got - loop_smatrix(scenario, 1.3, 4096))) <= 1e-12
+
+
+def test_propagator_matches_sequential_loop():
+    space = make_space(4)
+    got = brute_force_propagator(space, DRIVEN, 0.9, 64)
+    ref = loop_propagator(space, DRIVEN, 0.9, 64)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+def test_oracles_match_loops_for_few_steps(n_steps):
+    # odd tree sizes, and fewer steps than worker threads
+    space = make_space(3)
+    scenario = LinearPhaseScenario(eta0=0.8, w0=0.6, phi0=-0.4, w11=0.3,
+                                   w22=-0.1, f1=RotatingDrive(0.2, 0.7, 0.1))
+    got = brute_force_smatrix(scenario, 0.7, n_steps)
+    assert np.max(np.abs(got - loop_smatrix(scenario, 0.7, n_steps))) <= 1e-12
+    got = brute_force_propagator(space, scenario, 0.7, n_steps)
+    ref = loop_propagator(space, scenario, 0.7, n_steps)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_oracle_imports_no_factorization_code():
+    # the oracles stay independent: from the package, oracle.py may use
+    # only the Fock space and the scenario coefficients
+    tree = ast.parse(Path(twomode.oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "twomode" if node.level else ""
+            base = ".".join(filter(None, [package, node.module]))
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    used = {(name.split(".") + ["<package>"])[1] for name in names
+            if name.split(".")[0] == "twomode"}
+    assert used <= {"fock", "scenario"}, sorted(used)

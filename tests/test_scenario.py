@@ -288,3 +288,39 @@ def test_tabulated_csv(tmp_path):
     bad.write_text("t,w11\n0,0\n1,0\n2,0\n3,0\n")
     with pytest.raises(ValueError):
         TabulatedScenario.from_csv(bad)
+
+
+def _tabulated_with_drives():
+    ts = np.linspace(0.0, 2.0, 41)
+    return TabulatedScenario.from_samples(
+        ts, w11=0.3 + 0.1 * np.sin(ts), w22=0.2 * np.cos(ts),
+        w12=(0.4 + 0.1 * ts) * np.exp(0.7j * ts),
+        f1=0.1 * np.exp(1j * ts), f2=0.05 - 0.02j * ts, b=0.3 * np.cos(2 * ts))
+
+
+ARRAY_CASES = ALL_CASES + [
+    _tabulated_with_drives(),
+    AllConstantScenario(w11=0.1, w22=0.2, w12=0.3,
+                        f1=ConstantDrive(0.2 + 0.1j),
+                        f2=RotatingDrive(0.1, 1.0, 0.4),
+                        b=CosineDrive(0.3, 2.0, 0.1)),
+]
+
+
+def _assert_stacked(array_value, scalar_values):
+    want = np.array(scalar_values)
+    got = np.broadcast_to(array_value, want.shape)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("sc", ARRAY_CASES, ids=lambda sc: sc.case)
+def test_array_times_match_scalar_calls(sc):
+    ts = np.linspace(0.0, 1.9, 23)
+    singles = [sc.coupling(float(t)) for t in ts]
+    for got, want in zip(sc.coupling(ts), zip(*singles)):
+        _assert_stacked(got, want)
+    for value in singles[3]:
+        assert np.isscalar(value)
+    for drive in (sc.f1, sc.f2, sc.b):
+        _assert_stacked(drive(ts), [drive(float(t)) for t in ts])
+        assert np.isscalar(drive(0.7))
