@@ -277,15 +277,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     except ValueError:
         c0 = (0j, 0j)
     grid = np.linspace(0.0, cfg.t_end, cfg.grid)
-    samples = []
-    for t in grid:
-        amps = c_coefficients(scenario, c0, float(t), cfg.tol)
-        samples.append({
-            "t": float(t),
-            "c1": [amps.c1.real, amps.c1.imag],
-            "c2": [amps.c2.real, amps.c2.imag],
-            "phase": [amps.global_phase.real, amps.global_phase.imag],
-            "norm2": amps.norm2})
+    samples = [{"t": amps.t,
+                "c1": [amps.c1.real, amps.c1.imag],
+                "c2": [amps.c2.real, amps.c2.imag],
+                "phase": [amps.global_phase.real, amps.global_phase.imag],
+                "norm2": amps.norm2}
+               for amps in c_coefficients(scenario, c0, grid, cfg.tol)]
     _write_json(os.path.join(cfg.out_dir, "evolve.json"), {
         "case": scenario.case,
         "c0": [c0[0].real, c0[0].imag, c0[1].real, c0[1].imag],

@@ -11,7 +11,7 @@ part:
 with U0 the Gauss product built from the factor coefficients.  When the
 factor chart is singular at t the assembly falls back to a globally regular
 single-exponential form obtained by lifting the numeric j=1/2 propagator
-to the truncated Fock space.
+to the truncated Fock space; factors, lift and amplitudes share one S solve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .fock import (FockSpace, annihilator, coherent_state,
 from .riccati import solve_riccati_numeric
 from .scenario import (IsotropicConstantScenario, LogRhoScenario,
                        RhoConstantScenario, Scenario, drive_is_zero)
-from .smatrix import _integrate, smatrix_numeric
 
 
 @dataclass(frozen=True)
@@ -81,56 +80,54 @@ def coherent_spec(scenario: Scenario) -> CoherentStateSpec:
 # ---------------------------------------------------------------------------
 # drive coefficients and global phase
 
-def c_coefficients(scenario: Scenario, c0, t: float,
-                   tol: float = 1e-10) -> CoherentAmplitudes:
+def c_coefficients(scenario: Scenario, c0, t, tol: float = 1e-10):
     """Propagate the drive amplitudes from c(0) = c0 and accumulate the
-    scalar phase P(t).  The drive integral rides on the dense output of the
-    S-matrix integration."""
+    scalar phase P(t), at one time t or, as a list, at each of a 1-D array
+    of ascending times, all from one S and one drive integration."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be ascending")
+    factors = solve_riccati_numeric(scenario, times[-1], tol, grid=times[-1:])
+    amps = _amplitudes(scenario, c0, times, tol, factors.s_dense)
+    return amps if np.ndim(t) else amps[0]
+
+
+def _amplitudes(scenario: Scenario, c0, times, tol: float,
+                s_dense) -> list[CoherentAmplitudes]:
+    """c(t) = S(t) (c0 - i int_0^t S^dag F) and P(t) at ascending times from
+    the dense S(t) given; P sums one quadrature per interval between them."""
     c0 = np.asarray(c0, dtype=complex).reshape(2)
-    no_f = drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2)
-    if t == 0.0:
-        return CoherentAmplitudes(t=0.0, c1=complex(c0[0]),
-                                  c2=complex(c0[1]), global_phase=1.0 + 0j)
-
-    sol_s = _integrate(scenario, t, tol, dense=True)
-    s_at = lambda s: sol_s.sol(s).reshape(2, 2)
-
-    if no_f:
-        c_final = s_at(t) @ c0
-        if drive_is_zero(scenario.b):
-            phase = 1.0 + 0j
-        else:
-            p, _ = quad(lambda s: float(complex(scenario.b(s)).real),
-                        0.0, t, epsabs=tol, epsrel=1e-12, limit=200)
-            phase = cmath.exp(-1j * p)
-        return CoherentAmplitudes(t=float(t), c1=complex(c_final[0]),
-                                  c2=complex(c_final[1]), global_phase=phase)
-
-    def g_rhs(s, g):
-        f = np.array([complex(scenario.f1(s)), complex(scenario.f2(s))])
-        return s_at(s).conj().T @ f
-
-    sol_g = solve_ivp(g_rhs, (0.0, t), [0j, 0j], method="DOP853",
-                      rtol=tol, atol=tol, dense_output=True)
-    if sol_g.status != 0:
-        raise RuntimeError(f"drive integral failed: {sol_g.message}")
-    g_at = lambda s: sol_g.sol(s)
+    driven = not (drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2))
+    f_at = lambda s: np.array([complex(scenario.f1(s)),
+                               complex(scenario.f2(s))])
+    g_at = lambda s: np.zeros(2)
+    if driven:
+        sol_g = solve_ivp(lambda s, g: s_dense(s).conj().T @ f_at(s),
+                          (0.0, float(times[-1])), [0j, 0j], method="DOP853",
+                          rtol=tol, atol=tol, dense_output=True)
+        if sol_g.status != 0:
+            raise RuntimeError(f"drive integral failed: {sol_g.message}")
+        g_at = sol_g.sol
 
     def c_at(s):
-        return s_at(s) @ (c0 - 1j * g_at(s))
+        return s_dense(s) @ (c0 - 1j * g_at(s))
 
     def p_integrand(s):
-        c = c_at(s)
-        f1 = complex(scenario.f1(s))
-        f2 = complex(scenario.f2(s))
-        val = (f1 * np.conj(c[0])).real + (f2 * np.conj(c[1])).real
-        return val + float(complex(scenario.b(s)).real)
+        return (np.vdot(f_at(s), c_at(s)).real
+                + float(complex(scenario.b(s)).real))
 
-    p, _ = quad(p_integrand, 0.0, t, epsabs=tol, epsrel=1e-11, limit=400)
-    c_final = c_at(t)
-    return CoherentAmplitudes(t=float(t), c1=complex(c_final[0]),
-                              c2=complex(c_final[1]),
-                              global_phase=cmath.exp(-1j * p))
+    phased = driven or not drive_is_zero(scenario.b)
+    out, p, prev = [], 0.0, 0.0
+    for t in times:
+        if phased and t > prev:
+            p += quad(p_integrand, prev, t, epsabs=tol, epsrel=1e-11,
+                      limit=400)[0]
+        prev = t
+        c = c_at(t)
+        out.append(CoherentAmplitudes(t=float(t), c1=complex(c[0]),
+                                      c2=complex(c[1]),
+                                      global_phase=cmath.exp(-1j * p)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +179,15 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
     """Dense propagator on the truncated space via the factorized form.
     Falls back to the regular single-exponential lift when the factor
     chart is singular at t."""
-    amps = c_coefficients(scenario, (0j, 0j), t, tol)
-    alpha, rho = scenario.diag_integrals(t)
-    factors = solve_riccati_numeric(scenario, t, tol,
-                                    grid=np.array([0.0, t]))
-    sample = factors.at(t) if factors.singular_time is None else None
-    if sample is not None and sample.valid:
-        u0 = _gauss_product(space, alpha, rho, sample.lam, sample.omega,
-                            sample.gamma)
+    factors = solve_riccati_numeric(scenario, t, tol, grid=np.array([t]))
+    amps = _amplitudes(scenario, (0j, 0j), np.array([t]), tol,
+                       factors.s_dense)[0]
+    alpha, rho = factors.alpha[0], factors.rho[0]
+    if factors.valid[0]:
+        u0 = _gauss_product(space, alpha, rho, factors.lam[0],
+                            factors.omega[0], factors.gamma[0])
     else:
-        smat = smatrix_numeric(scenario, t, tol)
-        u0 = _su2_lift(space, smat.mat, alpha)
+        u0 = _su2_lift(space, factors.s_dense(t), alpha)
     disp = displacement_operator(space, amps.c1, amps.c2)
     return amps.global_phase * (disp @ u0)
 

@@ -7,16 +7,17 @@ Lambda obeys the Riccati equation
     dLambda/ds = eta(s) + conj(eta(s)) Lambda^2,        Lambda(0) = 0,
 
 with Omega = 2 int conj(eta) Lambda and Gamma = -int conj(eta) e^{Omega}.
-This module integrates that system numerically and evaluates the closed
-forms for every phase family that admits one, plus the alternative ordering
-exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-) (no separate rho rotation),
-whose coefficients relate to the standard ones by
+That system is the projective image of i dS/ds = W S (Wei & Norman): the
+numeric route integrates S and reads all three off it.  The module also
+evaluates the closed forms for every phase family that admits one, plus
+the alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
+(no separate rho rotation), whose coefficients relate to the standard ones by
 
     Lambda~ = e^{-i rho} Lambda,   Omega~ = Omega - i rho,   Gamma~ = Gamma.
 
-Lambda diverging (a chart singularity, |Lambda| > LAM_LIMIT) is a property
-of the coordinate patch, not of the underlying unitary; it is reported
-through validity flags and the first singular time rather than hidden.
+Lambda diverging (a chart singularity, S22 -> 0) is a property of the
+coordinate patch, not of the underlying unitary; it is reported through
+validity flags and the first singular time rather than hidden.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from .scenario import (AllConstantScenario, ConstantPhaseScenario,
                        FresnelNormScenario, GeneralPhaseScenario,
@@ -163,7 +165,8 @@ class FactorSample:
 @dataclass(frozen=True)
 class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator for
-    off-grid times when one is available (dense ODE output or closed form)."""
+    off-grid times when one is available (dense ODE output or closed form).
+    Numeric factors carry s_dense, t -> S(t), the S they were read from."""
 
     scenario: Scenario
     ordering: str
@@ -176,6 +179,7 @@ class DisentangledFactors:
     valid: np.ndarray
     singular_time: float | None = None
     _eval: Callable | None = None
+    s_dense: Callable | None = None
 
     def at(self, t: float) -> FactorSample:
         alpha, rho = self.scenario.diag_integrals(t)
@@ -217,18 +221,65 @@ def gamma_conjugacy_check(factors: DisentangledFactors) -> ConjugacyReport:
 # ---------------------------------------------------------------------------
 # numeric route
 
+def _integrate(scenario: Scenario, t: float, tol: float):
+    """Dense solution of i dS/ds = W(s) S, S(0) = I, on [0, t]: a callable
+    whose rows at s are S11, S12, S21, S22, with the solver steps in .ts."""
+    def rhs(s, y):
+        w11, w22, w12 = scenario.coupling(s)
+        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
+        return (-1j * w @ y.reshape(2, 2)).ravel()
+
+    y0 = np.eye(2, dtype=complex).ravel()
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=tol, atol=tol,
+                    dense_output=True)
+    if sol.status != 0:
+        raise StepUnderflow(sol.message)
+    return sol.sol
+
+
+def _diag(scenario: Scenario, times) -> np.ndarray:
+    """alpha and rho at each time, as the two rows of one array."""
+    return np.array([scenario.diag_integrals(float(t)) for t in times],
+                    dtype=float).reshape(-1, 2).T
+
+
+def _chart_end(scenario: Scenario, dense, ts):
+    """First local minimum of |S22| where |S12/S22| reaches LAM_LIMIT (or
+    None), and the minima before it; each minimum sampled at ts is refined
+    to the root of d|S22|^2/ds = 2 Im(conj(w12 S22) S12) around it."""
+    def slope(s):
+        y = dense(s)
+        return np.imag(np.conj(scenario.coupling(s)[2] * y[3]) * y[1])
+
+    mag = np.abs(dense(ts)[3])
+    right = np.append(mag[2:], np.inf)
+    near = []
+    for i in np.nonzero((mag[1:] < mag[:-1]) & (mag[1:] <= right))[0] + 1:
+        lo, hi = ts[i - 1], ts[min(i + 1, ts.size - 1)]
+        t = brentq(slope, lo, hi) if slope(lo) < 0.0 < slope(hi) else ts[i]
+        y = dense(t)
+        if abs(y[1]) >= LAM_LIMIT * abs(y[3]):
+            return float(t), np.array(near)
+        near.append(t)
+    return None, np.array(near)
+
+
 def solve_riccati_numeric(scenario: Scenario, t_end: float,
                           tol: float = 1e-10,
                           grid=None) -> DisentangledFactors:
-    """Integrate the coupled system for (Lambda, Omega, Gamma) adaptively,
-    stopping at the first chart singularity (|Lambda| reaching LAM_LIMIT).
-    Samples past the singular time are flagged invalid and set to NaN."""
+    """Read (Lambda, Omega, Gamma) off one adaptive integration of S.  With
+    G = e^{i alpha/2} diag(e^{i rho/2}, e^{-i rho/2}) S, Lambda = G12/G22,
+    Gamma = G21/G22 and Omega = -2 log G22, arg G22 unwrapped along the
+    solver steps, the grid and the near-zeros of |S22| (the branch moves
+    only Im Omega, by 4 pi k, which no Gauss product sees).  The chart
+    ends at the first local minimum of |S22| where |Lambda| reaches
+    LAM_LIMIT; samples from that singular time on are NaN and invalid."""
     if grid is None:
         grid = np.linspace(0.0, t_end, 201)
     grid = np.asarray(grid, dtype=float)
-
-    alpha = np.array([scenario.diag_integrals(t)[0] for t in grid])
-    rho = np.array([scenario.diag_integrals(t)[1] for t in grid])
+    if grid.size and (grid.min() < 0.0 or grid.max() > t_end):
+        raise ValueError(f"grid leaves the span [0, {t_end}]")
+    alpha, rho = _diag(scenario, grid)
 
     if t_end == 0.0:
         z = np.zeros(grid.size, dtype=complex)
@@ -236,55 +287,50 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
             scenario=scenario, ordering="standard", t=grid, alpha=alpha,
             rho=rho, lam=z, omega=z.copy(), gamma=z.copy(),
             valid=np.ones(grid.size, dtype=bool),
-            _eval=lambda t: (0j, 0j, 0j))
+            _eval=lambda t: (0j, 0j, 0j),
+            s_dense=lambda t: np.eye(2, dtype=complex))
 
-    def rhs(s, y):
-        e = scenario.eta(s)
-        ec = np.conj(e)
-        lam, om, _ = y
-        return [e + ec * lam * lam, 2.0 * ec * lam, -ec * np.exp(om)]
+    dense = _integrate(scenario, t_end, tol)
+    steps = np.union1d(dense.ts, grid)
+    singular_time, near = _chart_end(scenario, dense, steps)
+    stop = math.inf if singular_time is None else singular_time
+    # near-zeros of |S22| join the unwrapping samples: each splits the
+    # fast half turn of arg G22 there into two quarter turns
+    ts = np.union1d(steps[steps < stop], near)
 
-    def blowup(s, y):
-        return LAM_LIMIT - abs(y[0])
-    blowup.terminal = True
-    blowup.direction = -1
+    def gauss(times):
+        alpha, rho = _diag(scenario, times)
+        s = np.exp(0.5j * (alpha - rho)) * dense(times)
+        return np.exp(1j * rho) * s[1], s[2], s[3]     # G12, G21, G22
 
-    sol = solve_ivp(rhs, (0.0, t_end), [0j, 0j, 0j], method="DOP853",
-                    rtol=tol, atol=tol, t_eval=grid, dense_output=True,
-                    events=[blowup])
-    if sol.status == -1:
-        raise StepUnderflow(sol.message)
+    arg_ts = np.unwrap(np.angle(gauss(ts)[2]))
 
-    singular_time = None
-    if sol.t_events[0].size:
-        singular_time = float(sol.t_events[0][0])
+    def read(times):
+        g12, g21, g22 = gauss(times)
+        arg = np.angle(g22)
+        ref = arg_ts[np.searchsorted(ts, times, side="right") - 1]
+        arg += 2.0 * math.pi * np.round((ref - arg) / (2.0 * math.pi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (g12 / g22, -2.0 * (np.log(np.abs(g22)) + 1j * arg),
+                    g21 / g22)
 
-    n_got = sol.t.size
-    lam = np.full(grid.size, np.nan, dtype=complex)
-    omega = np.full(grid.size, np.nan, dtype=complex)
-    gamma = np.full(grid.size, np.nan, dtype=complex)
-    lam[:n_got] = sol.y[0]
-    omega[:n_got] = sol.y[1]
-    gamma[:n_got] = sol.y[2]
-    valid = np.zeros(grid.size, dtype=bool)
-    valid[:n_got] = np.abs(lam[:n_got]) <= LAM_LIMIT
-
-    t_cov = sol.t[-1] if n_got else 0.0
-    dense = sol.sol
+    past = grid >= stop
+    lam, omega, gamma = (np.where(past, np.nan, v) for v in read(grid))
+    valid = (np.abs(lam) <= LAM_LIMIT) & np.isfinite(omega) & np.isfinite(gamma)
 
     def evaluate(t):
-        top = singular_time if singular_time is not None else t_cov
+        top = min(t_end, stop)
         if t > top + 1e-12:
             raise ChartSingularity(
                 f"factor chart singular before t = {t:.6g}",
                 singular_time=singular_time)
-        y = dense(min(t, top))
-        return complex(y[0]), complex(y[1]), complex(y[2])
+        return tuple(complex(v[0]) for v in read(np.array([min(t, top)])))
 
     return DisentangledFactors(
         scenario=scenario, ordering="standard", t=grid, alpha=alpha, rho=rho,
         lam=lam, omega=omega, gamma=gamma, valid=valid,
-        singular_time=singular_time, _eval=evaluate)
+        singular_time=singular_time, _eval=evaluate,
+        s_dense=lambda t: dense(t).reshape(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +437,7 @@ def factors_on_grid(scenario: Scenario, grid,
     exact evaluator.  ordering="alternative" applies the chart relations
     (or the dedicated alternative evaluators for the showcase cases)."""
     grid = np.asarray(grid, dtype=float)
-    alpha = np.array([scenario.diag_integrals(t)[0] for t in grid])
-    rho = np.array([scenario.diag_integrals(t)[1] for t in grid])
+    alpha, rho = _diag(scenario, grid)
 
     if ordering == "standard":
         def evaluate(t):

@@ -4,8 +4,8 @@ S solves i dS/ds = W(s) S with S(0) = I, where W is the Hermitian
 coefficient matrix [[w11, w12], [w21, w22]].  It is the j=1/2 carrier of
 the su(2) part of the evolution: unitary, with det S = e^{-i alpha(t)}.
 Every closed-form family has a printed element block here, and any factor
-set reconstructs S through the Gauss product, which is how the factor
-routes are validated against each other.
+set reconstructs S through the Gauss product.  Numeric S and numeric
+factors come from the same integration routine, riccati._integrate.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .riccati import ChartSingularity, DisentangledFactors, StepUnderflow
+from .riccati import ChartSingularity, DisentangledFactors, _integrate
 from .scenario import (AllConstantScenario, ConstantPhaseScenario,
                        GeneralPhaseScenario, IsotropicConstantScenario,
                        LinearPhaseScenario, LogRhoScenario,
@@ -43,65 +42,28 @@ def _polar_project(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _w_matrix(scenario: Scenario, s: float) -> np.ndarray:
-    w11, w22, w12 = scenario.coupling(s)
-    return np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
-
-
-def _integrate(scenario: Scenario, t: float, tol: float,
-               dense: bool = False, t_eval=None):
-    def rhs(s, y):
-        return (-1j * _w_matrix(scenario, s) @ y.reshape(2, 2)).ravel()
-
-    y0 = np.eye(2, dtype=complex).ravel()
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=dense, t_eval=t_eval)
-    if sol.status != 0:
-        raise StepUnderflow(sol.message)
-    return sol
-
-
 def smatrix_numeric(scenario: Scenario, t: float,
                     tol: float = 1e-10) -> SMatrix2:
-    """Adaptive integration of the coefficient ODE.  The result is
-    re-unitarized by polar projection only if integration drift exceeds
-    10x the requested tolerance, and that is flagged."""
-    if t == 0.0:
-        return SMatrix2(t=0.0, mat=np.eye(2, dtype=complex))
-    sol = _integrate(scenario, t, tol)
-    m = sol.y[:, -1].reshape(2, 2)
-    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-    projected = False
-    if defect > 10.0 * tol:
-        m = _polar_project(m)
-        projected = True
-    return SMatrix2(t=float(t), mat=m, projected=projected)
+    """S(t) alone: smatrix_numeric_grid at [t]."""
+    return smatrix_numeric_grid(scenario, [t], tol)[0]
 
 
 def smatrix_numeric_grid(scenario: Scenario, grid,
                          tol: float = 1e-10) -> list[SMatrix2]:
-    """One integration pass sampled at the grid times (ascending, from 0)."""
+    """One integration pass sampled at the grid times (ascending, from 0).
+    A sample is re-unitarized by polar projection only if integration
+    drift exceeds 10x the requested tolerance, and that is flagged."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return []
+    mats = np.tile(np.eye(2, dtype=complex), (grid.size, 1, 1))
+    positive = grid > 0
+    if np.any(positive):
+        dense = _integrate(scenario, float(grid[-1]), tol)
+        mats[positive] = dense(grid[positive]).T.reshape(-1, 2, 2)
     out: list[SMatrix2] = []
-    positive = grid[grid > 0]
-    sols = {}
-    if positive.size:
-        sol = _integrate(scenario, float(grid[-1]), tol, dense=True)
-        for t in positive:
-            sols[float(t)] = sol.sol(t).reshape(2, 2)
-    for t in grid:
-        if t == 0.0:
-            out.append(SMatrix2(t=0.0, mat=np.eye(2, dtype=complex)))
-        else:
-            m = sols[float(t)]
-            defect = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-            projected = False
-            if defect > 10.0 * tol:
-                m = _polar_project(m)
-                projected = True
-            out.append(SMatrix2(t=float(t), mat=m, projected=projected))
+    for t, m in zip(grid, mats):
+        projected = SMatrix2(t=t, mat=m).unitarity_defect > 10.0 * tol
+        out.append(SMatrix2(t=float(t), projected=projected,
+                            mat=_polar_project(m) if projected else m))
     return out
 
 

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -185,3 +186,37 @@ def test_assemble_survives_chart_singularity():
     psi /= np.linalg.norm(psi)
     report = compare_operators(u, ref, [psi], space=space)
     assert np.min(report.fidelities) > 1.0 - 1e-6
+
+
+def test_c_coefficients_on_a_time_array():
+    scenario = AllConstantScenario(w11=0.4, w22=0.2, w12=0.15,
+                                   f1=RotatingDrive(0.1, 1.0, 0.0),
+                                   b=ConstantDrive(0.2))
+    c0 = (0.3, -0.1j)
+    times = np.linspace(0.0, 1.5, 7)
+    batch = c_coefficients(scenario, c0, times)
+    assert len(batch) == times.size
+    for amps, t in zip(batch, times):
+        single = c_coefficients(scenario, c0, float(t))
+        assert amps.t == single.t
+        assert abs(amps.c1 - single.c1) < 1e-9
+        assert abs(amps.c2 - single.c2) < 1e-9
+        assert abs(amps.global_phase - single.global_phase) < 1e-9
+    with pytest.raises(ValueError):
+        c_coefficients(scenario, c0, np.array([0.0, 1.0, 0.5]))
+
+
+def test_assemble_makes_one_s_and_one_drive_solve(monkeypatch):
+    calls = []
+    for name in ("cli", "evolution", "fock", "oracle", "riccati",
+                 "scenario", "smatrix"):
+        module = importlib.import_module(f"twomode.{name}")
+        if hasattr(module, "solve_ivp"):
+            def counted(*args, _solve=module.solve_ivp, **kwargs):
+                calls.append(args[1])
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(module, "solve_ivp", counted)
+    scenario = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j,
+                                   f1=RotatingDrive(0.1, 1.0, 0.0))
+    assemble_U(make_space(4), scenario, 1.0)
+    assert len(calls) <= 2

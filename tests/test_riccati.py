@@ -22,10 +22,12 @@ from twomode.scenario import (
     ConstantPhaseScenario,
     FresnelNormScenario,
     GeneralPhaseScenario,
+    IsotropicConstantScenario,
     LinearPhaseScenario,
     LogRhoScenario,
     QuadraticPhaseScenario,
     RhoConstantScenario,
+    TabulatedScenario,
 )
 
 PHASE_CASES = [
@@ -263,3 +265,95 @@ def test_factors_on_grid_rejects_unknown_ordering():
 def test_closed_factors_need_catalog_scenario():
     with pytest.raises(ValueError):
         closed_factors(QuadraticPhaseScenario(eta0=1.0, theta0=0.5), 0.5)
+
+
+def _rel_err(numeric, closed):
+    """|x_num - x_closed| / (1 + |x_closed|)^2: absolute error where the
+    coefficient is small, relative to |x|^2 where it grows near a pole."""
+    return float(np.max(np.abs(numeric - closed)
+                        / (1.0 + np.abs(closed)) ** 2))
+
+
+def test_numeric_route_through_near_miss():
+    # S22 passes within 5e-6 of zero at t = pi/2, so |Lambda| peaks near
+    # 2e5 without a chart pole; the factors must stay accurate past it
+    scenario = LinearPhaseScenario(eta0=1.0, w0=1e-5, phi0=0.3)
+    grid = np.linspace(0.0, 3.0, 201)
+    numeric = solve_riccati_numeric(scenario, 3.0, tol=1e-10, grid=grid)
+    assert numeric.singular_time is None
+    assert np.all(numeric.valid)
+    closed = closed_factors(scenario, grid)
+    for got, want in zip((numeric.lam, numeric.omega, numeric.gamma), closed):
+        assert _rel_err(got, want) <= 1e-8
+
+    peak = numeric.at(math.pi / 2.0)
+    lam, omega, gamma = closed_factors(scenario, math.pi / 2.0)
+    assert 1e5 < abs(peak.lam) < 1e6
+    assert _rel_err(peak.lam, lam) <= 1e-8
+    assert _rel_err(peak.gamma, gamma) <= 1e-8
+    # Im Omega turns by 2 pi across the near-miss; at its middle the
+    # branch must still be the closed one (a wrong one is off by 4 pi)
+    assert abs(peak.omega - omega) < 1e-3
+
+
+def test_numeric_route_locates_narrow_pole():
+    # the same family with S22 reaching 5e-10: |Lambda| passes LAM_LIMIT
+    scenario = LinearPhaseScenario(eta0=1.0, w0=1e-9, phi0=0.3)
+    numeric = solve_riccati_numeric(scenario, 3.0, tol=1e-10)
+    assert numeric.singular_time is not None
+    assert abs(numeric.singular_time - math.pi / 2.0) < 1e-6
+    past = numeric.t >= numeric.singular_time
+    assert not np.any(numeric.valid[past])
+    assert np.all(np.isnan(numeric.lam[past].real))
+    assert np.all(numeric.valid[~past])
+
+
+def test_numeric_omega_follows_its_winding():
+    scenario = LinearPhaseScenario(eta0=0.8, w0=-1.2, phi0=0.3,
+                                   w11=0.15, w22=0.05)
+    grid = np.linspace(0.0, 6.0, 121)
+    numeric = solve_riccati_numeric(scenario, 6.0, tol=1e-12, grid=grid)
+    closed = closed_factors(scenario, grid)
+    assert np.ptp(closed[1].imag) > 4.0
+    for got, want in zip((numeric.lam, numeric.omega, numeric.gamma), closed):
+        assert _rel_err(got, want) <= 1e-8
+    for t in (2.345, 5.678):
+        sample = numeric.at(t)
+        _, omega, _ = closed_factors(scenario, t)
+        assert _rel_err(sample.omega, omega) <= 1e-8
+
+
+def _smooth_tabulated():
+    ts = np.linspace(0.0, 1.2, 61)
+    w12 = (0.7 + 0.2 * np.cos(3.0 * ts)) * np.exp(1j * (0.5 + 0.8 * ts ** 2))
+    return TabulatedScenario.from_samples(
+        ts, 0.3 + 0.2 * np.sin(2.0 * ts), 0.1 * np.cos(ts), w12)
+
+
+@pytest.mark.parametrize("scenario", [
+    QuadraticPhaseScenario(eta0=1.0, theta0=0.5),
+    _smooth_tabulated(),
+], ids=["QuadraticPhase", "Tabulated"])
+def test_numeric_lambda_satisfies_riccati_equation(scenario):
+    # nothing integrates the Riccati equation itself any more, so check
+    # the numeric Lambda against it by fourth-order centered differences
+    grid = np.linspace(0.0, 1.0, 1001)
+    lam = solve_riccati_numeric(scenario, 1.0, tol=1e-12, grid=grid).lam
+    h = grid[1] - grid[0]
+    d = (lam[:-4] - 8.0 * lam[1:-3] + 8.0 * lam[3:-1] - lam[4:]) / (12.0 * h)
+    eta = np.array([scenario.eta(t) for t in grid[2:-2]])
+    residual = np.max(np.abs(d - (eta + np.conj(eta) * lam[2:-2] ** 2)))
+    assert residual < 1e-6
+
+
+def test_numeric_route_locates_isotropic_pole():
+    # |S22| = |cos(t/2)| here; the chart must end at its zero t = pi, far
+    # closer than the 1e-8 offset at which |Lambda| reaches LAM_LIMIT
+    scenario = IsotropicConstantScenario.from_polar(
+        rho0=math.pi / 4.0, theta_alpha0=1.765, theta_beta0=-1.838)
+    numeric = solve_riccati_numeric(scenario, 3.978)
+    assert numeric.singular_time is not None
+    assert abs(numeric.singular_time - math.pi) < 1e-9
+    past = numeric.t >= numeric.singular_time
+    assert np.any(past) and not np.any(numeric.valid[past])
+    assert np.all(numeric.valid[~past])
