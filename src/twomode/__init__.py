@@ -1,17 +1,17 @@
 """Disentangling driven two-coupled-mode evolution into closed factors,
 with brute-force verification on a truncated Fock space."""
 
-from .fock import (FockSpace, TruncationError, annihilator, apply,
-                   basis_state, coherent_state, displacement_operator,
-                   expectation, interior_mask, make_space, mixing_operator,
-                   su2_generator, vacuum_state)
+from .fock import (FockSpace, TruncationError, annihilator, basis_state,
+                   coherent_state, displacement_operator, expectation,
+                   interior_mask, make_space, mixing_operator, su2_generator,
+                   vacuum_state)
 from .scenario import (AllConstantScenario, ConstantDrive,
                        ConstantPhaseScenario, CosineDrive,
                        FresnelNormScenario, GeneralPhaseScenario,
                        IsotropicConstantScenario, LinearPhaseScenario,
                        LogRhoScenario, QuadraticPhaseScenario,
                        RhoConstantScenario, RotatingDrive, TabulatedScenario,
-                       alpha_rho, check_phase_condition, eta, eval_coeffs)
+                       check_phase_condition, eval_coeffs)
 from .riccati import (ChartSingularity, ConditionViolated,
                       DisentangledFactors, SeriesDivergence, StepUnderflow,
                       alt_factors, alt_factors_fresnel,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import os
 import sys
@@ -29,13 +30,9 @@ from .fock import coherent_state, interior_mask, make_space
 from .oracle import (brute_force_propagator, brute_force_smatrix,
                      compare_operators)
 from .riccati import ChartSingularity, solve_riccati_numeric
-from .scenario import (AllConstantScenario, ConstantDrive,
-                       ConstantPhaseScenario, CosineDrive,
-                       FresnelNormScenario, GeneralPhaseScenario,
-                       IsotropicConstantScenario, LinearPhaseScenario,
-                       LogRhoScenario, QuadraticPhaseScenario,
-                       RhoConstantScenario, RotatingDrive, TabulatedScenario)
-from .smatrix import smatrix_from_factors, smatrix_numeric, smatrix_numeric_grid
+from .scenario import (CASES, ConstantDrive, CosineDrive, RotatingDrive,
+                       TabulatedScenario)
+from .smatrix import smatrix_from_factors, smatrix_numeric_grid
 
 
 @dataclass(frozen=True)
@@ -87,10 +84,10 @@ def _write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # scenario files
 
-def _sec_float(sec, key, default=None):
+def _sec_float(sec, key, default=inspect.Parameter.empty):
     if key in sec:
         return float(sec[key])
-    if default is None:
+    if default is inspect.Parameter.empty:
         raise ValueError(f"scenario section [{sec.name}] missing key {key!r}")
     return default
 
@@ -115,9 +112,24 @@ def _parse_drive(sec, allow_complex=True):
     raise ValueError(f"unsupported drive kind {kind!r} in [{sec.name}]")
 
 
-_CASE_SECTIONS = ("ConstantPhase", "LinearPhase", "GeneralPhase",
-                  "AllConstant", "IsotropicConstant", "RhoConstant",
-                  "LogRho", "QuadraticPhase", "FresnelNorm", "Tabulated")
+def _case_arguments(cls, sec) -> dict:
+    """Constructor arguments of a case read from its INI section.  A
+    parameter's key is its name (or the case's alias for it) and its default
+    the constructor's; a complex parameter reads <key>_re and <key>_im, each
+    0 by default.  Keyword-only parameters are the drives."""
+    args = {}
+    signature = inspect.signature(cls.ini_constructor())
+    for name, param in signature.parameters.items():
+        if param.kind is not param.POSITIONAL_OR_KEYWORD:
+            continue
+        key = cls.ini_aliases.get(name, name)
+        # scenario.py postpones annotations, so they arrive as strings
+        if param.annotation in (complex, "complex"):
+            args[name] = complex(_sec_float(sec, key + "_re", 0.0),
+                                 _sec_float(sec, key + "_im", 0.0))
+        else:
+            args[name] = _sec_float(sec, key, param.default)
+    return args
 
 
 def parse_scenario(path: str):
@@ -127,10 +139,10 @@ def parse_scenario(path: str):
     read = cp.read(path)
     if not read:
         raise ValueError(f"cannot read scenario file {path}")
-    tags = [s for s in cp.sections() if s in _CASE_SECTIONS]
+    tags = [s for s in cp.sections() if s in CASES]
     if len(tags) != 1:
         raise ValueError(f"scenario file must contain exactly one case "
-                         f"section from {_CASE_SECTIONS}, found {tags}")
+                         f"section from {tuple(CASES)}, found {tags}")
     tag = tags[0]
     sec = cp[tag]
     drives = {}
@@ -141,70 +153,8 @@ def parse_scenario(path: str):
     if cp.has_section("B"):
         drives["b"] = _parse_drive(cp["B"], allow_complex=False)
 
-    if tag == "ConstantPhase":
-        return ConstantPhaseScenario(
-            eta0=_sec_float(sec, "eta0"), phi0=_sec_float(sec, "phi0", 0.0),
-            w11=_sec_float(sec, "w11", 0.0), w22=_sec_float(sec, "w22", 0.0),
-            **drives)
-    if tag == "LinearPhase":
-        return LinearPhaseScenario(
-            eta0=_sec_float(sec, "eta0"), w0=_sec_float(sec, "w0"),
-            phi0=_sec_float(sec, "phi0", 0.0),
-            w11=_sec_float(sec, "w11", 0.0), w22=_sec_float(sec, "w22", 0.0),
-            **drives)
-    if tag == "GeneralPhase":
-        return GeneralPhaseScenario(
-            eta0=_sec_float(sec, "eta0"), w0=_sec_float(sec, "w0"),
-            phi0=_sec_float(sec, "phi0", 0.0),
-            theta0=_sec_float(sec, "theta0", 1.0),
-            nu=_sec_float(sec, "nu", 0.0),
-            w11=_sec_float(sec, "w11", 0.0), w22=_sec_float(sec, "w22", 0.0),
-            **drives)
-    if tag == "AllConstant":
-        return AllConstantScenario(
-            w11=_sec_float(sec, "w11"), w22=_sec_float(sec, "w22"),
-            w12=complex(_sec_float(sec, "w12_re", 0.0),
-                        _sec_float(sec, "w12_im", 0.0)),
-            **drives)
-    if tag == "IsotropicConstant":
-        return IsotropicConstantScenario.from_polar(
-            rho0=_sec_float(sec, "rho0"),
-            theta_alpha0=_sec_float(sec, "theta_alpha0", 0.0),
-            theta_beta0=_sec_float(sec, "theta_beta0", 0.0),
-            z0=complex(_sec_float(sec, "Z0_re", 0.0),
-                       _sec_float(sec, "Z0_im", 0.0)),
-            **drives)
-    if tag == "RhoConstant":
-        return RhoConstantScenario(
-            rho0=_sec_float(sec, "rho0"), eta0=_sec_float(sec, "eta0"),
-            w0=_sec_float(sec, "w0"),
-            theta_alpha0=_sec_float(sec, "theta_alpha0", 0.0),
-            theta_beta0=_sec_float(sec, "theta_beta0", 0.0),
-            z0=complex(_sec_float(sec, "Z0_re", 0.0),
-                       _sec_float(sec, "Z0_im", 0.0)),
-            **drives)
-    if tag == "LogRho":
-        return LogRhoScenario(
-            t0=_sec_float(sec, "t0"), eta0=_sec_float(sec, "eta0"),
-            w0=_sec_float(sec, "w0"),
-            theta_alpha0=_sec_float(sec, "theta_alpha0", 0.0),
-            theta_beta0=_sec_float(sec, "theta_beta0", 0.0),
-            z0=complex(_sec_float(sec, "Z0_re", 0.0),
-                       _sec_float(sec, "Z0_im", 0.0)),
-            **drives)
-    if tag == "QuadraticPhase":
-        return QuadraticPhaseScenario(
-            eta0=_sec_float(sec, "eta0"), theta0=_sec_float(sec, "theta0"),
-            **drives)
-    if tag == "FresnelNorm":
-        # key mapping: eta0 scales the coupling norm, theta0 and phi0 carry
-        # the two phase offsets
-        return FresnelNormScenario(
-            w12_0=_sec_float(sec, "eta0"), nu=_sec_float(sec, "nu"),
-            theta_v0=_sec_float(sec, "theta0", 0.0),
-            theta_u0=_sec_float(sec, "phi0", 0.0),
-            **drives)
-    if tag == "Tabulated":
+    cls = CASES[tag]
+    if cls is TabulatedScenario:
         data = sec.get("data")
         if not data:
             raise ValueError("[Tabulated] needs a 'data' key pointing at a "
@@ -213,7 +163,7 @@ def parse_scenario(path: str):
             data = os.path.join(os.path.dirname(os.path.abspath(path)), data)
         tab = TabulatedScenario.from_csv(data)
         return replace(tab, **drives) if drives else tab
-    raise AssertionError(tag)
+    return cls.ini_constructor()(**_case_arguments(cls, sec), **drives)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +293,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     defect = float(np.max(np.abs(ref.conj().T @ ref - np.eye(2))))
     record("oracle_unitarity", defect < 1e-9, defect, 1e-9)
 
-    sm = smatrix_numeric(scenario, t, cfg.tol)
-    dev = float(np.max(np.abs(sm.mat - ref)))
+    # the check grid ends at t: one S integration serves both checks
+    grid = np.linspace(0.0, t, min(cfg.grid, 9))
+    mats = smatrix_numeric_grid(scenario, grid, cfg.tol)
+    dev = float(np.max(np.abs(mats[-1].mat - ref)))
     record("smatrix_vs_oracle", dev < 1e-6, dev, 1e-6)
 
-    grid = np.linspace(0.0, t, min(cfg.grid, 9))
     factors = solve_riccati_numeric(scenario, t, cfg.tol, grid)
     if cfg.corrupt == "factor-sign":
         original = factors._eval
@@ -357,7 +308,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         record("factor_chart", False, factors.singular_time, "regular chart")
         exit_code = 2
     else:
-        mats = smatrix_numeric_grid(scenario, grid, cfg.tol)
         worst = 0.0
         for i, tt in enumerate(grid):
             rec = smatrix_from_factors(factors, float(tt))

@@ -1,5 +1,5 @@
 """Full evolution: drive coefficients, global phase, operator assembly,
-and the coherent-state laws of the isotropic families.
+and the coherent-state law of the isotropic families.
 
 The drive amplitudes obey c(t) = S(t) c(0) - i S(t) int_0^t S^dag(s) F(s) ds
 and enter the propagator through a displacement in front of the quadratic
@@ -12,6 +12,9 @@ with U0 the Gauss product built from the factor coefficients.  When the
 factor chart is singular at t the assembly falls back to a globally regular
 single-exponential form obtained by lifting the numeric j=1/2 propagator
 to the truncated Fock space; factors, lift and amplitudes share one S solve.
+
+The isotropic families carry coherent data; without drives their coherent
+states follow one law, the closed S block applied to c(0).
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from scipy.linalg import expm
 from .fock import (FockSpace, annihilator, coherent_state,
                    displacement_operator, number_diagonals, su2_generator)
 from .riccati import solve_riccati_numeric
-from .scenario import (IsotropicConstantScenario, LogRhoScenario,
-                       RhoConstantScenario, Scenario, drive_is_zero)
+from .scenario import Scenario, drive_is_zero
+from .smatrix import smatrix_closed
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,10 @@ class CoherentStateSpec:
 def coherent_spec(scenario: Scenario) -> CoherentStateSpec:
     """Initial coherent data encoded in a scenario, for the isotropic
     families that carry one."""
-    if isinstance(scenario, IsotropicConstantScenario):
-        return CoherentStateSpec(z0=scenario.z0, alpha0=scenario.alpha,
-                                 beta0=scenario.beta)
-    if isinstance(scenario, (RhoConstantScenario, LogRhoScenario)):
-        r0 = scenario.mixing_angle0()
-        return CoherentStateSpec(
-            z0=scenario.z0,
-            alpha0=math.cos(r0) * cmath.exp(1j * scenario.theta_alpha0),
-            beta0=math.sin(r0) * cmath.exp(1j * scenario.theta_beta0))
-    raise ValueError(f"case {scenario.case} carries no coherent data")
+    mode = scenario.dressed_mode0()
+    if mode is None:
+        raise ValueError(f"case {scenario.case} carries no coherent data")
+    return CoherentStateSpec(z0=scenario.z0, alpha0=mode[0], beta0=mode[1])
 
 
 # ---------------------------------------------------------------------------
@@ -198,37 +195,24 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
 def coherent_evolution_closed(scenario: Scenario, state: CoherentStateSpec,
                               t: float) -> CoherentAmplitudes:
     """Printed amplitude evolution for the isotropic families (no drives):
-    the state stays coherent, |c1|^2 + |c2|^2 = |z0|^2 for all t."""
+    the state stays coherent, |c1|^2 + |c2|^2 = |z0|^2 for all t.
+
+    c(t) = S(t) c(0) with the closed S block and c(0) = z0 conj(alpha0,
+    beta0) from the case's dressed mode (cos r0 e^{i theta_alpha0},
+    sin r0 e^{i theta_beta0}).  Written out this is the mixing-family law,
+    with brackets (w0 cos r0 + 2 eta0 sin r0)/delta on c1 and
+    (w0 sin r0 - 2 eta0 cos r0)/delta on c2, so nothing divides by w0 or
+    tan r0.
+    """
     if not (drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2)
             and drive_is_zero(scenario.b)):
         raise ValueError("closed coherent laws hold for the undriven case")
-    if isinstance(scenario, IsotropicConstantScenario):
-        ph = cmath.exp(-1j * t)
-        return CoherentAmplitudes(
-            t=float(t),
-            c1=state.z0 * np.conj(scenario.alpha) * ph,
-            c2=state.z0 * np.conj(scenario.beta) * ph,
-            global_phase=1.0 + 0j)
-    if isinstance(scenario, (RhoConstantScenario, LogRhoScenario)):
-        delta = scenario.delta
-        w0 = scenario.w0
-        eta0 = scenario.eta0
-        r0 = scenario.mixing_angle0()
-        big_phi = scenario.big_phi(t)
-        theta_ba = scenario.theta_beta_alpha(t)
-        c, s = math.cos(big_phi), math.sin(big_phi)
-        pre = cmath.exp(-0.5j * t)
-        eb = cmath.exp(0.5j * theta_ba)
-        ratio = 2.0 * eta0 / w0
-        c1 = (pre * eb * state.z0 * math.cos(r0)
-              * cmath.exp(-1j * scenario.theta_alpha0)
-              * (c - 1j * (w0 / delta) * (1.0 + ratio * math.tan(r0)) * s))
-        c2 = (pre * np.conj(eb) * state.z0 * math.sin(r0)
-              * cmath.exp(-1j * scenario.theta_beta0)
-              * (c + 1j * (w0 / delta) * (1.0 - ratio / math.tan(r0)) * s))
-        return CoherentAmplitudes(t=float(t), c1=complex(c1), c2=complex(c2),
-                                  global_phase=1.0 + 0j)
-    raise ValueError(f"no closed coherent law for case {scenario.case}")
+    mode = scenario.dressed_mode0()
+    if mode is None:
+        raise ValueError(f"no closed coherent law for case {scenario.case}")
+    c = smatrix_closed(scenario, t).mat @ (state.z0 * np.conj(mode))
+    return CoherentAmplitudes(t=float(t), c1=complex(c[0]), c2=complex(c[1]),
+                              global_phase=1.0 + 0j)
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,6 @@ def mixing_operator(space: FockSpace, gamma3: float, theta_diff: float,
     return expm(gen)
 
 
-def apply(op: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return op @ state
-
-
 def expectation(op: np.ndarray, state: np.ndarray) -> complex:
     norm2 = np.vdot(state, state).real
     if norm2 == 0.0:

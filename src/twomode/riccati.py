@@ -31,11 +31,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .scenario import (AllConstantScenario, ConstantPhaseScenario,
-                       FresnelNormScenario, GeneralPhaseScenario,
-                       IsotropicConstantScenario, LinearPhaseScenario,
-                       LogRhoScenario, QuadraticPhaseScenario,
-                       RhoConstantScenario, Scenario)
+from .scenario import (FresnelNormScenario, PhaseFamily,
+                       QuadraticPhaseScenario, Scenario)
 
 LAM_LIMIT = 1e8
 
@@ -340,27 +337,28 @@ def _branch_index(x):
     return np.floor(x / math.pi + 0.5)
 
 
-def _phase_family_values(eta0, w0, eps, phi_t, phi0, phi_tilde, t):
-    """Shared evaluator for the constant/linear/general phase families.
+def _phase_family_values(fam: PhaseFamily, t):
+    """(Lambda, Omega, Gamma) of a phase family at the times t.
 
-    With delta = sqrt(4 eta0^2 + w0^2) and the rotated angle
-    x = delta phi_tilde / (2 w0) (reducing to eta0 t when w0 = 0), the
-    coefficients stay continuous across tan poles by unwrapping
+    With delta = sqrt(4 eta0^2 + w0^2) and the rotation angle x (eta0 t
+    when w0 = 0), the coefficients stay continuous across tan poles by
+    unwrapping
 
         A(x) = arctan((w0/delta) tan x) + sign(w0) pi floor(x/pi + 1/2).
     """
+    eta0, w0, eps, phi0 = fam.eta0, fam.w0, fam.eps, fam.phi0
     t = np.asarray(t, dtype=float)
-    phi_t = np.asarray(phi_t, dtype=float)
-    phi_tilde = np.asarray(phi_tilde, dtype=float)
-    delta = math.hypot(2.0 * eta0, w0)
+    phi_tilde = np.asarray(fam.phi_tilde(t), dtype=float)
+    phi_t = phi0 + phi_tilde
+    delta = fam.delta
     if delta < 1e-150:
         # eta0 (and any phase slope) this small leaves the factors at zero
         # to double precision, and delta^2 would underflow below
         z = np.zeros_like(t, dtype=complex)
         return z, z.copy(), z.copy()
+    x = fam.angle(t)
+    k = _branch_index(x)
     if w0 == 0.0:
-        x = eta0 * t
-        k = _branch_index(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             tanx = np.tan(x)
             lam = eps * tanx * np.exp(1j * phi_t)
@@ -368,8 +366,6 @@ def _phase_family_values(eta0, w0, eps, phi_t, phi0, phi_tilde, t):
             gam = -eps * tanx * np.exp(-1j * phi0)
         im_om = phi_tilde - 2.0 * math.pi * k
         return lam, re_om + 1j * im_om, gam
-    x = delta * phi_tilde / (2.0 * w0)
-    k = _branch_index(x)
     a_unwrapped = (np.arctan((w0 / delta) * np.tan(x))
                    + math.copysign(math.pi, w0) * k)
     # repair the isolated points where tan overflows
@@ -385,47 +381,17 @@ def _phase_family_values(eta0, w0, eps, phi_t, phi0, phi_tilde, t):
     return lam, omega, gam
 
 
-def _as_phase_family(scenario):
-    """(eta0, w0, eps, phi callable, phi0, phi_tilde callable) with the
-    convention that x = delta phi_tilde / (2 w0), or None if the scenario
-    is not in the phase-closed catalog."""
-    if isinstance(scenario, ConstantPhaseScenario):
-        return (scenario.eta0, 0.0, 1, scenario.phi, scenario.phi0,
-                scenario.phi_tilde)
-    if isinstance(scenario, LinearPhaseScenario):
-        return (scenario.eta0, scenario.w0, 1, scenario.phi, scenario.phi0,
-                scenario.phi_tilde)
-    if isinstance(scenario, GeneralPhaseScenario):
-        return (scenario.eta0, scenario.w0, scenario.eps, scenario.phi,
-                scenario.phi0, scenario.phi_tilde)
-    if isinstance(scenario, (AllConstantScenario, IsotropicConstantScenario)):
-        w11, w22, w12 = scenario.coupling(0.0)
-        eta0 = abs(w12)
-        w0 = w11 - w22
-        phi0 = float(np.angle(-1j * w12)) if w12 != 0 else 0.0
-        return (eta0, w0, 1, lambda t: phi0 + w0 * np.asarray(t, float),
-                phi0, lambda t: w0 * np.asarray(t, float))
-    if isinstance(scenario, (RhoConstantScenario, LogRhoScenario)):
-        phi0 = scenario.phi(0.0)
-        return (scenario.eta0, scenario.w0, 1,
-                np.vectorize(scenario.phi), phi0,
-                np.vectorize(scenario.phi_tilde))
-    return None
-
-
 def closed_factors(scenario: Scenario, t):
     """Closed-form (Lambda, Omega, Gamma) in the standard ordering for any
-    scenario in the phase catalog.  Vectorized over t; values at a chart
+    scenario with a phase family.  Vectorized over t; values at a chart
     pole come out infinite and must be screened by the caller."""
-    fam = _as_phase_family(scenario)
+    fam = scenario.phase_family()
     if fam is None:
         raise ValueError(f"no standard-ordering closed factors for case "
                          f"{scenario.case}")
-    eta0, w0, eps, phi_fn, phi0, phi_tilde_fn = fam
     scalar = np.isscalar(t)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
     lam, omega, gam = _phase_family_values(
-        eta0, w0, eps, phi_fn(tt), phi0, phi_tilde_fn(tt), tt)
+        fam, np.atleast_1d(np.asarray(t, dtype=float)))
     if scalar:
         return complex(lam[0]), complex(omega[0]), complex(gam[0])
     return lam, omega, gam

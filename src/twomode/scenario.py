@@ -19,13 +19,19 @@ return arrays; an entry that does not depend on time stays a scalar, which
 broadcasts against the others.  A scalar time still gives scalars, through
 the math module where a case needs elementary functions, so the per-point
 calls of the adaptive integrators cost no more than before.
+
+A case is declared once, by its class: CASES maps each tag to it, the INI
+parser fills the parameters of its ini_constructor(), every closed-form
+route reads its phase_family(), and the isotropic cases give z0 and the
+dressed mode at t = 0 for the coherent law.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -104,6 +110,32 @@ class PhaseConditionReport:
     violation: np.ndarray
 
 
+class PhaseFamily(NamedTuple):
+    """eta(s) = eps |eta(s)| e^{i phi(s)} with phi = phi0 + phi_tilde(s).
+
+    phi_tilde is computed directly, never as phi(t) - phi(0): with w0 at
+    roundoff size (IsotropicConstant at rho0 = pi/4) the difference would
+    lose w0 t and with it the rotation angle.
+    """
+
+    eta0: float
+    w0: float
+    eps: int
+    phi0: float
+    phi_tilde: Callable
+
+    @property
+    def delta(self) -> float:
+        return math.hypot(2.0 * self.eta0, self.w0)
+
+    def angle(self, t):
+        """Rotation angle x = delta phi_tilde(t) / (2 w0), or eta0 t when
+        w0 = 0; scalar or array t."""
+        if self.w0 == 0.0:
+            return self.eta0 * t
+        return self.delta * self.phi_tilde(t) / (2.0 * self.w0)
+
+
 # ---------------------------------------------------------------------------
 # scenario base
 
@@ -117,12 +149,20 @@ class Scenario:
     b: object = field(default=NO_DRIVE, kw_only=True)
 
     case = "?"
+    # INI key of a constructor parameter whose key is not its own name
+    ini_aliases = {}
 
     def __post_init__(self):
         for probe in (0.33, 1.7):
             bval = complex(self.b(probe))
             if abs(bval.imag) > 1e-12:
                 raise ValueError("scalar drive B must be real-valued")
+
+    @classmethod
+    def ini_constructor(cls) -> Callable:
+        """The constructor an INI case section fills: its parameters name
+        the keys, and their defaults are the keys' defaults."""
+        return cls
 
     def coupling(self, t: float) -> tuple[float, float, complex]:
         """(w11, w22, w12) at time t, or at each time of a 1-D array t."""
@@ -132,9 +172,21 @@ class Scenario:
         """(alpha, rho) = (int_0^t (w11+w22), int_0^t (w11-w22))."""
         raise NotImplementedError
 
+    def phase_family(self) -> PhaseFamily | None:
+        """The closed phase model of eta, or None outside the catalogue."""
+        return None
+
+    def dressed_mode0(self) -> tuple[complex, complex] | None:
+        """(alpha0, beta0) of the dressed lowering operator at t = 0 for the
+        cases that carry coherent data (with z0), else None."""
+        return None
+
     def phase_reference(self, t: float) -> float:
         """Model phase phi(t) of eta used by check_phase_condition."""
-        raise NotImplementedError
+        fam = self.phase_family()
+        if fam is None:
+            raise NotImplementedError
+        return fam.phi0 + fam.phi_tilde(t)
 
     def eta(self, t: float) -> complex:
         _, rho = self.diag_integrals(t)
@@ -147,14 +199,6 @@ def eval_coeffs(scenario: Scenario, t: float) -> CoeffSample:
     return CoeffSample(t=float(t), w11=w11, w22=w22, w12=w12,
                        f1=complex(scenario.f1(t)), f2=complex(scenario.f2(t)),
                        b=float(complex(scenario.b(t)).real))
-
-
-def eta(scenario: Scenario, t: float) -> complex:
-    return scenario.eta(t)
-
-
-def alpha_rho(scenario: Scenario, t: float) -> tuple[float, float]:
-    return scenario.diag_integrals(t)
 
 
 def check_phase_condition(scenario: Scenario, grid, tol: float = 1e-9,
@@ -212,11 +256,8 @@ class ConstantPhaseScenario(Scenario):
     def diag_integrals(self, t):
         return (self.w11 + self.w22) * t, (self.w11 - self.w22) * t
 
-    def phase_reference(self, t):
-        return self.phi0
-
-    def phi(self, t):
-        return self.phi0
+    def phase_family(self):
+        return PhaseFamily(self.eta0, 0.0, 1, self.phi0, self.phi_tilde)
 
     def phi_tilde(self, t):
         return 0.0
@@ -240,17 +281,15 @@ class LinearPhaseScenario(Scenario):
             raise ValueError("eta0 must be non-negative")
 
     def coupling(self, t):
-        theta12 = self.phi(t) + math.pi / 2.0 - (self.w11 - self.w22) * t
+        theta12 = (self.phi0 + self.w0 * t + math.pi / 2.0
+                   - (self.w11 - self.w22) * t)
         return self.w11, self.w22, self.eta0 * np.exp(1j * theta12)
 
     def diag_integrals(self, t):
         return (self.w11 + self.w22) * t, (self.w11 - self.w22) * t
 
-    def phase_reference(self, t):
-        return self.phi(t)
-
-    def phi(self, t):
-        return self.phi0 + self.w0 * t
+    def phase_family(self):
+        return PhaseFamily(self.eta0, self.w0, 1, self.phi0, self.phi_tilde)
 
     def phi_tilde(self, t):
         return self.w0 * t
@@ -292,17 +331,16 @@ class GeneralPhaseScenario(Scenario):
 
     def coupling(self, t):
         norm = self.eps * (self.eta0 / self.w0) * (self.theta0 + 2 * self.nu * t)
-        theta12 = self.phi(t) + math.pi / 2.0 - (self.w11 - self.w22) * t
+        theta12 = (self.phi0 + self.theta0 * t + self.nu * t * t
+                   + math.pi / 2.0 - (self.w11 - self.w22) * t)
         return self.w11, self.w22, norm * np.exp(1j * theta12)
 
     def diag_integrals(self, t):
         return (self.w11 + self.w22) * t, (self.w11 - self.w22) * t
 
-    def phase_reference(self, t):
-        return self.phi(t)
-
-    def phi(self, t):
-        return self.phi0 + self.theta0 * t + self.nu * t * t
+    def phase_family(self):
+        return PhaseFamily(self.eta0, self.w0, self.eps, self.phi0,
+                           self.phi_tilde)
 
     def phi_tilde(self, t):
         return self.theta0 * t + self.nu * t * t
@@ -311,8 +349,21 @@ class GeneralPhaseScenario(Scenario):
 # ---------------------------------------------------------------------------
 # constant Hamiltonian and the isotropic special case
 
+class _ConstantCoupling:
+    """Frozen coefficients map onto the linearly drifting phase chart:
+    eta = -i w12 e^{i (w11 - w22) s}.  Probing the constant-phase chart
+    instead is done by passing check_phase_condition an explicit constant
+    reference."""
+
+    def phase_family(self):
+        w11, w22, w12 = self.coupling(0.0)
+        w0 = w11 - w22
+        phi0 = float(np.angle(-1j * w12)) if w12 != 0 else 0.0
+        return PhaseFamily(abs(w12), w0, 1, phi0, lambda t: w0 * t)
+
+
 @dataclass(frozen=True)
-class AllConstantScenario(Scenario):
+class AllConstantScenario(_ConstantCoupling, Scenario):
     """Every Hamiltonian coefficient frozen in time."""
 
     w11: float
@@ -327,20 +378,9 @@ class AllConstantScenario(Scenario):
     def diag_integrals(self, t):
         return (self.w11 + self.w22) * t, (self.w11 - self.w22) * t
 
-    def phase_reference(self, t):
-        # constant coefficients map onto the linearly-drifting-phase chart:
-        # eta = -i w12 e^{i (w11 - w22) t}.  Probing the constant-phase chart
-        # instead is done by passing an explicit constant reference.
-        phi0 = float(np.angle(-1j * self.w12)) if self.w12 != 0 else 0.0
-        return phi0 + (self.w11 - self.w22) * t
-
-    @property
-    def rabi(self) -> float:
-        return math.hypot(self.w11 - self.w22, 2.0 * abs(self.w12))
-
 
 @dataclass(frozen=True)
-class IsotropicConstantScenario(Scenario):
+class IsotropicConstantScenario(_ConstantCoupling, Scenario):
     """H = A^dag A for the dressed mode A = alpha a1 + beta a2 with
     |alpha|^2 + |beta|^2 = 1.  Coupling w12 = conj(alpha) beta, unit Rabi
     frequency, spectrum 0, 1, 2, ...
@@ -364,6 +404,10 @@ class IsotropicConstantScenario(Scenario):
         beta = math.sin(rho0) * np.exp(1j * theta_beta0)
         return cls(alpha=complex(alpha), beta=complex(beta), z0=z0, **drives)
 
+    @classmethod
+    def ini_constructor(cls):
+        return cls.from_polar
+
     def coupling(self, t):
         return (abs(self.alpha) ** 2, abs(self.beta) ** 2,
                 np.conj(self.alpha) * self.beta)
@@ -372,17 +416,34 @@ class IsotropicConstantScenario(Scenario):
         d = abs(self.alpha) ** 2 - abs(self.beta) ** 2
         return t, d * t
 
-    def phase_reference(self, t):
-        w12 = np.conj(self.alpha) * self.beta
-        phi0 = float(np.angle(-1j * w12)) if w12 != 0 else 0.0
-        return phi0 + (abs(self.alpha) ** 2 - abs(self.beta) ** 2) * t
+    def dressed_mode0(self):
+        return self.alpha, self.beta
 
 
 # ---------------------------------------------------------------------------
 # time-dependent isotropic families (mixing angle rho(s))
 
+class _MixingAngle:
+    """Shared by the mixing-angle families: eta has the general-phase form
+    with phi0 = theta_beta0 - theta_alpha0 - pi/2, and the dressed mode at
+    t = 0 is (cos r0 e^{i theta_alpha0}, sin r0 e^{i theta_beta0})."""
+
+    @property
+    def delta(self) -> float:
+        return math.hypot(2.0 * self.eta0, self.w0)
+
+    def phase_family(self):
+        phi0 = self.theta_beta0 - self.theta_alpha0 - math.pi / 2.0
+        return PhaseFamily(self.eta0, self.w0, 1, phi0, self.phi_tilde)
+
+    def dressed_mode0(self):
+        r0 = self.mixing_angle0()
+        return (math.cos(r0) * cmath.exp(1j * self.theta_alpha0),
+                math.sin(r0) * cmath.exp(1j * self.theta_beta0))
+
+
 @dataclass(frozen=True)
-class RhoConstantScenario(Scenario):
+class RhoConstantScenario(_MixingAngle, Scenario):
     """Isotropic-form coefficients with a frozen mixing angle rho0 and a
     linearly drifting coupling phase.
 
@@ -409,10 +470,6 @@ class RhoConstantScenario(Scenario):
             raise ValueError("eta0 and w0 must be positive")
 
     @property
-    def delta(self) -> float:
-        return math.hypot(2.0 * self.eta0, self.w0)
-
-    @property
     def theta_drift(self) -> float:
         r2 = 2.0 * self.rho0
         return (self.w0 / (2.0 * self.eta0)) * math.sin(r2) - math.cos(r2)
@@ -426,30 +483,15 @@ class RhoConstantScenario(Scenario):
     def diag_integrals(self, t):
         return t, math.cos(2.0 * self.rho0) * t
 
-    def phi(self, t):
-        phi0 = self.theta_beta0 - self.theta_alpha0 - math.pi / 2.0
-        slope = (self.w0 / (2.0 * self.eta0)) * math.sin(2.0 * self.rho0)
-        return phi0 + slope * t
-
     def phi_tilde(self, t):
         return (self.w0 / (2.0 * self.eta0)) * math.sin(2.0 * self.rho0) * t
-
-    def phase_reference(self, t):
-        return self.phi(t)
-
-    def big_phi(self, t) -> float:
-        """Phase angle Phi(t) = (delta / 4 eta0) int_0^t sin(2 rho)."""
-        return (self.delta / (4.0 * self.eta0)) * math.sin(2.0 * self.rho0) * t
-
-    def theta_beta_alpha(self, t) -> float:
-        return self.theta_drift * t
 
     def mixing_angle0(self) -> float:
         return self.rho0
 
 
 @dataclass(frozen=True)
-class LogRhoScenario(Scenario):
+class LogRhoScenario(_MixingAngle, Scenario):
     """Isotropic-form coefficients with mixing angle rho(s) = arctan(t0 + s).
 
     w11 = 1/(1+(s+t0)^2), w22 = (s+t0)^2/(1+(s+t0)^2),
@@ -474,10 +516,6 @@ class LogRhoScenario(Scenario):
         if self.eta0 <= 0 or self.w0 <= 0:
             raise ValueError("eta0 and w0 must be positive")
 
-    @property
-    def delta(self) -> float:
-        return math.hypot(2.0 * self.eta0, self.w0)
-
     def _log_term(self, t: float) -> float:
         u = t + self.t0
         ratio = (1.0 + u * u) / (1.0 + self.t0 * self.t0)
@@ -497,23 +535,8 @@ class LogRhoScenario(Scenario):
         rho = 2.0 * math.atan(u) - 2.0 * math.atan(self.t0) - t
         return t, rho
 
-    def phi(self, t):
-        phi0 = self.theta_beta0 - self.theta_alpha0 - math.pi / 2.0
-        return phi0 + (self.w0 / (2.0 * self.eta0)) * self._log_term(t)
-
     def phi_tilde(self, t):
         return (self.w0 / (2.0 * self.eta0)) * self._log_term(t)
-
-    def phase_reference(self, t):
-        return self.phi(t)
-
-    def big_phi(self, t) -> float:
-        return (self.delta / (4.0 * self.eta0)) * self._log_term(t)
-
-    def theta_beta_alpha(self, t) -> float:
-        u = t + self.t0
-        return ((self.w0 / (2.0 * self.eta0)) * self._log_term(t)
-                + t + 2.0 * math.atan(self.t0) - 2.0 * math.atan(u))
 
     def mixing_angle0(self) -> float:
         return math.atan(self.t0)
@@ -564,6 +587,8 @@ class FresnelNormScenario(Scenario):
     theta_u0: float = 0.0
 
     case = "FresnelNorm"
+    # eta0 scales the coupling norm, theta0 and phi0 carry the two offsets
+    ini_aliases = {"w12_0": "eta0", "theta_v0": "theta0", "theta_u0": "phi0"}
 
     def __post_init__(self):
         super().__post_init__()
@@ -696,3 +721,10 @@ class _SplineDrive:
 
     def __call__(self, t):
         return (self.re(t) + 1j * self.im(t))[()]
+
+
+CASES = {cls.case: cls for cls in (
+    ConstantPhaseScenario, LinearPhaseScenario, GeneralPhaseScenario,
+    AllConstantScenario, IsotropicConstantScenario, RhoConstantScenario,
+    LogRhoScenario, QuadraticPhaseScenario, FresnelNormScenario,
+    TabulatedScenario)}

@@ -3,9 +3,11 @@
 S solves i dS/ds = W(s) S with S(0) = I, where W is the Hermitian
 coefficient matrix [[w11, w12], [w21, w22]].  It is the j=1/2 carrier of
 the su(2) part of the evolution: unitary, with det S = e^{-i alpha(t)}.
-Every closed-form family has a printed element block here, and any factor
-set reconstructs S through the Gauss product.  Numeric S and numeric
-factors come from the same integration routine, riccati._integrate.
+Every case with a phase family (eta = eps |eta| e^{i (phi0 + phi_tilde)})
+has one printed element block, built from that family and the diagonal
+integrals; any factor set reconstructs S through the Gauss product.
+Numeric S and numeric factors come from the same integration routine,
+riccati._integrate.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riccati import ChartSingularity, DisentangledFactors, _integrate
-from .scenario import (AllConstantScenario, ConstantPhaseScenario,
-                       GeneralPhaseScenario, IsotropicConstantScenario,
-                       LinearPhaseScenario, LogRhoScenario,
-                       RhoConstantScenario, Scenario)
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -68,81 +67,32 @@ def smatrix_numeric_grid(scenario: Scenario, grid,
 
 
 # ---------------------------------------------------------------------------
-# closed element blocks
-
-def _rabi_block(wbar: float, w0: float, coupling: complex, t: float
-                ) -> np.ndarray:
-    """exp(-i W t) for constant W, written in Rabi form with
-    b = sqrt(w0^2 + 4|coupling|^2), w0 = w11 - w22, wbar the mean."""
-    b = math.hypot(w0, 2.0 * abs(coupling))
-    pre = cmath.exp(-1j * wbar * t)
-    if b == 0.0:
-        return pre * np.eye(2, dtype=complex)
-    c = math.cos(0.5 * b * t)
-    s = math.sin(0.5 * b * t)
-    return pre * np.array(
-        [[c - 1j * (w0 / b) * s, -2j * (coupling / b) * s],
-         [-2j * (np.conj(coupling) / b) * s, c + 1j * (w0 / b) * s]],
-        dtype=complex)
-
+# closed element block
 
 def smatrix_closed(scenario: Scenario, t: float) -> SMatrix2:
-    """Printed closed-form S(t) for the catalogued families."""
-    if isinstance(scenario, ConstantPhaseScenario):
-        w11, w22 = scenario.w11, scenario.w22
-        chi = scenario.eta0 * t
-        c, s = math.cos(chi), math.sin(chi)
-        e1 = cmath.exp(-1j * w11 * t)
-        e2 = cmath.exp(-1j * w22 * t)
-        ep = cmath.exp(1j * scenario.phi0)
-        m = np.array([[e1 * c, e1 * ep * s],
-                      [-e2 * np.conj(ep) * s, e2 * c]], dtype=complex)
-        return SMatrix2(t=float(t), mat=m)
-
-    if isinstance(scenario, (LinearPhaseScenario, GeneralPhaseScenario)):
-        eta0, w0 = scenario.eta0, scenario.w0
-        eps = getattr(scenario, "eps", 1)
-        delta = math.hypot(2.0 * eta0, w0)
-        phi_tilde = scenario.phi_tilde(t)
-        x = delta * phi_tilde / (2.0 * w0) if w0 != 0 else eta0 * t
-        c, s = math.cos(x), math.sin(x)
-        e1 = cmath.exp(-1j * scenario.w11 * t)
-        e2 = cmath.exp(-1j * scenario.w22 * t)
-        half_sum = 0.5 * (scenario.phi(t) + scenario.phi(0.0))
-        amp = 2.0 * eps * eta0 / delta
-        m = np.array(
-            [[e1 * cmath.exp(0.5j * phi_tilde) * (c - 1j * (w0 / delta) * s),
-              amp * e1 * cmath.exp(1j * half_sum) * s],
-             [-amp * e2 * cmath.exp(-1j * half_sum) * s,
-              e2 * cmath.exp(-0.5j * phi_tilde) * (c + 1j * (w0 / delta) * s)]],
-            dtype=complex)
-        return SMatrix2(t=float(t), mat=m)
-
-    if isinstance(scenario, (AllConstantScenario, IsotropicConstantScenario)):
-        w11, w22, w12 = scenario.coupling(0.0)
-        return SMatrix2(t=float(t),
-                        mat=_rabi_block(0.5 * (w11 + w22), w11 - w22, w12, t))
-
-    if isinstance(scenario, (RhoConstantScenario, LogRhoScenario)):
-        delta = scenario.delta
-        w0 = scenario.w0
-        eta0 = scenario.eta0
-        big_phi = scenario.big_phi(t)
-        theta_ba = scenario.theta_beta_alpha(t)
-        phi0 = scenario.theta_beta0 - scenario.theta_alpha0 - math.pi / 2.0
-        c, s = math.cos(big_phi), math.sin(big_phi)
-        pre = cmath.exp(-0.5j * t)
-        amp = 2.0 * eta0 / delta
-        eb = cmath.exp(0.5j * theta_ba)
-        m = np.array(
-            [[pre * eb * (c - 1j * (w0 / delta) * s),
-              amp * pre * eb * cmath.exp(1j * phi0) * s],
-             [-amp * pre * np.conj(eb) * cmath.exp(-1j * phi0) * s,
-              pre * np.conj(eb) * (c + 1j * (w0 / delta) * s)]],
-            dtype=complex)
-        return SMatrix2(t=float(t), mat=m)
-
-    raise ValueError(f"no printed closed S block for case {scenario.case}")
+    """Printed closed-form S(t) for every case with a phase family: with
+    x its rotation angle, a = 2 eps eta0 / delta, e1,2 = e^{-i (alpha +-
+    rho)/2} and u = e^{i phi~/2}, S = [[e1 u (cos x - i (w0/delta) sin x),
+    a e1 u e^{i phi0} sin x], [-a e2 u* e^{-i phi0} sin x,
+    e2 u* (cos x + i (w0/delta) sin x)]]."""
+    fam = scenario.phase_family()
+    if fam is None:
+        raise ValueError(f"no printed closed S block for case {scenario.case}")
+    alpha, rho = scenario.diag_integrals(t)
+    half = 0.5 * fam.phi_tilde(t)
+    delta = fam.delta
+    # delta = 0 leaves x = 0, so S is diagonal whatever the ratios
+    ratio = fam.w0 / delta if delta else 0.0
+    amp = 2.0 * fam.eps * fam.eta0 / delta if delta else 0.0
+    x = fam.angle(t)
+    c, s = math.cos(x), math.sin(x)
+    e1 = cmath.exp(1j * (half - 0.5 * (alpha + rho)))
+    e2 = cmath.exp(-1j * (half + 0.5 * (alpha - rho)))
+    ep = cmath.exp(1j * fam.phi0)
+    m = np.array([[e1 * (c - 1j * ratio * s), amp * e1 * ep * s],
+                  [-amp * e2 * ep.conjugate() * s, e2 * (c + 1j * ratio * s)]],
+                 dtype=complex)
+    return SMatrix2(t=float(t), mat=m)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,13 @@ import pytest
 
 import twomode
 from twomode.cli import main, parse_scenario
-from twomode.scenario import (AllConstantScenario, FresnelNormScenario,
-                              LinearPhaseScenario, TabulatedScenario)
+from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
+                              ConstantPhaseScenario, CosineDrive,
+                              FresnelNormScenario, GeneralPhaseScenario,
+                              IsotropicConstantScenario, LinearPhaseScenario,
+                              LogRhoScenario, QuadraticPhaseScenario,
+                              RhoConstantScenario, RotatingDrive,
+                              TabulatedScenario)
 
 CONSTANT_PHASE_INI = """\
 [ConstantPhase]
@@ -111,6 +117,64 @@ def test_parse_scenario_tabulated_relative_path(tmp_path):
     assert isinstance(scenario, TabulatedScenario)
     got = scenario.coupling(1.0)[2]
     assert abs(got - base.coupling(1.0)[2]) < 1e-6
+
+
+ROUND_TRIP = [
+    ("[ConstantPhase]\neta0 = 0.9\nphi0 = -0.4\nw11 = 0.3\nw22 = 0.1\n",
+     ConstantPhaseScenario(eta0=0.9, phi0=-0.4, w11=0.3, w22=0.1)),
+    ("[LinearPhase]\neta0 = 1.1\nw0 = -0.6\nphi0 = 0.2\nw22 = 0.4\n",
+     LinearPhaseScenario(eta0=1.1, w0=-0.6, phi0=0.2, w22=0.4)),
+    ("[GeneralPhase]\neta0 = 0.8\nw0 = 1.2\nphi0 = 0.2\nnu = 0.2\n"
+     "w11 = 0.05\n",
+     GeneralPhaseScenario(eta0=0.8, w0=1.2, phi0=0.2, theta0=1.0, nu=0.2,
+                          w11=0.05)),
+    ("[AllConstant]\nw11 = 0.6\nw22 = 0.2\n",
+     AllConstantScenario(w11=0.6, w22=0.2, w12=0j)),
+    ("[IsotropicConstant]\nrho0 = 0.5\ntheta_alpha0 = 0.3\n"
+     "theta_beta0 = -0.4\nZ0_re = 0.4\nZ0_im = -0.2\n",
+     IsotropicConstantScenario.from_polar(0.5, 0.3, -0.4, z0=0.4 - 0.2j)),
+    ("[RhoConstant]\nrho0 = 0.6\neta0 = 0.8\nw0 = 1.1\ntheta_beta0 = -0.3\n"
+     "z0_im = 0.5\n",
+     RhoConstantScenario(rho0=0.6, eta0=0.8, w0=1.1, theta_beta0=-0.3,
+                         z0=0.5j)),
+    ("[LogRho]\nt0 = 1.0\neta0 = 0.9\nw0 = 0.7\ntheta_alpha0 = 0.2\n"
+     "Z0_re = 0.3\n",
+     LogRhoScenario(t0=1.0, eta0=0.9, w0=0.7, theta_alpha0=0.2, z0=0.3)),
+    ("[QuadraticPhase]\neta0 = 1.0\ntheta0 = -0.5\n",
+     QuadraticPhaseScenario(eta0=1.0, theta0=-0.5)),
+    ("[FresnelNorm]\neta0 = 0.7\nnu = 0.4\n",
+     FresnelNormScenario(w12_0=0.7, nu=0.4)),
+]
+
+
+@pytest.mark.parametrize("text,want", ROUND_TRIP,
+                         ids=[want.case for _, want in ROUND_TRIP])
+def test_parse_scenario_round_trip(tmp_path, text, want):
+    drives = ("\n[F1]\nkind = rotating\namp_re = 0.1\namp_im = -0.05\n"
+              "omega = 1.3\nphase = 0.2\n\n[F2]\nre = 0.02\n\n"
+              "[B]\nkind = cosine\namp = 0.3\nomega = 0.9\n")
+    assert parse_scenario(write_ini(tmp_path, text)) == want
+    driven = parse_scenario(write_ini(tmp_path, text + drives, "driven.ini"))
+    assert driven == replace(want, f1=RotatingDrive(0.1 - 0.05j, 1.3, 0.2),
+                             f2=ConstantDrive(0.02 + 0j),
+                             b=CosineDrive(0.3, 0.9))
+
+
+def test_parse_scenario_round_trip_tabulated(tmp_path):
+    ts = np.linspace(0.0, 2.0, 9)
+    lines = ["t,w11,w22,re_w12,im_w12,re_F1,im_F1,re_F2,im_F2,B"]
+    lines += [f"{t},{0.5 + 0.1 * t},0.2,{0.3 * t},0.1,0,0,0,0,0" for t in ts]
+    (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+    got = parse_scenario(write_ini(tmp_path, "[Tabulated]\n"
+                                             "data = samples.csv\n"
+                                             "[F2]\nre = 0.1\n"))
+    want = TabulatedScenario.from_csv(tmp_path / "samples.csv")
+    assert np.array_equal(got.grid, want.grid)
+    for t in (0.0, 0.7, 1.9):
+        assert got.coupling(t) == want.coupling(t)
+        assert got.diag_integrals(t) == want.diag_integrals(t)
+    assert got.f2 == ConstantDrive(0.1 + 0j)
+    assert {want.case for _, want in ROUND_TRIP} | {"Tabulated"} == set(CASES)
 
 
 def test_factors_command(tmp_path):

@@ -220,3 +220,63 @@ def test_assemble_makes_one_s_and_one_drive_solve(monkeypatch):
                                    f1=RotatingDrive(0.1, 1.0, 0.0))
     assemble_U(make_space(4), scenario, 1.0)
     assert len(calls) <= 2
+
+
+# The two printed coherent laws, isotropic and mixing-angle, kept as the
+# reference for the single law.
+
+def _reference_coherent(scenario, z0, t):
+    if isinstance(scenario, IsotropicConstantScenario):
+        ph = cmath.exp(-1j * t)
+        return (z0 * np.conj(scenario.alpha) * ph,
+                z0 * np.conj(scenario.beta) * ph)
+    delta, w0, eta0 = scenario.delta, scenario.w0, scenario.eta0
+    r0 = scenario.mixing_angle0()
+    if isinstance(scenario, RhoConstantScenario):
+        big_phi = (delta / (4.0 * eta0)) * math.sin(2.0 * r0) * t
+        theta_ba = scenario.theta_drift * t
+    else:
+        log_term = math.log((1.0 + (t + scenario.t0) ** 2)
+                            / (1.0 + scenario.t0 ** 2))
+        big_phi = (delta / (4.0 * eta0)) * log_term
+        theta_ba = ((w0 / (2.0 * eta0)) * log_term + t
+                    + 2.0 * math.atan(scenario.t0)
+                    - 2.0 * math.atan(t + scenario.t0))
+    c, s = math.cos(big_phi), math.sin(big_phi)
+    pre = cmath.exp(-0.5j * t)
+    eb = cmath.exp(0.5j * theta_ba)
+    ratio = 2.0 * eta0 / w0
+    c1 = (pre * eb * z0 * math.cos(r0)
+          * cmath.exp(-1j * scenario.theta_alpha0)
+          * (c - 1j * (w0 / delta) * (1.0 + ratio * math.tan(r0)) * s))
+    c2 = (pre * np.conj(eb) * z0 * math.sin(r0)
+          * cmath.exp(-1j * scenario.theta_beta0)
+          * (c + 1j * (w0 / delta) * (1.0 - ratio / math.tan(r0)) * s))
+    return c1, c2
+
+
+COHERENT_CASES = [
+    IsotropicConstantScenario(alpha=0.6, beta=0.8j, z0=0.5),
+    IsotropicConstantScenario.from_polar(math.pi / 4.0, 0.3, -0.5, z0=0.7j),
+    IsotropicConstantScenario.from_polar(1.2, -0.7, 0.4, z0=0.3 - 0.4j),
+    IsotropicConstantScenario(alpha=1.0, beta=0.0, z0=0.6),
+    RhoConstantScenario(rho0=math.pi / 6.0, eta0=math.sqrt(3.0) / 2.0, w0=1.0,
+                        theta_alpha0=0.3, theta_beta0=-0.2, z0=0.4),
+    RhoConstantScenario(rho0=math.pi / 4.0, eta0=0.8, w0=1.1, z0=0.5 + 0.1j),
+    RhoConstantScenario(rho0=1.2, eta0=0.5, w0=1.4, theta_alpha0=-0.6,
+                        theta_beta0=0.9, z0=-0.3j),
+    LogRhoScenario(t0=1.0, eta0=0.9, w0=0.7, z0=0.4),
+    LogRhoScenario(t0=0.3, eta0=1.4, w0=0.5, theta_alpha0=0.8,
+                   theta_beta0=-0.1, z0=0.2 + 0.5j),
+]
+
+
+@pytest.mark.parametrize("scenario", COHERENT_CASES,
+                         ids=[s.case for s in COHERENT_CASES])
+def test_coherent_law_matches_reference_laws(scenario):
+    spec = coherent_spec(scenario)
+    for t in (0.0, 0.4, 1.3, 2.9):
+        amps = coherent_evolution_closed(scenario, spec, t)
+        c1, c2 = _reference_coherent(scenario, spec.z0, t)
+        assert abs(amps.c1 - c1) <= 1e-14
+        assert abs(amps.c2 - c2) <= 1e-14

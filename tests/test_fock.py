@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twomode.fock import (FockSpace, TruncationError, annihilator, apply,
+from twomode.fock import (FockSpace, TruncationError, annihilator,
                           basis_state, coherent_state, displacement_operator,
                           expectation, interior_mask, make_space,
                           mixing_operator, number_diagonals, su2_generator,
@@ -132,13 +132,6 @@ def test_expectation_rejects_zero_vector():
     space = make_space(2)
     with pytest.raises(ValueError):
         expectation(np.eye(space.dim), np.zeros(space.dim))
-
-
-def test_apply_matches_matmul():
-    space = make_space(3)
-    op = annihilator(space, 1)
-    psi = basis_state(space, 2, 1)
-    assert np.array_equal(apply(op, psi), op @ psi)
 
 
 def test_mixing_operator_unitary_and_endpoints():

@@ -245,3 +245,19 @@ def test_oracle_imports_no_factorization_code():
     used = {(name.split(".") + ["<package>"])[1] for name in names
             if name.split(".")[0] == "twomode"}
     assert used <= {"fock", "scenario"}, sorted(used)
+
+
+def test_oracle_reads_no_closed_form_data():
+    # scenario.py also holds each case's closed phase model, which oracle.py
+    # may import but must never read
+    tree = ast.parse(Path(twomode.oracle.__file__).read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    closed = {"phase_family", "phi", "phi_tilde", "phi0"}
+    assert not read & closed, sorted(read & closed)

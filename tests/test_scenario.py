@@ -1,16 +1,18 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from twomode.scenario import (AllConstantScenario, ConstantDrive,
+import twomode.scenario
+from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, GeneralPhaseScenario,
                               IsotropicConstantScenario, LinearPhaseScenario,
                               LogRhoScenario, QuadraticPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
-                              TabulatedScenario, alpha_rho,
-                              check_phase_condition, eta, eval_coeffs)
+                              TabulatedScenario, check_phase_condition,
+                              eval_coeffs)
 
 ALL_CASES = [
     ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05),
@@ -26,6 +28,15 @@ ALL_CASES = [
 ]
 
 
+def test_case_table_lists_every_case():
+    module = twomode.scenario
+    cases = {obj for obj in vars(module).values()
+             if inspect.isclass(obj) and issubclass(obj, module.Scenario)
+             and obj is not module.Scenario}
+    assert set(CASES.values()) == cases
+    assert all(cls.case == tag for tag, cls in CASES.items())
+
+
 def test_w21_is_conjugate_everywhere():
     for sc in ALL_CASES:
         for t in (0.0, 0.41, 1.37):
@@ -38,16 +49,16 @@ def test_eta_relation():
     for sc in ALL_CASES:
         for t in (0.2, 0.9):
             sample = eval_coeffs(sc, t)
-            _, rho = alpha_rho(sc, t)
+            _, rho = sc.diag_integrals(t)
             want = -1j * sample.w12 * np.exp(1j * rho)
-            assert abs(eta(sc, t) - want) < 1e-12
+            assert abs(sc.eta(t) - want) < 1e-12
 
 
 def test_diag_integrals_match_quadrature():
     from scipy.integrate import quad
     for sc in ALL_CASES:
         t_end = 1.3
-        alpha, rho = alpha_rho(sc, t_end)
+        alpha, rho = sc.diag_integrals(t_end)
         alpha_q, _ = quad(lambda s: eval_coeffs(sc, s).w11
                           + eval_coeffs(sc, s).w22, 0.0, t_end, limit=200)
         rho_q, _ = quad(lambda s: eval_coeffs(sc, s).w11
@@ -58,7 +69,7 @@ def test_diag_integrals_match_quadrature():
 
 def test_all_constant_frozen_integrals():
     sc = AllConstantScenario(w11=0.7, w22=0.3, w12=0.1)
-    alpha, rho = alpha_rho(sc, 2.0)
+    alpha, rho = sc.diag_integrals(2.0)
     assert abs(alpha - 2.0) < 1e-12
     assert abs(rho - 0.8) < 1e-12
 
@@ -121,7 +132,7 @@ def test_general_phase_reduces_to_linear():
     gp = GeneralPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, theta0=1.0, nu=0.0)
     lp = LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3)
     for t in np.linspace(0.0, 1.2, 7):
-        assert abs(eta(gp, t) - eta(lp, t)) < 1e-12
+        assert abs(gp.eta(t) - lp.eta(t)) < 1e-12
 
 
 def test_general_phase_norm_tracks_phase_speed():
@@ -146,8 +157,8 @@ def test_isotropic_coupling_and_integrals():
                                    beta=1 / math.sqrt(2))
     sample = eval_coeffs(sc, 0.7)
     assert abs(sample.w12 - 0.5) < 1e-12
-    assert abs(eta(sc, 0.7) + 0.5j) < 1e-12
-    alpha, rho = alpha_rho(sc, 1.7)
+    assert abs(sc.eta(0.7) + 0.5j) < 1e-12
+    alpha, rho = sc.diag_integrals(1.7)
     assert abs(alpha - 1.7) < 1e-12
     assert abs(rho) < 1e-12
 
@@ -181,7 +192,7 @@ def test_log_rho_validation_and_rho_formula():
         LogRhoScenario(t0=0.0, eta0=1.0, w0=1.0)
     sc = LogRhoScenario(t0=1.0, eta0=0.9, w0=0.7)
     for t in (0.3, 1.4):
-        _, rho = alpha_rho(sc, t)
+        _, rho = sc.diag_integrals(t)
         want = 2 * math.atan(t + 1.0) - 2 * math.atan(1.0) - t
         assert abs(rho - want) < 1e-12
 
@@ -190,7 +201,7 @@ def test_quadratic_phase_eta():
     sc = QuadraticPhaseScenario(eta0=1.3, theta0=0.5)
     for t in (0.0, 0.6, 1.1):
         want = 1.3 * np.exp(-1j * 0.5 * t * t)
-        assert abs(eta(sc, t) - want) < 1e-12
+        assert abs(sc.eta(t) - want) < 1e-12
     with pytest.raises(ValueError):
         QuadraticPhaseScenario(eta0=1.0, theta0=0.0)
 
@@ -250,8 +261,8 @@ def test_tabulated_roundtrip_against_closed_case():
         a, b = eval_coeffs(base, t), eval_coeffs(tab, t)
         assert abs(a.w11 - b.w11) < 1e-6
         assert abs(a.w12 - b.w12) < 1e-6
-    alpha_a, rho_a = alpha_rho(base, 1.7)
-    alpha_b, rho_b = alpha_rho(tab, 1.7)
+    alpha_a, rho_a = base.diag_integrals(1.7)
+    alpha_b, rho_b = tab.diag_integrals(1.7)
     assert abs(alpha_a - alpha_b) < 1e-6
     assert abs(rho_a - rho_b) < 1e-6
 

@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from twomode.oracle import brute_force_smatrix
-from twomode.riccati import (ChartSingularity, factors_on_grid,
-                             solve_riccati_numeric)
+from twomode.riccati import (ChartSingularity, closed_factors,
+                             factors_on_grid, solve_riccati_numeric)
 from twomode.scenario import (
     AllConstantScenario,
     ConstantPhaseScenario,
@@ -137,3 +137,117 @@ def test_unitarity_defect_property():
 def test_no_printed_block_outside_catalog():
     with pytest.raises(ValueError):
         smatrix_closed(QuadraticPhaseScenario(eta0=1.0, theta0=0.5), 0.5)
+
+
+# The printed blocks as four separate formulas, one per family of cases, kept
+# as the reference for the single phase-family block.
+
+def _reference_rabi_block(wbar, w0, coupling, t):
+    b = math.hypot(w0, 2.0 * abs(coupling))
+    pre = cmath.exp(-1j * wbar * t)
+    if b == 0.0:
+        return pre * np.eye(2, dtype=complex)
+    c = math.cos(0.5 * b * t)
+    s = math.sin(0.5 * b * t)
+    return pre * np.array(
+        [[c - 1j * (w0 / b) * s, -2j * (coupling / b) * s],
+         [-2j * (np.conj(coupling) / b) * s, c + 1j * (w0 / b) * s]],
+        dtype=complex)
+
+
+def _reference_smatrix(sc, t):
+    if isinstance(sc, ConstantPhaseScenario):
+        c, s = math.cos(sc.eta0 * t), math.sin(sc.eta0 * t)
+        e1 = cmath.exp(-1j * sc.w11 * t)
+        e2 = cmath.exp(-1j * sc.w22 * t)
+        ep = cmath.exp(1j * sc.phi0)
+        return np.array([[e1 * c, e1 * ep * s],
+                         [-e2 * np.conj(ep) * s, e2 * c]], dtype=complex)
+    if isinstance(sc, (LinearPhaseScenario, GeneralPhaseScenario)):
+        if isinstance(sc, LinearPhaseScenario):
+            eps, phi_tilde = 1, sc.w0 * t
+        else:
+            eps, phi_tilde = sc.eps, sc.theta0 * t + sc.nu * t * t
+        eta0, w0 = sc.eta0, sc.w0
+        delta = math.hypot(2.0 * eta0, w0)
+        x = delta * phi_tilde / (2.0 * w0) if w0 != 0 else eta0 * t
+        c, s = math.cos(x), math.sin(x)
+        e1 = cmath.exp(-1j * sc.w11 * t)
+        e2 = cmath.exp(-1j * sc.w22 * t)
+        half_sum = sc.phi0 + 0.5 * phi_tilde
+        amp = 2.0 * eps * eta0 / delta
+        return np.array(
+            [[e1 * cmath.exp(0.5j * phi_tilde) * (c - 1j * (w0 / delta) * s),
+              amp * e1 * cmath.exp(1j * half_sum) * s],
+             [-amp * e2 * cmath.exp(-1j * half_sum) * s,
+              e2 * cmath.exp(-0.5j * phi_tilde) * (c + 1j * (w0 / delta) * s)]],
+            dtype=complex)
+    if isinstance(sc, (AllConstantScenario, IsotropicConstantScenario)):
+        w11, w22, w12 = sc.coupling(0.0)
+        return _reference_rabi_block(0.5 * (w11 + w22), w11 - w22, w12, t)
+    delta, w0, eta0 = sc.delta, sc.w0, sc.eta0
+    if isinstance(sc, RhoConstantScenario):
+        big_phi = (delta / (4.0 * eta0)) * math.sin(2.0 * sc.rho0) * t
+        theta_ba = sc.theta_drift * t
+    else:
+        log_term = math.log((1.0 + (t + sc.t0) ** 2) / (1.0 + sc.t0 ** 2))
+        big_phi = (delta / (4.0 * eta0)) * log_term
+        theta_ba = ((w0 / (2.0 * eta0)) * log_term + t
+                    + 2.0 * math.atan(sc.t0) - 2.0 * math.atan(t + sc.t0))
+    phi0 = sc.theta_beta0 - sc.theta_alpha0 - math.pi / 2.0
+    c, s = math.cos(big_phi), math.sin(big_phi)
+    pre = cmath.exp(-0.5j * t)
+    amp = 2.0 * eta0 / delta
+    eb = cmath.exp(0.5j * theta_ba)
+    return np.array(
+        [[pre * eb * (c - 1j * (w0 / delta) * s),
+          amp * pre * eb * cmath.exp(1j * phi0) * s],
+         [-amp * pre * np.conj(eb) * cmath.exp(-1j * phi0) * s,
+          pre * np.conj(eb) * (c + 1j * (w0 / delta) * s)]],
+        dtype=complex)
+
+
+CLOSED_CASES = PRINTED_CASES + [
+    ConstantPhaseScenario(eta0=0.0, phi0=-1.1, w11=0.4),
+    LinearPhaseScenario(eta0=0.7, w0=-0.9, phi0=1.2, w11=-0.3, w22=0.2),
+    LinearPhaseScenario(eta0=0.7, w0=0.0, phi0=0.4, w22=0.25),
+    GeneralPhaseScenario(eta0=0.6, w0=0.9, phi0=-0.4, theta0=-1.3, nu=-0.3,
+                         w11=0.1),
+    AllConstantScenario(w11=0.2, w22=0.9, w12=-0.3 + 0.4j),
+    AllConstantScenario(w11=0.5, w22=0.5, w12=0.35j),
+    AllConstantScenario(w11=0.6, w22=0.2, w12=0.0),
+    AllConstantScenario(w11=0.45, w22=0.45, w12=0.0),
+    IsotropicConstantScenario.from_polar(math.pi / 4.0, 0.3, -0.5),
+    IsotropicConstantScenario.from_polar(1.2, -0.7, 0.4),
+    IsotropicConstantScenario(alpha=0.6, beta=0.8j),
+    IsotropicConstantScenario(alpha=1.0, beta=0.0),
+    RhoConstantScenario(rho0=1.2, eta0=0.5, w0=1.4, theta_alpha0=-0.6,
+                        theta_beta0=0.9),
+    LogRhoScenario(t0=1.0, eta0=0.9, w0=0.7),
+    LogRhoScenario(t0=0.3, eta0=1.4, w0=0.5, theta_alpha0=0.8,
+                   theta_beta0=-0.1),
+]
+
+
+@pytest.mark.parametrize("scenario", CLOSED_CASES,
+                         ids=[s.case for s in CLOSED_CASES])
+def test_phase_family_block_matches_reference_blocks(scenario):
+    for t in (0.0, 0.37, 1.3, 2.9):
+        got = smatrix_closed(scenario, t).mat
+        assert np.max(np.abs(got - _reference_smatrix(scenario, t))) <= 1e-14
+
+
+def test_isotropic_quarter_angle_matches_numeric_route():
+    # at rho0 = pi/4, w0 = cos^2 - sin^2 is 2.2e-16, not 0; the rotation
+    # angle must keep w0 t / w0, and the chart pole is at t = pi
+    scenario = IsotropicConstantScenario.from_polar(math.pi / 4.0, 0.3, -0.5)
+    assert scenario.phase_family().w0 != 0.0
+    grid = np.linspace(0.0, 2.8, 15)
+    numeric = solve_riccati_numeric(scenario, 2.8, 1e-12, grid)
+    closed = closed_factors(scenario, grid)
+    assert numeric.valid.all()
+    for got, want in zip(closed, (numeric.lam, numeric.omega, numeric.gamma)):
+        assert np.max(np.abs(got - want)) < 1e-8
+    mats = smatrix_numeric_grid(scenario, grid, 1e-12)
+    for t, sm in zip(grid, mats):
+        assert np.max(np.abs(smatrix_closed(scenario, t).mat - sm.mat)) < 1e-8
