@@ -32,7 +32,7 @@ from .oracle import (brute_force_propagator, brute_force_smatrix,
 from .riccati import ChartSingularity, solve_riccati_numeric
 from .scenario import (CASES, ConstantDrive, CosineDrive, RotatingDrive,
                        TabulatedScenario)
-from .smatrix import smatrix_from_factors, smatrix_numeric_grid
+from .smatrix import _sampled, smatrix_from_factors, smatrix_numeric_grid
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,28 @@ def _write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # scenario files
 
+class _Section(dict):
+    """An INI section's keys; the parser pops those it reads."""
+
+    def __init__(self, proxy):
+        super().__init__(proxy)
+        self.name = proxy.name
+
+    def check(self):
+        if self:
+            raise ValueError(f"unknown keys {sorted(self)} in [{self.name}]")
+
+
 def _sec_float(sec, key, default=inspect.Parameter.empty):
     if key in sec:
-        return float(sec[key])
+        return float(sec.pop(key))
     if default is inspect.Parameter.empty:
         raise ValueError(f"scenario section [{sec.name}] missing key {key!r}")
     return default
 
 
 def _parse_drive(sec, allow_complex=True):
-    kind = sec.get("kind", "constant")
+    kind = sec.pop("kind", "constant")
     if kind == "constant":
         if allow_complex:
             return ConstantDrive(complex(_sec_float(sec, "re", 0.0),
@@ -116,7 +128,8 @@ def _case_arguments(cls, sec) -> dict:
     """Constructor arguments of a case read from its INI section.  A
     parameter's key is its name (or the case's alias for it) and its default
     the constructor's; a complex parameter reads <key>_re and <key>_im, each
-    0 by default.  Keyword-only parameters are the drives."""
+    0 by default.  Keyword-only parameters are the drives.  Any other key
+    is an error."""
     args = {}
     signature = inspect.signature(cls.ini_constructor())
     for name, param in signature.parameters.items():
@@ -129,6 +142,7 @@ def _case_arguments(cls, sec) -> dict:
                                  _sec_float(sec, key + "_im", 0.0))
         else:
             args[name] = _sec_float(sec, key, param.default)
+    sec.check()
     return args
 
 
@@ -144,18 +158,18 @@ def parse_scenario(path: str):
         raise ValueError(f"scenario file must contain exactly one case "
                          f"section from {tuple(CASES)}, found {tags}")
     tag = tags[0]
-    sec = cp[tag]
+    sec = _Section(cp[tag])
     drives = {}
-    if cp.has_section("F1"):
-        drives["f1"] = _parse_drive(cp["F1"])
-    if cp.has_section("F2"):
-        drives["f2"] = _parse_drive(cp["F2"])
-    if cp.has_section("B"):
-        drives["b"] = _parse_drive(cp["B"], allow_complex=False)
+    for name, allow_complex in (("F1", True), ("F2", True), ("B", False)):
+        if cp.has_section(name):
+            drive_sec = _Section(cp[name])
+            drives[name.lower()] = _parse_drive(drive_sec, allow_complex)
+            drive_sec.check()
 
     cls = CASES[tag]
     if cls is TabulatedScenario:
-        data = sec.get("data")
+        data = sec.pop("data", None)
+        sec.check()
         if not data:
             raise ValueError("[Tabulated] needs a 'data' key pointing at a "
                              "sample CSV")
@@ -293,13 +307,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     defect = float(np.max(np.abs(ref.conj().T @ ref - np.eye(2))))
     record("oracle_unitarity", defect < 1e-9, defect, 1e-9)
 
-    # the check grid ends at t: one S integration serves both checks
+    # the check grid ends at t: the factors' S serves both checks
     grid = np.linspace(0.0, t, min(cfg.grid, 9))
-    mats = smatrix_numeric_grid(scenario, grid, cfg.tol)
+    factors = solve_riccati_numeric(scenario, t, cfg.tol, grid)
+    mats = _sampled(factors.s_dense, grid, cfg.tol)
     dev = float(np.max(np.abs(mats[-1].mat - ref)))
     record("smatrix_vs_oracle", dev < 1e-6, dev, 1e-6)
 
-    factors = solve_riccati_numeric(scenario, t, cfg.tol, grid)
     if cfg.corrupt == "factor-sign":
         original = factors._eval
         factors = replace(factors, gamma=-factors.gamma,

@@ -1,17 +1,17 @@
 """Full evolution: drive coefficients, global phase, operator assembly,
 and the coherent-state law of the isotropic families.
 
-The drive amplitudes obey c(t) = S(t) c(0) - i S(t) int_0^t S^dag(s) F(s) ds
-and enter the propagator through a displacement in front of the quadratic
-part:
+The drive amplitudes obey i dc/ds = W(s) c + F(s) and enter the propagator
+through a displacement in front of the quadratic part:
 
     U(t, 0) = D(c1(t), c2(t)) e^{-i P(t)} U0(t, 0),
-    P(t) = int_0^t [ Re(F1 c1* + F2 c2*) + B ] ds,
+    dP/ds = Re(conj(F1) c1 + conj(F2) c2) + B,     P(0) = 0,
 
-with U0 the Gauss product built from the factor coefficients.  When the
-factor chart is singular at t the assembly falls back to a globally regular
-single-exponential form obtained by lifting the numeric j=1/2 propagator
-to the truncated Fock space; factors, lift and amplitudes share one S solve.
+with U0 the Gauss product of the factors; one flow gives (c1, c2, P).
+When the factor chart is singular at t the assembly falls back to a
+globally regular single-exponential form obtained by lifting the numeric
+j=1/2 propagator to the truncated Fock space; factors and lift share one
+S solve.
 
 The isotropic families carry coherent data; without drives their coherent
 states follow one law, the closed S block applied to c(0).
@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from .fock import (FockSpace, annihilator, coherent_state,
                    displacement_operator, number_diagonals, su2_generator)
-from .riccati import solve_riccati_numeric
+from .riccati import _flow, solve_riccati_numeric
 from .scenario import Scenario, drive_is_zero
 from .smatrix import smatrix_closed
 
@@ -80,51 +79,28 @@ def coherent_spec(scenario: Scenario) -> CoherentStateSpec:
 def c_coefficients(scenario: Scenario, c0, t, tol: float = 1e-10):
     """Propagate the drive amplitudes from c(0) = c0 and accumulate the
     scalar phase P(t), at one time t or, as a list, at each of a 1-D array
-    of ascending times, all from one S and one drive integration."""
+    of ascending times, all from one flow of (c1, c2, P)."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    factors = solve_riccati_numeric(scenario, times[-1], tol, grid=times[-1:])
-    amps = _amplitudes(scenario, c0, times, tol, factors.s_dense)
+
+    def rhs(s, y):
+        w11, w22, w12 = scenario.coupling(s)
+        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
+        f = np.array([scenario.f1(s), scenario.f2(s)], dtype=complex)
+        return np.append(-1j * (w @ y[:2] + f),
+                         np.vdot(f, y[:2]).real + complex(scenario.b(s)).real)
+
+    y = np.zeros((3, times.size), dtype=complex)
+    y[:2] = np.asarray(c0, dtype=complex).reshape(2, 1)
+    positive = times > 0
+    if np.any(positive):
+        dense = _flow(scenario, rhs, y[:, 0], float(times[-1]), tol)
+        y[:, positive] = dense(times[positive])
+    amps = [CoherentAmplitudes(t=float(t), c1=complex(c1), c2=complex(c2),
+                               global_phase=cmath.exp(-1j * p.real))
+            for t, c1, c2, p in zip(times, *y)]
     return amps if np.ndim(t) else amps[0]
-
-
-def _amplitudes(scenario: Scenario, c0, times, tol: float,
-                s_dense) -> list[CoherentAmplitudes]:
-    """c(t) = S(t) (c0 - i int_0^t S^dag F) and P(t) at ascending times from
-    the dense S(t) given; P sums one quadrature per interval between them."""
-    c0 = np.asarray(c0, dtype=complex).reshape(2)
-    driven = not (drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2))
-    f_at = lambda s: np.array([complex(scenario.f1(s)),
-                               complex(scenario.f2(s))])
-    g_at = lambda s: np.zeros(2)
-    if driven:
-        sol_g = solve_ivp(lambda s, g: s_dense(s).conj().T @ f_at(s),
-                          (0.0, float(times[-1])), [0j, 0j], method="DOP853",
-                          rtol=tol, atol=tol, dense_output=True)
-        if sol_g.status != 0:
-            raise RuntimeError(f"drive integral failed: {sol_g.message}")
-        g_at = sol_g.sol
-
-    def c_at(s):
-        return s_dense(s) @ (c0 - 1j * g_at(s))
-
-    def p_integrand(s):
-        return (np.vdot(f_at(s), c_at(s)).real
-                + float(complex(scenario.b(s)).real))
-
-    phased = driven or not drive_is_zero(scenario.b)
-    out, p, prev = [], 0.0, 0.0
-    for t in times:
-        if phased and t > prev:
-            p += quad(p_integrand, prev, t, epsabs=tol, epsrel=1e-11,
-                      limit=400)[0]
-        prev = t
-        c = c_at(t)
-        out.append(CoherentAmplitudes(t=float(t), c1=complex(c[0]),
-                                      c2=complex(c[1]),
-                                      global_phase=cmath.exp(-1j * p)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +153,13 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
     Falls back to the regular single-exponential lift when the factor
     chart is singular at t."""
     factors = solve_riccati_numeric(scenario, t, tol, grid=np.array([t]))
-    amps = _amplitudes(scenario, (0j, 0j), np.array([t]), tol,
-                       factors.s_dense)[0]
+    amps = c_coefficients(scenario, (0j, 0j), t, tol)
     alpha, rho = factors.alpha[0], factors.rho[0]
     if factors.valid[0]:
         u0 = _gauss_product(space, alpha, rho, factors.lam[0],
                             factors.omega[0], factors.gamma[0])
     else:
-        u0 = _su2_lift(space, factors.s_dense(t), alpha)
+        u0 = _su2_lift(space, factors.s_dense(t).reshape(2, 2), alpha)
     disp = displacement_operator(space, amps.c1, amps.c2)
     return amps.global_phase * (disp @ u0)
 

@@ -15,6 +15,10 @@ the alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
 
     Lambda~ = e^{-i rho} Lambda,   Omega~ = Omega - i rho,   Gamma~ = Gamma.
 
+Every flow along a scenario (S, the drive amplitudes) runs in _flow, which
+restarts at the scenario's breakpoints(): an adaptive step's error estimate
+misses a jump in a higher derivative, as at a Tabulated sample.
+
 Lambda diverging (a chart singularity, S22 -> 0) is a property of the
 coordinate patch, not of the underlying unitary; it is reported through
 validity flags and the first singular time rather than hidden.
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import OdeSolution, quad, solve_ivp
 from scipy.optimize import brentq
 
 from .scenario import (FresnelNormScenario, PhaseFamily,
@@ -163,7 +167,7 @@ class FactorSample:
 class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator for
     off-grid times when one is available (dense ODE output or closed form).
-    Numeric factors carry s_dense, t -> S(t), the S they were read from."""
+    Numeric factors carry s_dense, s -> rows S11, S12, S21, S22 of their S."""
 
     scenario: Scenario
     ordering: str
@@ -218,6 +222,26 @@ def gamma_conjugacy_check(factors: DisentangledFactors) -> ConjugacyReport:
 # ---------------------------------------------------------------------------
 # numeric route
 
+def _flow(scenario: Scenario, rhs, y0, t: float, tol: float):
+    """Dense solution of dy/ds = rhs(s, y), y(0) = y0, on [0, t], restarted
+    at the scenario's breakpoints: one DOP853 solve per piece between them,
+    stitched into one OdeSolution whose .ts lists every solver step."""
+    edges = [0.0, *sorted(b for b in scenario.breakpoints() if 0 < b < t), t]
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # a piece is smooth: try one step across it rather than the
+        # solver's cautious start, which costs several at every breakpoint
+        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=tol,
+                        atol=tol, dense_output=True,
+                        first_step=(hi - lo) if pieces else None)
+        if sol.status != 0:
+            raise StepUnderflow(sol.message)
+        pieces.append(sol.sol)
+        y0 = sol.y[:, -1]
+    ts = np.concatenate([pieces[0].ts] + [p.ts[1:] for p in pieces[1:]])
+    return OdeSolution(ts, [f for p in pieces for f in p.interpolants])
+
+
 def _integrate(scenario: Scenario, t: float, tol: float):
     """Dense solution of i dS/ds = W(s) S, S(0) = I, on [0, t]: a callable
     whose rows at s are S11, S12, S21, S22, with the solver steps in .ts."""
@@ -226,12 +250,7 @@ def _integrate(scenario: Scenario, t: float, tol: float):
         w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
         return (-1j * w @ y.reshape(2, 2)).ravel()
 
-    y0 = np.eye(2, dtype=complex).ravel()
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=True)
-    if sol.status != 0:
-        raise StepUnderflow(sol.message)
-    return sol.sol
+    return _flow(scenario, rhs, np.eye(2, dtype=complex).ravel(), t, tol)
 
 
 def _diag(scenario: Scenario, times) -> np.ndarray:
@@ -285,7 +304,7 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
             rho=rho, lam=z, omega=z.copy(), gamma=z.copy(),
             valid=np.ones(grid.size, dtype=bool),
             _eval=lambda t: (0j, 0j, 0j),
-            s_dense=lambda t: np.eye(2, dtype=complex))
+            s_dense=lambda t: np.eye(2, dtype=complex).ravel())
 
     dense = _integrate(scenario, t_end, tol)
     steps = np.union1d(dense.ts, grid)
@@ -327,7 +346,7 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
         scenario=scenario, ordering="standard", t=grid, alpha=alpha, rho=rho,
         lam=lam, omega=omega, gamma=gamma, valid=valid,
         singular_time=singular_time, _eval=evaluate,
-        s_dense=lambda t: dense(t).reshape(2, 2))
+        s_dense=dense)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,6 +175,10 @@ class Scenario:
     def phase_family(self) -> PhaseFamily | None:
         """The closed phase model of eta, or None outside the catalogue."""
         return None
+
+    def breakpoints(self):
+        """Times where the coefficients lose smoothness; flows restart there."""
+        return ()
 
     def dressed_mode0(self) -> tuple[complex, complex] | None:
         """(alpha0, beta0) of the dressed lowering operator at t = 0 for the
@@ -630,17 +634,13 @@ class FresnelNormScenario(Scenario):
 
 @dataclass(frozen=True)
 class TabulatedScenario(Scenario):
-    """Coefficients sampled on a grid, interpolated by cubic splines.
-    Diagonal integrals come from the spline antiderivatives, so alpha and
-    rho are exactly consistent with the interpolated w11 and w22."""
+    """Coefficients sampled on a grid, one cubic spline of (w11, w22, Re w12,
+    Im w12) whose third derivative jumps at every sample.  alpha and rho come
+    from its antiderivative, exactly consistent with w11 and w22."""
 
     grid: np.ndarray
-    _w11: CubicSpline
-    _w22: CubicSpline
-    _w12re: CubicSpline
-    _w12im: CubicSpline
-    _sum_int: CubicSpline
-    _diff_int: CubicSpline
+    _coeffs: CubicSpline
+    _integrals: PPoly
 
     case = "Tabulated"
 
@@ -651,24 +651,14 @@ class TabulatedScenario(Scenario):
             raise ValueError("need at least 4 samples for cubic interpolation")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        w11 = np.asarray(w11, dtype=float)
-        w22 = np.asarray(w22, dtype=float)
         w12 = np.asarray(w12, dtype=complex)
-        s11 = CubicSpline(t, w11)
-        s22 = CubicSpline(t, w22)
-        drives = {}
-        if f1 is not None:
-            drives["f1"] = _SplineDrive.build(t, np.asarray(f1, dtype=complex))
-        if f2 is not None:
-            drives["f2"] = _SplineDrive.build(t, np.asarray(f2, dtype=complex))
-        if b is not None:
-            drives["b"] = _SplineDrive.build(t, np.asarray(b, dtype=complex))
-        return cls(grid=t, _w11=s11, _w22=s22,
-                   _w12re=CubicSpline(t, w12.real),
-                   _w12im=CubicSpline(t, w12.imag),
-                   _sum_int=CubicSpline(t, w11 + w22).antiderivative(),
-                   _diff_int=CubicSpline(t, w11 - w22).antiderivative(),
-                   **drives)
+        coeffs = CubicSpline(t, np.array([w11, w22, w12.real, w12.imag],
+                                         dtype=float).T)
+        drives = {name: _SplineDrive(t, np.asarray(v, dtype=complex))
+                  for name, v in (("f1", f1), ("f2", f2), ("b", b))
+                  if v is not None}
+        return cls(grid=t, _coeffs=coeffs,
+                   _integrals=coeffs.antiderivative(), **drives)
 
     @classmethod
     def from_csv(cls, path):
@@ -694,15 +684,18 @@ class TabulatedScenario(Scenario):
 
     def coupling(self, t):
         self._check_domain(t)
-        # [()] turns the splines' 0-d results for a scalar t into scalars
-        return (self._w11(t)[()], self._w22(t)[()],
-                (self._w12re(t) + 1j * self._w12im(t))[()])
+        v = self._coeffs(t)
+        # [()] turns the 0-d columns for a scalar t into scalars
+        return v[..., 0][()], v[..., 1][()], (v[..., 2] + 1j * v[..., 3])[()]
 
     def diag_integrals(self, t):
         self._check_domain(t)
-        t0 = self.grid[0]
-        return (float(self._sum_int(t) - self._sum_int(t0)),
-                float(self._diff_int(t) - self._diff_int(t0)))
+        # the antiderivative vanishes at the first sample
+        v = self._integrals(t)
+        return (v[..., 0] + v[..., 1])[()], (v[..., 0] - v[..., 1])[()]
+
+    def breakpoints(self):
+        return self.grid[1:-1]
 
     def phase_reference(self, t):
         t0 = float(self.grid[0])
@@ -710,17 +703,9 @@ class TabulatedScenario(Scenario):
         return float(np.angle(-1j * w12)) if w12 != 0 else 0.0
 
 
-@dataclass(frozen=True)
-class _SplineDrive:
-    re: CubicSpline
-    im: CubicSpline
-
-    @classmethod
-    def build(cls, t, values):
-        return cls(re=CubicSpline(t, values.real), im=CubicSpline(t, values.imag))
-
+class _SplineDrive(CubicSpline):
     def __call__(self, t):
-        return (self.re(t) + 1j * self.im(t))[()]
+        return super().__call__(t)[()]
 
 
 CASES = {cls.case: cls for cls in (

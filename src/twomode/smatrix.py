@@ -53,10 +53,16 @@ def smatrix_numeric_grid(scenario: Scenario, grid,
     A sample is re-unitarized by polar projection only if integration
     drift exceeds 10x the requested tolerance, and that is flagged."""
     grid = np.asarray(grid, dtype=float)
+    dense = (_integrate(scenario, float(grid[-1]), tol)
+             if np.any(grid > 0) else None)
+    return _sampled(dense, grid, tol)
+
+
+def _sampled(dense, grid, tol: float) -> list[SMatrix2]:
+    """smatrix_numeric_grid's samples from dense, s -> rows S11 ... S22."""
     mats = np.tile(np.eye(2, dtype=complex), (grid.size, 1, 1))
     positive = grid > 0
     if np.any(positive):
-        dense = _integrate(scenario, float(grid[-1]), tol)
         mats[positive] = dense(grid[positive]).T.reshape(-1, 2, 2)
     out: list[SMatrix2] = []
     for t, m in zip(grid, mats):

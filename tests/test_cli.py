@@ -177,6 +177,43 @@ def test_parse_scenario_round_trip_tabulated(tmp_path):
     assert {want.case for _, want in ROUND_TRIP} | {"Tabulated"} == set(CASES)
 
 
+# a plausible slip per case: a misspelling, a complex parameter given
+# without its _re/_im halves, or FresnelNorm's parameter name in place of
+# its INI key
+MISSPELLED = {"ConstantPhase": "ph0", "LinearPhase": "w_0",
+              "GeneralPhase": "theta", "AllConstant": "w12",
+              "IsotropicConstant": "z0", "RhoConstant": "rho",
+              "LogRho": "t_0", "QuadraticPhase": "eta0_re",
+              "FresnelNorm": "w12_0", "Tabulated": "t_end"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_unknown_case_key_is_rejected(tmp_path, capsys, case):
+    texts = {want.case: text for text, want in ROUND_TRIP}
+    (tmp_path / "samples.csv").write_text(
+        "t,w11,w22,re_w12,im_w12,re_F1,im_F1,re_F2,im_F2,B\n"
+        + "".join(f"{t},0.5,0.2,0.3,0.1,0,0,0,0,0\n" for t in range(5)))
+    texts["Tabulated"] = "[Tabulated]\ndata = samples.csv\n"
+    text = texts[case] + f"{MISSPELLED[case]} = 0.3\n"
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", write_ini(tmp_path, text),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown keys ['{MISSPELLED[case]}'] in [{case}]" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("section,key", [
+    ("[F1]\nkind = rotating\namp_re = 0.1\nomega = 1.0\nre = 0.1\n", "re"),
+    ("[F2]\nre = 0.1\nvalue = 0.2\n", "value"),
+    ("[B]\nkind = cosine\namp = 0.3\nomega = 0.9\nphi = 0.1\n", "phi"),
+], ids=["F1", "F2", "B"])
+def test_unknown_drive_key_is_rejected(tmp_path, capsys, section, key):
+    ini = write_ini(tmp_path, CONSTANT_PHASE_INI + "\n" + section)
+    assert main(["factors", "--scenario", ini, "--out", str(tmp_path)]) == 1
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+
 def test_factors_command(tmp_path):
     ini = write_ini(tmp_path, ALL_CONSTANT_INI)
     out = tmp_path / "run"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 
 from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
                                coherent_evolution_closed, coherent_spec,
@@ -11,11 +12,13 @@ from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
 from twomode.fock import (annihilator, coherent_state, expectation,
                           interior_mask, make_space)
 from twomode.oracle import brute_force_propagator, compare_operators
+from twomode.riccati import _flow, solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
-                              ConstantPhaseScenario,
-                              IsotropicConstantScenario, LogRhoScenario,
-                              RhoConstantScenario, RotatingDrive)
-from twomode.smatrix import smatrix_closed
+                              ConstantPhaseScenario, CosineDrive,
+                              IsotropicConstantScenario, LinearPhaseScenario,
+                              LogRhoScenario, RhoConstantScenario,
+                              RotatingDrive, TabulatedScenario)
+from twomode.smatrix import smatrix_closed, smatrix_numeric_grid
 
 
 ROOT_HALF = math.sqrt(0.5)
@@ -280,3 +283,134 @@ def test_coherent_law_matches_reference_laws(scenario):
         c1, c2 = _reference_coherent(scenario, spec.z0, t)
         assert abs(amps.c1 - c1) <= 1e-14
         assert abs(amps.c2 - c2) <= 1e-14
+
+
+# The drive-integral route the linear amplitude flow replaced, kept as its
+# reference: c(t) = S(t) (c0 - i int_0^t S^dag F) from a dense S, and P(t)
+# summed with one adaptive quadrature per interval.  The drive integral runs
+# on the breakpoint-aware flow, like S: stepping across the samples of a
+# Tabulated case puts it about 1e-9 off at tol 1e-12.
+
+def _reference_amplitudes(scenario, c0, times, tol):
+    dense = solve_riccati_numeric(scenario, times[-1], tol,
+                                  grid=times[-1:]).s_dense
+    s_dense = lambda s: dense(s).reshape(2, 2)
+    c0 = np.asarray(c0, dtype=complex)
+    f_at = lambda s: np.array([complex(scenario.f1(s)),
+                               complex(scenario.f2(s))])
+    g_at = _flow(scenario, lambda s, g: s_dense(s).conj().T @ f_at(s),
+                 np.zeros(2, dtype=complex), float(times[-1]), tol)
+    c_at = lambda s: s_dense(s) @ (c0 - 1j * g_at(s))
+
+    def p_integrand(s):
+        return (np.vdot(f_at(s), c_at(s)).real
+                + float(complex(scenario.b(s)).real))
+
+    out, p, prev = [], 0.0, 0.0
+    for t in times:
+        if t > prev:
+            p += quad(p_integrand, prev, t, epsabs=tol, epsrel=1e-11,
+                      limit=400)[0]
+        prev = t
+        out.append((*c_at(t), cmath.exp(-1j * p)))
+    return out
+
+
+def _driven_table():
+    """Smooth driven samples, 41 on [0, 3], as the benchmark draws them."""
+    ts = np.linspace(0.0, 3.0, 41)
+    return TabulatedScenario.from_samples(
+        ts, w11=0.8 + 0.05 * np.sin(1.3 * ts + 0.4),
+        w22=0.05 + 0.03 * np.cos(0.9 * ts - 1.1),
+        w12=(0.14 + 0.03 * np.sin(1.7 * ts)) * np.exp(1j * (0.6 - 0.4 * ts)),
+        f1=0.07 * np.exp(1j * (1.1 * ts + 0.3)),
+        f2=np.full(ts.size, 0.03 - 0.02j), b=0.2 * np.cos(0.8 * ts))
+
+
+AMPLITUDE_CASES = [
+    (AllConstantScenario(w11=0.4, w22=0.2, w12=0.15,
+                         f1=RotatingDrive(0.1, 1.0, 0.0),
+                         b=ConstantDrive(0.2)), 2.0),
+    (LinearPhaseScenario(eta0=1.1, w0=-0.6, phi0=0.2, w22=0.4,
+                         f1=RotatingDrive(0.1 - 0.05j, 1.3, 0.2),
+                         f2=ConstantDrive(0.02), b=CosineDrive(0.3, 0.9)), 2.0),
+    (AllConstantScenario(w11=0.3, w22=0.1, w12=0.2 - 0.1j,
+                         b=CosineDrive(0.4, 1.2, 0.3)), 2.0),
+    (ConstantPhaseScenario(eta0=1.0, phi0=0.3, f2=ConstantDrive(0.1 + 0.05j)),
+     math.pi / 2.0 + 0.4),
+    (_driven_table(), 3.0),
+]
+
+
+@pytest.mark.parametrize("scenario,t_end", AMPLITUDE_CASES,
+                         ids=["AllConstant", "LinearPhase", "B-only",
+                              "ConstantPhase-past-pole", "Tabulated"])
+def test_amplitudes_match_drive_integral_route(scenario, t_end):
+    c0 = (0.3 - 0.1j, 0.2j)
+    times = np.linspace(0.0, t_end, 7)
+    got = c_coefficients(scenario, c0, times, tol=1e-12)
+    want = _reference_amplitudes(scenario, c0, times, 1e-12)
+    for amps, (c1, c2, phase) in zip(got, want):
+        assert abs(amps.c1 - c1) <= 1e-9
+        assert abs(amps.c2 - c2) <= 1e-9
+        assert abs(amps.global_phase - phase) <= 1e-9
+
+
+def test_tabulated_flows_match_knot_by_knot_reference():
+    # the splines' third derivatives jump at every sample; an integration
+    # that steps across samples without restarting is off by about 1e-8
+    tab = _driven_table()
+    c0 = np.array([0.3, -0.2j])
+
+    def rhs(s, y):
+        w11, w22, w12 = tab.coupling(s)
+        w = np.array([[w11, w12], [np.conj(w12), w22]])
+        c = y[4:6]
+        f = np.array([tab.f1(s), tab.f2(s)])
+        return np.concatenate([(-1j * w @ y[:4].reshape(2, 2)).ravel(),
+                               -1j * (w @ c + f),
+                               [np.vdot(f, c).real + tab.b(s).real]])
+
+    y = np.concatenate([np.eye(2).ravel(), c0, [0.0]]).astype(complex)
+    ref = [y]
+    for lo, hi in zip(tab.grid[:-1], tab.grid[1:]):
+        y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13,
+                      atol=1e-13).y[:, -1]
+        ref.append(y)
+    ref = np.array(ref)
+    mats = smatrix_numeric_grid(tab, tab.grid, tol=1e-10)
+    amps = c_coefficients(tab, c0, tab.grid, tol=1e-10)
+    for m, a, want in zip(mats, amps, ref):
+        assert np.max(np.abs(m.mat.ravel() - want[:4])) <= 1e-12
+        assert abs(a.c1 - want[4]) <= 1e-12
+        assert abs(a.c2 - want[5]) <= 1e-12
+        assert abs(a.global_phase - cmath.exp(-1j * want[6].real)) <= 1e-12
+
+
+def test_smooth_amplitudes_make_one_solve_and_no_quadrature(monkeypatch):
+    calls = {"solve_ivp": 0, "quad": 0}
+    for name in ("cli", "evolution", "fock", "oracle", "riccati",
+                 "scenario", "smatrix"):
+        module = importlib.import_module(f"twomode.{name}")
+        for fn in calls:
+            if hasattr(module, fn):
+                def counted(*args, _fn=fn, _orig=getattr(module, fn),
+                            **kwargs):
+                    calls[_fn] += 1
+                    return _orig(*args, **kwargs)
+                monkeypatch.setattr(module, fn, counted)
+    scenario, _ = AMPLITUDE_CASES[1]
+    c_coefficients(scenario, (0.1, 0.0), np.linspace(0.0, 2.0, 11))
+    assert calls == {"solve_ivp": 1, "quad": 0}
+
+
+def test_amplitudes_at_time_zero_are_the_initial_ones():
+    scenario, _ = AMPLITUDE_CASES[0]
+    c0 = (0.3 - 0.1j, 0.2j)
+    (only,) = c_coefficients(scenario, c0, np.array([0.0]))
+    first, second, last = c_coefficients(scenario, c0,
+                                         np.array([0.0, 0.0, 1.0]))
+    for amps in (only, first, second):
+        assert (amps.t, amps.c1, amps.c2) == (0.0, c0[0], c0[1])
+        assert amps.global_phase == 1.0
+    assert last == c_coefficients(scenario, c0, 1.0)

@@ -1,9 +1,12 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twomode
 from twomode.riccati import (
     ChartSingularity,
     ConditionViolated,
@@ -357,3 +360,35 @@ def test_numeric_route_locates_isotropic_pole():
     past = numeric.t >= numeric.singular_time
     assert np.any(past) and not np.any(numeric.valid[past])
     assert np.all(numeric.valid[~past])
+
+
+def _solve_ivp_call_sites(path):
+    """(module, function) for each call of solve_ivp in a source file."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = where or node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "solve_ivp":
+                sites.append((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_flow_is_the_only_integrator_call_site():
+    # every flow along a scenario restarts at its breakpoints, so the one
+    # helper that does so is the only place allowed to call solve_ivp
+    package = Path(twomode.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py"))
+             for site in _solve_ivp_call_sites(path)]
+    assert sites == [("riccati", "_flow")]
+    tree = ast.parse((package / "evolution.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {"quad", "solve_ivp", "scipy.integrate"}

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import twomode.scenario
 from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
@@ -335,3 +336,46 @@ def test_array_times_match_scalar_calls(sc):
     for drive in (sc.f1, sc.f2, sc.b):
         _assert_stacked(drive(ts), [drive(float(t)) for t in ts])
         assert np.isscalar(drive(0.7))
+
+
+# The per-column splines that the one vector-valued Tabulated spline
+# replaced, kept as its reference.
+
+def _per_column_reference(ts, w11, w22, w12, drives):
+    s11, s22 = CubicSpline(ts, w11), CubicSpline(ts, w22)
+    s12re, s12im = CubicSpline(ts, w12.real), CubicSpline(ts, w12.imag)
+    sum_int = CubicSpline(ts, w11 + w22).antiderivative()
+    diff_int = CubicSpline(ts, w11 - w22).antiderivative()
+
+    def coupling(t):
+        return s11(t), s22(t), s12re(t) + 1j * s12im(t)
+
+    def diag_integrals(t):
+        return (sum_int(t) - sum_int(ts[0]), diff_int(t) - diff_int(ts[0]))
+
+    def spline_drive(values):
+        re, im = CubicSpline(ts, values.real), CubicSpline(ts, values.imag)
+        return lambda t: re(t) + 1j * im(t)
+
+    return coupling, diag_integrals, [spline_drive(v) for v in drives]
+
+
+def test_tabulated_matches_per_column_splines():
+    ts = np.linspace(-0.5, 2.0, 31)
+    w11, w22 = 0.3 + 0.1 * np.sin(ts), 0.2 * np.cos(ts)
+    w12 = (0.4 + 0.1 * ts) * np.exp(0.7j * ts)
+    drives = (0.1 * np.exp(1j * ts), 0.05 - 0.02j * ts,
+              (0.3 * np.cos(2 * ts)).astype(complex))
+    tab = TabulatedScenario.from_samples(ts, w11, w22, w12, f1=drives[0],
+                                         f2=drives[1], b=drives[2])
+    coupling, diag_integrals, ref_drives = _per_column_reference(
+        ts, w11, w22, w12, drives)
+    probes = np.linspace(-0.5, 2.0, 53)
+    for t in [*probes, probes]:
+        pairs = [*zip(tab.coupling(t), coupling(t)),
+                 *zip(tab.diag_integrals(t), diag_integrals(t)),
+                 *zip((tab.f1(t), tab.f2(t), tab.b(t)),
+                      (f(t) for f in ref_drives))]
+        for got, want in pairs:
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-14
