@@ -158,6 +158,10 @@ def parse_scenario(path: str):
         raise ValueError(f"scenario file must contain exactly one case "
                          f"section from {tuple(CASES)}, found {tags}")
     tag = tags[0]
+    unknown = [s for s in cp.sections() if s not in (tag, "F1", "F2", "B")]
+    if unknown:
+        raise ValueError(f"unknown sections {unknown} beside [{tag}]; drive "
+                         "sections are [F1], [F2] and [B]")
     sec = _Section(cp[tag])
     drives = {}
     for name, allow_complex in (("F1", True), ("F2", True), ("B", False)):

@@ -15,9 +15,13 @@ the alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
 
     Lambda~ = e^{-i rho} Lambda,   Omega~ = Omega - i rho,   Gamma~ = Gamma.
 
+QuadraticPhase and FresnelNorm declare their own closed alternative chart
+(Scenario.alt_chart); QuadraticPhase reads Gamma~ off a Wronskian.
+
 Every flow along a scenario (S, the drive amplitudes) runs in _flow, which
-restarts at the scenario's breakpoints(): an adaptive step's error estimate
-misses a jump in a higher derivative, as at a Tabulated sample.
+restarts at the scenario's breakpoints(t): an adaptive step's error
+estimate misses a jump in a higher derivative, as at a Tabulated sample or
+a kink of FresnelNorm's |cos(nu s^2)|.
 
 Lambda diverging (a chart singularity, S22 -> 0) is a property of the
 coordinate patch, not of the underlying unitary; it is reported through
@@ -35,8 +39,7 @@ import numpy as np
 from scipy.integrate import OdeSolution, quad, solve_ivp
 from scipy.optimize import brentq
 
-from .scenario import (FresnelNormScenario, PhaseFamily,
-                       QuadraticPhaseScenario, Scenario)
+from .scenario import PhaseFamily, Scenario
 
 LAM_LIMIT = 1e8
 
@@ -53,100 +56,8 @@ class StepUnderflow(Exception):
     """Adaptive integrator could not advance without violating tolerance."""
 
 
-class SeriesDivergence(Exception):
-    """Power series outside its trusted domain or failed to converge."""
-
-
 class ConditionViolated(Exception):
     """Scenario does not satisfy the constraint a closed form requires."""
-
-
-# ---------------------------------------------------------------------------
-# special functions (power series with compensated summation)
-
-@dataclass(frozen=True)
-class SpecialValue:
-    value: complex
-    terms: int
-    truncation_bound: float
-
-
-_SERIES_DOMAIN = 30.0
-_SERIES_MAX_TERMS = 600
-
-
-def _fsum_complex(terms) -> complex:
-    return complex(math.fsum(t.real for t in terms),
-                   math.fsum(t.imag for t in terms))
-
-
-def kummer_1f1(a: complex, b: complex, z: complex,
-               tol: float = 1e-14) -> SpecialValue:
-    """Confluent hypergeometric 1F1(a; b; z) by its defining series.
-
-    Terms follow t_{n+1} = t_n (a+n) z / ((b+n)(n+1)); the sum is formed
-    with compensated accumulation.  Arguments with |z| > 30 are rejected:
-    past that the alternating series loses too many digits in doubles.
-    """
-    b = complex(b)
-    if b.imag == 0 and b.real <= 0 and b.real == int(b.real):
-        raise ValueError("1F1 undefined for non-positive integer b")
-    if abs(z) > _SERIES_DOMAIN:
-        raise SeriesDivergence(f"|z| = {abs(z):.3g} outside series domain "
-                               f"{_SERIES_DOMAIN}")
-    a = complex(a)
-    z = complex(z)
-    term = 1.0 + 0j
-    terms = [term]
-    n = 0
-    quiet = 0
-    while n < _SERIES_MAX_TERMS:
-        term = term * (a + n) * z / ((b + n) * (n + 1))
-        terms.append(term)
-        n += 1
-        partial = abs(_fsum_complex(terms))
-        if abs(term) <= tol * max(1.0, partial) and n >= abs(z):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise SeriesDivergence("1F1 series did not settle within "
-                               f"{_SERIES_MAX_TERMS} terms")
-    value = _fsum_complex(terms)
-    nxt = abs(term * (a + n) * z / ((b + n) * (n + 1)))
-    ratio = abs(z) / (n + 1)
-    bound = nxt / (1.0 - ratio) if ratio < 0.5 else 2.0 * nxt
-    return SpecialValue(value=value, terms=n + 1, truncation_bound=bound)
-
-
-def fresnel_c(x: float, tol: float = 1e-14) -> SpecialValue:
-    """Fresnel cosine integral C(x) = int_0^x cos(pi u^2 / 2) du by series:
-    sum over n of (-1)^n (pi/2)^{2n} x^{4n+1} / ((2n)! (4n+1))."""
-    if abs(x) > _SERIES_DOMAIN:
-        raise SeriesDivergence(f"|x| = {abs(x):.3g} outside series domain "
-                               f"{_SERIES_DOMAIN}")
-    y2 = (math.pi / 2.0) * x * x
-    term = float(x)
-    coeff = float(x)
-    terms = [term]
-    n = 0
-    while n < _SERIES_MAX_TERMS:
-        # coeff_{n+1}/coeff_n for the x^{4n+1}/(2n)! part
-        coeff = -coeff * y2 * y2 / ((2 * n + 1) * (2 * n + 2))
-        n += 1
-        term = coeff / (4 * n + 1)
-        terms.append(term)
-        if abs(term) <= tol * max(1.0, abs(math.fsum(terms))):
-            break
-    else:
-        raise SeriesDivergence("Fresnel series did not settle within "
-                               f"{_SERIES_MAX_TERMS} terms")
-    value = math.fsum(terms)
-    bound = abs(coeff * y2 * y2 / ((2 * n + 1) * (2 * n + 2)) / (4 * n + 5))
-    return SpecialValue(value=complex(value), terms=n + 1,
-                        truncation_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +137,7 @@ def _flow(scenario: Scenario, rhs, y0, t: float, tol: float):
     """Dense solution of dy/ds = rhs(s, y), y(0) = y0, on [0, t], restarted
     at the scenario's breakpoints: one DOP853 solve per piece between them,
     stitched into one OdeSolution whose .ts lists every solver step."""
-    edges = [0.0, *sorted(b for b in scenario.breakpoints() if 0 < b < t), t]
+    edges = [0.0, *sorted(b for b in scenario.breakpoints(t) if 0 < b < t), t]
     pieces = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         # a piece is smooth: try one step across it rather than the
@@ -255,8 +166,9 @@ def _integrate(scenario: Scenario, t: float, tol: float):
 
 def _diag(scenario: Scenario, times) -> np.ndarray:
     """alpha and rho at each time, as the two rows of one array."""
-    return np.array([scenario.diag_integrals(float(t)) for t in times],
-                    dtype=float).reshape(-1, 2).T
+    times = np.asarray(times, dtype=float)
+    return np.array([np.broadcast_to(v, times.shape)
+                     for v in scenario.diag_integrals(times)], dtype=float)
 
 
 def _chart_end(scenario: Scenario, dense, ts):
@@ -419,38 +331,24 @@ def closed_factors(scenario: Scenario, t):
 def factors_on_grid(scenario: Scenario, grid,
                     ordering: str = "standard") -> DisentangledFactors:
     """Package closed-form coefficients as a DisentangledFactors with an
-    exact evaluator.  ordering="alternative" applies the chart relations
-    (or the dedicated alternative evaluators for the showcase cases)."""
+    exact evaluator: closed_factors, or alt_factors for
+    ordering="alternative", in one call on the whole grid."""
+    charts = {"standard": closed_factors, "alternative": alt_factors}
+    if ordering not in charts:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    chart = charts[ordering]
     grid = np.asarray(grid, dtype=float)
     alpha, rho = _diag(scenario, grid)
-
-    if ordering == "standard":
-        def evaluate(t):
-            return closed_factors(scenario, float(t))
-    elif ordering == "alternative":
-        def evaluate(t):
-            return alt_factors(scenario, float(t))
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-
-    lam = np.empty(grid.size, dtype=complex)
-    omega = np.empty(grid.size, dtype=complex)
-    gamma = np.empty(grid.size, dtype=complex)
-    for i, t in enumerate(grid):
-        try:
-            lam[i], omega[i], gamma[i] = evaluate(t)
-        except ChartSingularity:
-            lam[i] = omega[i] = gamma[i] = complex(np.inf, np.inf)
+    lam, omega, gamma = (np.asarray(v, dtype=complex)
+                         for v in chart(scenario, grid))
     finite = np.isfinite(lam) & np.isfinite(omega) & np.isfinite(gamma)
     valid = finite & (np.abs(lam) <= LAM_LIMIT)
-    singular = None
     bad = np.nonzero(~valid)[0]
-    if bad.size:
-        singular = float(grid[bad[0]])
+    singular = float(grid[bad[0]]) if bad.size else None
     return DisentangledFactors(
         scenario=scenario, ordering=ordering, t=grid, alpha=alpha, rho=rho,
         lam=lam, omega=omega, gamma=gamma, valid=valid,
-        singular_time=singular, _eval=evaluate)
+        singular_time=singular, _eval=lambda t: chart(scenario, float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +360,15 @@ def alternative_from_standard(lam, omega, gamma, rho):
     return lam * phase, omega - 1j * np.asarray(rho, dtype=float), gamma
 
 
-def alt_factors(scenario: Scenario, t: float):
-    """Alternative-ordering (Lambda~, Omega~, Gamma~) at time t, using the
-    dedicated evaluator for the showcase cases and the chart relations on
-    top of the standard closed forms otherwise."""
-    if isinstance(scenario, QuadraticPhaseScenario):
-        return alt_factors_quadratic_phase(scenario.eta0, scenario.theta0, t)
-    if isinstance(scenario, FresnelNormScenario):
-        return alt_factors_fresnel(scenario.w12_0, scenario.nu,
-                                   (scenario.theta_v0, scenario.theta_u0), t)
-    lam, omega, gam = closed_factors(scenario, t)
+def alt_factors(scenario: Scenario, t):
+    """Alternative-ordering (Lambda~, Omega~, Gamma~) at a time or a 1-D
+    array of times: the case's own alt_chart where it declares one, the
+    chart relations on top of the standard closed forms otherwise."""
+    chart = scenario.alt_chart(t)
+    if chart is not None:
+        return chart
     _, rho = scenario.diag_integrals(t)
-    return alternative_from_standard(lam, omega, gam, rho)
+    return alternative_from_standard(*closed_factors(scenario, t), rho)
 
 
 def alt_factors_theta_u_zero(scenario: Scenario, t: float,
@@ -518,87 +413,4 @@ def alt_factors_theta_u_zero(scenario: Scenario, t: float,
     omega = (-2.0 * math.log(abs(math.cos(q)))
              - 1j * (2.0 * math.pi * k + rho))
     gam = tanq * cmath.exp(-1j * theta_v0)
-    return lam, omega, gam
-
-
-def _quadratic_u(eta0, theta0, s, tol=1e-14):
-    """u(s) = 1F1(i eta0^2 / 4 theta0; 1/2; i theta0 s^2) and its derivative
-    -eta0^2 s 1F1(1 + i eta0^2 / 4 theta0; 3/2; i theta0 s^2)."""
-    a = 1j * eta0 ** 2 / (4.0 * theta0)
-    z = 1j * theta0 * s * s
-    u = kummer_1f1(a, 0.5, z, tol).value
-    du = -eta0 ** 2 * s * kummer_1f1(a + 1.0, 1.5, z, tol).value
-    return u, du
-
-
-def alt_factors_quadratic_phase(eta0: float, theta0: float, t: float,
-                                scenario: Scenario | None = None,
-                                tol: float = 1e-13):
-    """Alternative ordering for eta = eta0 e^{-i theta0 s^2} through the
-    confluent hypergeometric solution u(s) of
-    u'' - (d/ds ln conj(eta)) u' + eta0^2 u = 0, u(0)=1, u'(0)=0:
-
-        Lambda~ = -u'(t) / (conj(eta(t)) u(t)) e^{-i rho}
-        Omega~  = -2 log u(t) - i rho
-        Gamma~  = -int_0^t conj(eta(s)) / u(s)^2 ds.
-    """
-    if scenario is not None:
-        _, rho = scenario.diag_integrals(t)
-    else:
-        rho = 0.0
-    u, du = _quadratic_u(eta0, theta0, t, tol)
-    if abs(u) < 1.0 / LAM_LIMIT:
-        raise ChartSingularity("u(t) vanished: alternative chart singular",
-                               singular_time=t)
-    eta_conj = eta0 * cmath.exp(1j * theta0 * t * t)
-    lam = -du / (eta_conj * u) * cmath.exp(-1j * rho)
-    omega = -2.0 * cmath.log(u) - 1j * rho
-
-    def integrand_re(s):
-        us, _ = _quadratic_u(eta0, theta0, s, tol)
-        return (eta0 * cmath.exp(1j * theta0 * s * s) / us ** 2).real
-
-    def integrand_im(s):
-        us, _ = _quadratic_u(eta0, theta0, s, tol)
-        return (eta0 * cmath.exp(1j * theta0 * s * s) / us ** 2).imag
-
-    re, _ = quad(integrand_re, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-    im, _ = quad(integrand_im, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-    gam = -complex(re, im)
-    return lam, omega, gam
-
-
-def alt_factors_fresnel(w12_0: float, nu: float, theta_offsets, t: float,
-                        tol: float = 1e-14):
-    """Alternative ordering for |w12| = w12_0 |cos(nu s^2)| with the phase
-    slaved to theta_offsets = (theta_v0, theta_u0), valid on the first
-    non-negative stretch nu t^2 <= pi/2 where
-
-        psi(t) = w12_0 sqrt(pi / 2 nu) C(sqrt(2 nu / pi) t)
-
-    (C the Fresnel cosine integral), q = gd(psi), theta_v = q + theta_v0,
-    theta_u = tan(q) - q + theta_u0.  The factors come from the linearizing
-    solution u = cos(q) e^{i theta_u}, so only the increment theta_u -
-    theta_u0 enters Omega~ and Gamma~; the offsets themselves fix the
-    coupling phase, not the chart:
-
-        Lambda~ = -tan(q) e^{i (theta_v - theta_u)}
-        Omega~  = ln sec^2(q) - 2 i (theta_u - theta_u0)
-        Gamma~  =  tan(q) e^{-i (tan(q) + theta_v0 - theta_u0)}.
-    """
-    theta_v0, theta_u0 = theta_offsets
-    if w12_0 <= 0 or nu <= 0:
-        raise ValueError("w12_0 and nu must be positive")
-    if nu * t * t > math.pi / 2.0 + 1e-12:
-        raise ValueError("closed Fresnel form only valid while nu t^2 <= pi/2")
-    scale = math.sqrt(math.pi / (2.0 * nu))
-    psi = w12_0 * scale * fresnel_c(t / scale, tol).value.real
-    q = 2.0 * math.atan(math.tanh(0.5 * psi))
-    theta_v = q + theta_v0
-    theta_u = math.tan(q) - q + theta_u0
-    tanq = math.tan(q)
-    lam = -tanq * cmath.exp(1j * (theta_v - theta_u))
-    omega = complex(-2.0 * math.log(abs(math.cos(q))),
-                    -2.0 * (theta_u - theta_u0))
-    gam = tanq * cmath.exp(-1j * (tanq + theta_v0 - theta_u0))
     return lam, omega, gam

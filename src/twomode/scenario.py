@@ -22,8 +22,9 @@ calls of the adaptive integrators cost no more than before.
 
 A case is declared once, by its class: CASES maps each tag to it, the INI
 parser fills the parameters of its ini_constructor(), every closed-form
-route reads its phase_family(), and the isotropic cases give z0 and the
-dressed mode at t = 0 for the coherent law.
+route reads its phase_family(), the showcase cases give their own closed
+alternative chart through alt_chart(), and the isotropic cases give z0 and
+the dressed mode at t = 0 for the coherent law.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
+
+from .special import fresnel_c, kummer_1f1
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,15 +172,22 @@ class Scenario:
         raise NotImplementedError
 
     def diag_integrals(self, t: float) -> tuple[float, float]:
-        """(alpha, rho) = (int_0^t (w11+w22), int_0^t (w11-w22))."""
+        """(alpha, rho) = (int_0^t (w11+w22), int_0^t (w11-w22)), at time t
+        or at each time of a 1-D array t (a constant stays a scalar)."""
         raise NotImplementedError
 
     def phase_family(self) -> PhaseFamily | None:
         """The closed phase model of eta, or None outside the catalogue."""
         return None
 
-    def breakpoints(self):
-        """Times where the coefficients lose smoothness; flows restart there."""
+    def alt_chart(self, t):
+        """The case's own closed alternative-ordering (Lambda~, Omega~,
+        Gamma~) at a time or 1-D array of times, or None.  At a chart pole
+        the values come out infinite or huge, never as an exception."""
+        return None
+
+    def breakpoints(self, t: float):
+        """Times in (0, t) where the coefficients lose smoothness."""
         return ()
 
     def dressed_mode0(self) -> tuple[complex, complex] | None:
@@ -536,8 +546,8 @@ class LogRhoScenario(_MixingAngle, Scenario):
 
     def diag_integrals(self, t):
         u = t + self.t0
-        rho = 2.0 * math.atan(u) - 2.0 * math.atan(self.t0) - t
-        return t, rho
+        atan_u = np.arctan(u) if isinstance(u, np.ndarray) else math.atan(u)
+        return t, 2.0 * atan_u - 2.0 * math.atan(self.t0) - t
 
     def phi_tilde(self, t):
         return (self.w0 / (2.0 * self.eta0)) * self._log_term(t)
@@ -548,6 +558,11 @@ class LogRhoScenario(_MixingAngle, Scenario):
 
 # ---------------------------------------------------------------------------
 # alternative-ordering showcase families
+
+def _series(value, x):
+    """value(x_i).value of a scalar series at each entry of x, in x's shape."""
+    return np.vectorize(lambda v: value(v).value, otypes=[complex])(x)
+
 
 @dataclass(frozen=True)
 class QuadraticPhaseScenario(Scenario):
@@ -576,6 +591,28 @@ class QuadraticPhaseScenario(Scenario):
     def phase_reference(self, t):
         return -self.theta0 * t * t
 
+    def alt_chart(self, t):
+        """u'' - (ln conj(eta))' u' + eta0^2 u = 0 has the Kummer solutions
+        u = 1F1(a; 1/2; i theta0 s^2), a = i eta0^2 / 4 theta0, u(0) = 1, and
+        v = s 1F1(a + 1/2; 3/2; i theta0 s^2), v'(0) = 1 (DLMF 13.2).  Their
+        Wronskian is conj(eta)/eta0 (Abel), so (v/u)' = conj(eta)/(eta0 u^2):
+
+            Lambda~ = -u' / (conj(eta) u),  u' = -eta0^2 s 1F1(a + 1; 3/2; .)
+            Omega~  = -2 log u
+            Gamma~  = -int_0^t conj(eta)/u^2 = -eta0 v/u."""
+        t = np.asarray(t, dtype=float)
+        a = 1j * self.eta0 ** 2 / (4.0 * self.theta0)
+        z = 1j * self.theta0 * t * t
+        u = _series(lambda x: kummer_1f1(a, 0.5, x, 1e-13), z)
+        du = -self.eta0 ** 2 * t * _series(
+            lambda x: kummer_1f1(a + 1.0, 1.5, x, 1e-13), z)
+        v = t * _series(lambda x: kummer_1f1(a + 0.5, 1.5, x, 1e-13), z)
+        eta_conj = self.eta0 * np.exp(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chart = (-du / (eta_conj * u), -2.0 * np.log(u),
+                     -self.eta0 * v / u)
+        return tuple(c[()] for c in chart)
+
 
 @dataclass(frozen=True)
 class FresnelNormScenario(Scenario):
@@ -599,12 +636,21 @@ class FresnelNormScenario(Scenario):
         if self.w12_0 <= 0 or self.nu <= 0:
             raise ValueError("w12_0 and nu must be positive")
 
+    def breakpoints(self, t):
+        """The kinks of |cos(nu s^2)| before t, at nu s^2 = (k + 1/2) pi."""
+        k = np.arange(math.ceil(self.nu * t * t / math.pi - 0.5))
+        return np.sqrt((k + 0.5) * math.pi / self.nu)
+
     def norm_integral(self, t: float) -> float:
-        """psi(t) = int_0^t w12_0 |cos(nu s^2)| ds by adaptive quadrature."""
+        """psi(t) = int_0^t w12_0 |cos(nu s^2)| ds by adaptive quadrature,
+        told the kinks: past one, quad's error estimate misses them."""
         if t == 0.0:
             return 0.0
+        kinks = self.breakpoints(t)
         val, _ = quad(lambda s: self.w12_0 * abs(math.cos(self.nu * s * s)),
-                      0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
+                      0.0, t, epsabs=1e-12, epsrel=1e-12,
+                      limit=200 + len(kinks),
+                      points=kinks if len(kinks) else None)
         return val
 
     def tilt_angle(self, t: float) -> float:
@@ -627,6 +673,33 @@ class FresnelNormScenario(Scenario):
     def phase_reference(self, t):
         q = self.tilt_angle(t)
         return 3.0 * q - math.tan(q) + self.theta_v0 - self.theta_u0 - math.pi
+
+    def alt_chart(self, t):
+        """Closed on the first non-negative stretch nu t^2 <= pi/2 where
+
+            psi(t) = w12_0 sqrt(pi / 2 nu) C(sqrt(2 nu / pi) t)
+
+        (C the Fresnel cosine integral), q = gd(psi), theta_v = q + theta_v0,
+        theta_u = tan(q) - q + theta_u0.  The factors come from the
+        linearizing solution u = cos(q) e^{i theta_u}, so only theta_u -
+        theta_u0 enters Omega~ and Gamma~:
+
+            Lambda~ = -tan(q) e^{i (theta_v - theta_u)}
+            Omega~  = ln sec^2(q) - 2 i (theta_u - theta_u0)
+            Gamma~  =  tan(q) e^{-i (tan(q) + theta_v0 - theta_u0)}.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(self.nu * t * t > math.pi / 2.0 + 1e-12):
+            raise ValueError("closed Fresnel form needs nu t^2 <= pi/2")
+        scale = math.sqrt(math.pi / (2.0 * self.nu))
+        psi = self.w12_0 * scale * _series(fresnel_c, t / scale).real
+        q = 2.0 * np.arctan(np.tanh(0.5 * psi))
+        tanq = np.tan(q)
+        offset = self.theta_v0 - self.theta_u0
+        chart = (-tanq * np.exp(1j * (2.0 * q - tanq + offset)),
+                 -2.0 * (np.log(np.abs(np.cos(q))) + 1j * (tanq - q)),
+                 tanq * np.exp(-1j * (tanq + offset)))
+        return tuple(c[()] for c in chart)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +730,10 @@ class TabulatedScenario(Scenario):
         drives = {name: _SplineDrive(t, np.asarray(v, dtype=complex))
                   for name, v in (("f1", f1), ("f2", f2), ("b", b))
                   if v is not None}
-        return cls(grid=t, _coeffs=coeffs,
-                   _integrals=coeffs.antiderivative(), **drives)
+        integrals = coeffs.antiderivative()
+        # alpha and rho vanish at t = 0, where every flow starts with S = I
+        integrals.c[-1] -= integrals(0.0)
+        return cls(grid=t, _coeffs=coeffs, _integrals=integrals, **drives)
 
     @classmethod
     def from_csv(cls, path):
@@ -690,11 +765,10 @@ class TabulatedScenario(Scenario):
 
     def diag_integrals(self, t):
         self._check_domain(t)
-        # the antiderivative vanishes at the first sample
         v = self._integrals(t)
         return (v[..., 0] + v[..., 1])[()], (v[..., 0] - v[..., 1])[()]
 
-    def breakpoints(self):
+    def breakpoints(self, t):
         return self.grid[1:-1]
 
     def phase_reference(self, t):

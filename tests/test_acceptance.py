@@ -19,9 +19,8 @@ from twomode.fock import (annihilator, coherent_state, interior_mask,
                           make_space, mixing_operator)
 from twomode.oracle import (brute_force_propagator, brute_force_smatrix,
                             compare_operators, ode_residual)
-from twomode.riccati import (closed_factors, factors_on_grid, fresnel_c,
-                             gamma_conjugacy_check, kummer_1f1,
-                             solve_riccati_numeric)
+from twomode.riccati import (closed_factors, factors_on_grid,
+                             gamma_conjugacy_check, solve_riccati_numeric)
 from twomode.scenario import (AllConstantScenario, ConstantPhaseScenario,
                               FresnelNormScenario, GeneralPhaseScenario,
                               IsotropicConstantScenario, LinearPhaseScenario,
@@ -29,6 +28,7 @@ from twomode.scenario import (AllConstantScenario, ConstantPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
                               TabulatedScenario)
 from twomode.smatrix import smatrix_closed, smatrix_from_factors, smatrix_numeric
+from twomode.special import fresnel_c, kummer_1f1
 
 ROOT_HALF = math.sqrt(0.5)
 

@@ -214,6 +214,27 @@ def test_unknown_drive_key_is_rejected(tmp_path, capsys, section, key):
     assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["f1", "Drive", "F3", "b"])
+def test_unknown_section_is_rejected(tmp_path, capsys, section):
+    # configparser section names are case-sensitive: a drive written [f1]
+    # would otherwise leave F1 at zero without a word
+    text = ALL_CONSTANT_INI + f"\n[{section}]\nre = 0.1\n"
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", write_ini(tmp_path, text),
+                 "--out", str(out)]) == 1
+    assert f"unknown sections ['{section}']" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_drive_sections_beside_the_case_are_accepted(tmp_path):
+    text = (ALL_CONSTANT_INI + "\n[F1]\nre = 0.1\n\n[F2]\nim = 0.2\n"
+            "\n[B]\nvalue = 0.3\n")
+    got = parse_scenario(write_ini(tmp_path, text))
+    assert (got.f1, got.f2, got.b) == (ConstantDrive(0.1 + 0j),
+                                       ConstantDrive(0.2j),
+                                       ConstantDrive(0.3 + 0j))
+
+
 def test_factors_command(tmp_path):
     ini = write_ini(tmp_path, ALL_CONSTANT_INI)
     out = tmp_path / "run"

@@ -15,9 +15,10 @@ from twomode.oracle import brute_force_propagator, compare_operators
 from twomode.riccati import _flow, solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
-                              IsotropicConstantScenario, LinearPhaseScenario,
-                              LogRhoScenario, RhoConstantScenario,
-                              RotatingDrive, TabulatedScenario)
+                              FresnelNormScenario, IsotropicConstantScenario,
+                              LinearPhaseScenario, LogRhoScenario,
+                              RhoConstantScenario, RotatingDrive,
+                              TabulatedScenario)
 from twomode.smatrix import smatrix_closed, smatrix_numeric_grid
 
 
@@ -385,6 +386,33 @@ def test_tabulated_flows_match_knot_by_knot_reference():
         assert abs(a.c1 - want[4]) <= 1e-12
         assert abs(a.c2 - want[5]) <= 1e-12
         assert abs(a.global_phase - cmath.exp(-1j * want[6].real)) <= 1e-12
+
+
+@pytest.mark.parametrize("nu,t_end", [(3.0, 1.3), (2.0, 1.6)], ids=str)
+def test_fresnel_norm_s_matches_kink_by_kink_reference(nu, t_end):
+    # |cos(nu s^2)| has a kink wherever nu s^2 = (k + 1/2) pi; stepping
+    # across them without restarting put S 7e-8 off at tol 1e-10
+    scenario = FresnelNormScenario(w12_0=1.0, nu=nu)
+
+    def rhs(s, y):
+        w11, w22, w12 = scenario.coupling(s)
+        w = np.array([[w11, w12], [np.conj(w12), w22]])
+        return (-1j * w @ y.reshape(2, 2)).ravel()
+
+    grid = np.linspace(0.0, t_end, 27)
+    ref = np.empty((grid.size, 4), dtype=complex)
+    y = np.eye(2, dtype=complex).ravel()
+    kinks = [math.sqrt((k + 0.5) * math.pi / nu) for k in range(2)]
+    assert kinks[-1] < t_end
+    for lo, hi in zip([0.0, *kinks], [*kinks, t_end]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13,
+                        atol=1e-13, dense_output=True)
+        inside = (grid >= lo) & (grid <= hi)
+        ref[inside] = sol.sol(grid[inside]).T
+        y = sol.y[:, -1]
+    mats = smatrix_numeric_grid(scenario, grid, tol=1e-10)
+    for m, want in zip(mats, ref):
+        assert np.max(np.abs(m.mat.ravel() - want)) <= 5e-10
 
 
 def test_smooth_amplitudes_make_one_solve_and_no_quadrature(monkeypatch):

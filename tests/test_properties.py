@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from twomode.fock import annihilator, displacement_operator, expectation, make_space
 from twomode.oracle import brute_force_smatrix
-from twomode.riccati import closed_factors, factors_on_grid, kummer_1f1, fresnel_c
+from twomode.riccati import closed_factors, factors_on_grid
 from twomode.scenario import AllConstantScenario, LinearPhaseScenario
 from twomode.smatrix import smatrix_from_factors
+from twomode.special import fresnel_c, kummer_1f1
 
 ETA_MIN = 0.2
 ETA_MAX = 1.3

@@ -5,14 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import twomode
+import twomode.scenario
 from twomode.riccati import (
     ChartSingularity,
     ConditionViolated,
     alt_factors,
-    alt_factors_fresnel,
-    alt_factors_quadratic_phase,
     alt_factors_theta_u_zero,
     alternative_from_standard,
     closed_factors,
@@ -30,8 +30,11 @@ from twomode.scenario import (
     LogRhoScenario,
     QuadraticPhaseScenario,
     RhoConstantScenario,
+    Scenario,
     TabulatedScenario,
 )
+from twomode.smatrix import smatrix_from_factors
+from twomode.special import kummer_1f1
 
 PHASE_CASES = [
     (ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05), 1.2),
@@ -176,7 +179,8 @@ def test_frozen_phase_alternative_rejects_drift():
 
 
 def test_quadratic_phase_alternative():
-    lam, omega, gamma = alt_factors_quadratic_phase(1.0, 0.5, 0.0)
+    lam, omega, gamma = alt_factors(QuadraticPhaseScenario(eta0=1.0,
+                                                           theta0=0.5), 0.0)
     assert abs(lam) < 1e-13 and abs(omega) < 1e-13 and abs(gamma) < 1e-13
 
     scenario = QuadraticPhaseScenario(eta0=1.0, theta0=0.5)
@@ -186,8 +190,7 @@ def test_quadratic_phase_alternative():
         sample = numeric.at(float(t))
         want = alternative_from_standard(sample.lam, sample.omega,
                                          sample.gamma, sample.rho)
-        got = alt_factors_quadratic_phase(1.0, 0.5, float(t),
-                                          scenario=scenario)
+        got = alt_factors(scenario, float(t))
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-8
 
 
@@ -198,33 +201,33 @@ def test_quadratic_phase_small_curvature_limit():
     sample = numeric.at(1.0)
     want = alternative_from_standard(sample.lam, sample.omega,
                                      sample.gamma, sample.rho)
-    got = alt_factors_quadratic_phase(1.0, 1e-3, 1.0, scenario=scenario)
+    got = alt_factors(scenario, 1.0)
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-6
 
 
 def test_fresnel_alternative():
-    assert max(map(abs, alt_factors_fresnel(1.0, 0.4, (0.1, -0.2), 0.0))) == 0.0
-
     scenario = FresnelNormScenario(w12_0=1.0, nu=0.4,
                                    theta_v0=0.1, theta_u0=-0.2)
+    assert max(map(abs, alt_factors(scenario, 0.0))) == 0.0
+
     numeric = solve_riccati_numeric(scenario, 0.8, tol=1e-12)
     sample = numeric.at(0.8)
     want = alternative_from_standard(sample.lam, sample.omega,
                                      sample.gamma, sample.rho)
-    got = alt_factors_fresnel(1.0, 0.4, (0.1, -0.2), 0.8)
+    got = alt_factors(scenario, 0.8)
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-8
 
 
 def test_fresnel_small_time_slope():
-    lam, _, _ = alt_factors_fresnel(1.0, 1.0, (0.0, 0.0), 1e-3)
+    lam, _, _ = alt_factors(FresnelNormScenario(w12_0=1.0, nu=1.0), 1e-3)
     assert abs(abs(lam) - 1e-3) / 1e-3 < 1e-4
 
 
 def test_fresnel_domain_guards():
     with pytest.raises(ValueError):
-        alt_factors_fresnel(1.0, 1.0, (0.0, 0.0), 1.3)
+        alt_factors(FresnelNormScenario(w12_0=1.0, nu=1.0), 1.3)
     with pytest.raises(ValueError):
-        alt_factors_fresnel(-1.0, 1.0, (0.0, 0.0), 0.5)
+        FresnelNormScenario(w12_0=-1.0, nu=1.0)
 
 
 def test_numeric_route_flags_singularity():
@@ -392,3 +395,104 @@ def test_flow_is_the_only_integrator_call_site():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert not imported & {"quad", "solve_ivp", "scipy.integrate"}
+
+
+# The quadrature route that the closed Gamma~ of QuadraticPhase replaced,
+# kept as its reference: Gamma~ = -int_0^t conj(eta)/u^2 by two adaptive
+# quad calls, a Kummer series in each integrand evaluation.
+
+def _quad_gamma_reference(eta0, theta0, t):
+    a = 1j * eta0 ** 2 / (4.0 * theta0)
+
+    def integrand(s):
+        u = kummer_1f1(a, 0.5, 1j * theta0 * s * s, 1e-13).value
+        return eta0 * cmath.exp(1j * theta0 * s * s) / u ** 2
+
+    re, _ = quad(lambda s: integrand(s).real, 0.0, t, epsabs=1e-12,
+                 epsrel=1e-12, limit=200)
+    im, _ = quad(lambda s: integrand(s).imag, 0.0, t, epsabs=1e-12,
+                 epsrel=1e-12, limit=200)
+    return -complex(re, im)
+
+
+@pytest.mark.parametrize("eta0,theta0", [
+    (0.7, 0.45), (0.7, -0.45), (1.0, 0.5), (1.3, -0.9), (0.5, 1.2),
+], ids=str)
+def test_quadratic_phase_gamma_from_wronskian_matches_quadrature(eta0,
+                                                                 theta0):
+    scenario = QuadraticPhaseScenario(eta0=eta0, theta0=theta0)
+    times = np.array([0.0, 0.3, 0.8, 1.2])
+    _, _, gammas = scenario.alt_chart(times)
+    for t, gamma in zip(times, gammas):
+        want = _quad_gamma_reference(eta0, theta0, float(t))
+        assert abs(gamma - want) <= 1e-12 * max(1.0, abs(want))
+        assert scenario.alt_chart(float(t))[2] == gamma
+
+
+# The per-point loop that factors_on_grid replaced by one array call, kept
+# as its reference.
+
+def _per_point_alternative(scenario, grid):
+    lam = np.empty(grid.size, dtype=complex)
+    omega = np.empty(grid.size, dtype=complex)
+    gamma = np.empty(grid.size, dtype=complex)
+    for i, t in enumerate(grid):
+        lam[i], omega[i], gamma[i] = alt_factors(scenario, float(t))
+    return lam, omega, gamma
+
+
+@pytest.mark.parametrize("scenario,t_end", [
+    (LinearPhaseScenario(eta0=0.8, w0=-1.1, phi0=0.4, w11=0.3, w22=0.1),
+     2.0),
+    (AllConstantScenario(w11=0.7, w22=0.1, w12=0.2 - 0.3j), 2.0),
+    (LogRhoScenario(t0=0.8, eta0=0.7, w0=1.2, theta_alpha0=0.5,
+                    theta_beta0=-1.0), 2.0),
+    (QuadraticPhaseScenario(eta0=0.7, theta0=-0.45), 1.2),
+    (FresnelNormScenario(w12_0=0.9, nu=0.4, theta_v0=1.0, theta_u0=-2.0),
+     1.5),
+], ids=lambda v: getattr(v, "case", str(v)))
+def test_alternative_grid_equals_per_point_evaluation(scenario, t_end):
+    grid = np.linspace(0.0, t_end, 101)
+    factors = factors_on_grid(scenario, grid, "alternative")
+    want = _per_point_alternative(scenario, grid)
+    for got, ref in zip((factors.lam, factors.omega, factors.gamma), want):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0,
+                                                        np.max(np.abs(ref)))
+    assert np.all(factors.valid)
+    assert np.array_equal(factors.rho, [scenario.diag_integrals(float(t))[1]
+                                        for t in grid])
+
+
+def test_quadratic_phase_chart_at_vanishing_u_is_flagged_not_raised():
+    # theta0 -> 0 puts a near-zero of u at eta0 t = pi/2, where the closed
+    # chart's Lambda~ passes LAM_LIMIT
+    scenario = QuadraticPhaseScenario(eta0=1.0, theta0=1e-9)
+    grid = np.array([0.0, 1.0, math.pi / 2.0])
+    lam, _, _ = scenario.alt_chart(grid)
+    assert abs(lam[-1]) > 1e8
+    factors = factors_on_grid(scenario, grid, "alternative")
+    assert list(factors.valid) == [True, True, False]
+    assert factors.singular_time == math.pi / 2.0
+    assert not factors.at(math.pi / 2.0).valid
+    with pytest.raises(ChartSingularity):
+        smatrix_from_factors(factors, math.pi / 2.0)
+
+
+def test_no_case_test_outside_the_case_table():
+    # a case's behaviour is declared by its class in scenario.py; no other
+    # module branches on the class of a scenario
+    cases = {name for name, obj in vars(twomode.scenario).items()
+             if isinstance(obj, type) and issubclass(obj, Scenario)}
+    package = Path(twomode.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "scenario.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                named = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.args[1])}
+                found += [(path.name, name) for name in named & cases]
+    assert not found

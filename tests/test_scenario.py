@@ -351,7 +351,8 @@ def _per_column_reference(ts, w11, w22, w12, drives):
         return s11(t), s22(t), s12re(t) + 1j * s12im(t)
 
     def diag_integrals(t):
-        return (sum_int(t) - sum_int(ts[0]), diff_int(t) - diff_int(ts[0]))
+        # alpha and rho vanish at t = 0, where every flow starts
+        return (sum_int(t) - sum_int(0.0), diff_int(t) - diff_int(0.0))
 
     def spline_drive(values):
         re, im = CubicSpline(ts, values.real), CubicSpline(ts, values.imag)
@@ -379,3 +380,56 @@ def test_tabulated_matches_per_column_splines():
         for got, want in pairs:
             assert np.shape(got) == np.shape(want)
             assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("sc", ARRAY_CASES, ids=lambda sc: sc.case)
+def test_diag_integrals_on_arrays_match_scalar_calls(sc):
+    ts = np.linspace(0.0, 1.9, 23)
+    singles = [sc.diag_integrals(float(t)) for t in ts]
+    for got, want in zip(sc.diag_integrals(ts), zip(*singles)):
+        _assert_stacked(got, want)
+
+
+def test_tabulated_integrals_start_at_time_zero():
+    # samples before t = 0 must not shift alpha and rho: every flow starts
+    # at 0 with S = I
+    ts = np.linspace(-0.5, 2.0, 26)
+    tab = TabulatedScenario.from_samples(ts, np.full(ts.size, 0.8),
+                                         np.full(ts.size, 0.1),
+                                         np.full(ts.size, 0.3 + 0.2j))
+    assert tab.diag_integrals(0.0) == (0.0, 0.0)
+    alpha, rho = tab.diag_integrals(np.array([-0.5, 1.0, 2.0]))
+    assert np.max(np.abs(alpha - [-0.45, 0.9, 1.8])) < 1e-14
+    assert np.max(np.abs(rho - [-0.35, 0.7, 1.4])) < 1e-14
+    from twomode.riccati import solve_riccati_numeric
+    factors = solve_riccati_numeric(tab, 1.0, grid=np.array([0.0, 1.0]))
+    assert (factors.lam[0], factors.omega[0], factors.gamma[0]) == (0, 0, 0)
+    assert factors.alpha[0] == factors.rho[0] == 0.0
+
+
+def test_fresnel_norm_declares_its_kinks():
+    sc = FresnelNormScenario(w12_0=1.0, nu=2.0)
+    assert len(sc.breakpoints(0.5)) == 0
+    kinks = sc.breakpoints(1.6)
+    assert np.allclose(2.0 * kinks ** 2, [0.5 * math.pi, 1.5 * math.pi],
+                       rtol=1e-15)
+    exact = math.sqrt(math.pi / 4.0)
+    assert len(sc.breakpoints(exact)) == 0
+    assert len(sc.breakpoints(np.nextafter(exact, 2.0))) == 1
+
+
+def test_fresnel_norm_integral_across_kinks():
+    # an adaptive quad over [0, t] that is not told the kinks of
+    # |cos(nu s^2)| misses them by up to 1e-5 just past one, and by 0.05
+    # past some hundred (t = 18.5 has 218)
+    from scipy.integrate import quad
+    sc = FresnelNormScenario(w12_0=1.0, nu=2.0)
+
+    def piecewise(t):
+        edges = [0.0, *sc.breakpoints(t), t]
+        return sum(quad(lambda s: abs(math.cos(2.0 * s * s)), lo, hi,
+                        epsabs=1e-14, epsrel=1e-14)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+
+    for t in [*np.linspace(0.8, 1.6, 41), 18.5]:
+        assert abs(sc.norm_integral(t) - piecewise(t)) < 1e-12

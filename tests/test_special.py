@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twomode.riccati import SeriesDivergence, fresnel_c, kummer_1f1
+from twomode.special import SeriesDivergence, fresnel_c, kummer_1f1
 
 try:
     import mpmath
@@ -96,3 +96,37 @@ def test_fresnel_truncation_diagnostics():
     got = fresnel_c(1.8, tol=1e-13)
     assert got.terms > 2
     assert got.truncation_bound < 1e-13
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_series_guards_reject_what_roundoff_spoils():
+    # past a certain size the terms cancel away more digits than the value
+    # keeps; each accepted value must still be right to 1e-9
+    mpmath.mp.dps = 30
+    accepted = 0
+    for a, b in [(0.3j, 0.5), (1.0 + 0.3j, 1.5), (0.5 + 0.3j, 1.5),
+                 (-0.7j, 0.5), (1.0 - 0.7j, 1.5), (2.5, 0.5)]:
+        for y in np.linspace(-30.0, 30.0, 41):
+            try:
+                got = kummer_1f1(a, b, 1j * y).value
+            except SeriesDivergence:
+                continue
+            accepted += 1
+            want = complex(mpmath.hyp1f1(a, b, 1j * y))
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    for x in np.linspace(-30.0, 30.0, 61):
+        try:
+            got = fresnel_c(x).value
+        except SeriesDivergence:
+            continue
+        accepted += 1
+        want = float(mpmath.fresnelc(x))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    assert accepted > 100
+    with pytest.raises(SeriesDivergence):
+        kummer_1f1(0.3j, 0.5, 29j)
+    for x in (6.0, 29.9):
+        with pytest.raises(SeriesDivergence):
+            fresnel_c(x)
+    kummer_1f1(0.3j, 0.5, 15j)
+    fresnel_c(3.0)
