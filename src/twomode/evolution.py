@@ -11,7 +11,10 @@ with U0 the Gauss product of the factors; one flow gives (c1, c2, P).
 When the factor chart is singular at t the assembly falls back to a
 globally regular single-exponential form obtained by lifting the numeric
 j=1/2 propagator to the truncated Fock space; factors and lift share one
-S solve.
+S solve.  The quadratic part conserves n1 + n2, so the Gauss factors and
+the lift are exponentiated one occupation shell at a time (fock.shell_expm),
+partial shells above n_max included; the displacement is a Kronecker
+product of two single-mode exponentials.
 
 The isotropic families carry coherent data; without drives their coherent
 states follow one law, the closed S block applied to c(0).
@@ -24,10 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .fock import (FockSpace, annihilator, coherent_state,
-                   displacement_operator, number_diagonals, su2_generator)
+from .fock import (FockSpace, _lowering, annihilator, coherent_state,
+                   displacement_operator, number_diagonals, shell_expm,
+                   su2_generator)
 from .riccati import _flow, solve_riccati_numeric
 from .scenario import Scenario, drive_is_zero
 from .smatrix import smatrix_closed
@@ -114,9 +117,9 @@ def _gauss_product(space: FockSpace, alpha: float, rho: float, lam: complex,
     d_n = np.exp(-0.5j * alpha * (n1 + n2))
     d_rho = np.exp(-0.5j * rho * (n1 - n2))
     d_om = np.exp(0.5 * omega * (n1 - n2))
-    u = expm(lam * jp) * d_n[:, None] * d_rho[:, None]
+    u = shell_expm(space, lam * jp) * d_n[:, None] * d_rho[:, None]
     u = u * d_om[None, :]
-    return u @ expm(gamma * jm)
+    return u @ shell_expm(space, gamma * jm)
 
 
 def _su2_lift(space: FockSpace, smat: np.ndarray, alpha: float) -> np.ndarray:
@@ -144,7 +147,7 @@ def _su2_lift(space: FockSpace, smat: np.ndarray, alpha: float) -> np.ndarray:
     j3 = np.diag(0.5 * (n1d - n2d)).astype(complex)
     gen = (n_hat[0] * (jp + jm) - 1j * n_hat[1] * (jp - jm)
            + 2.0 * n_hat[2] * j3)
-    return dn @ expm(-1j * theta * gen)
+    return dn @ shell_expm(space, -1j * theta * gen)
 
 
 def assemble_U(space: FockSpace, scenario: Scenario, t: float,
@@ -211,9 +214,12 @@ def ladder_eigenvalue_check(space: FockSpace, state: CoherentStateSpec,
             coefficients = (np.conj(amplitudes.c1) / np.conj(state.z0),
                             np.conj(amplitudes.c2) / np.conj(state.z0))
     u1, u2 = coefficients
-    op = u1 * annihilator(space, 1) + u2 * annihilator(space, 2)
-    lam = complex(np.vdot(psi, op @ psi) / np.vdot(psi, psi))
-    res = float(np.linalg.norm(op @ psi - lam * psi)
+    # (a1 psi)[n1, n2] and (a2 psi)[n1, n2] on the (n1, n2) grid of psi
+    grid = psi.reshape(space.side, space.side)
+    lower = _lowering(space)
+    lowered = (u1 * (lower @ grid) + u2 * (grid @ lower.T)).ravel()
+    lam = complex(np.vdot(psi, lowered) / np.vdot(psi, psi))
+    res = float(np.linalg.norm(lowered - lam * psi)
                 / math.sqrt(np.vdot(psi, psi).real))
     return LadderCheck(eigenvalue=lam, residual=res)
 

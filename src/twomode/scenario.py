@@ -30,13 +30,14 @@ the dressed mode at t = 0 for the coherent law.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
+from scipy.special import fresnel
 
 from .special import fresnel_c, kummer_1f1
 
@@ -614,6 +615,18 @@ class QuadraticPhaseScenario(Scenario):
         return tuple(c[()] for c in chart)
 
 
+@functools.cache
+def _fresnel_kink_sums(size: int) -> np.ndarray:
+    # 2 sum_{k<K} (-1)^k C(sqrt(2k + 1)) for K = 0..size: the kinks of
+    # |cos(pi x^2 / 2)| do not depend on the case, so one cached, read-only
+    # table serves all
+    k = np.arange(size)
+    _, c_kinks = fresnel(np.sqrt(2.0 * k + 1.0))
+    sums = np.append(0.0, np.cumsum(np.where(k % 2, -2.0, 2.0) * c_kinks))
+    sums.flags.writeable = False
+    return sums
+
+
 @dataclass(frozen=True)
 class FresnelNormScenario(Scenario):
     """Vanishing diagonals, |w12(s)| = w12_0 |cos(nu s^2)|, with the
@@ -641,31 +654,38 @@ class FresnelNormScenario(Scenario):
         k = np.arange(math.ceil(self.nu * t * t / math.pi - 0.5))
         return np.sqrt((k + 0.5) * math.pi / self.nu)
 
-    def norm_integral(self, t: float) -> float:
-        """psi(t) = int_0^t w12_0 |cos(nu s^2)| ds by adaptive quadrature,
-        told the kinks: past one, quad's error estimate misses them."""
-        if t == 0.0:
-            return 0.0
-        kinks = self.breakpoints(t)
-        val, _ = quad(lambda s: self.w12_0 * abs(math.cos(self.nu * s * s)),
-                      0.0, t, epsabs=1e-12, epsrel=1e-12,
-                      limit=200 + len(kinks),
-                      points=kinks if len(kinks) else None)
-        return val
+    def norm_integral(self, t):
+        """psi(t) = int_0^t w12_0 |cos(nu s^2)| ds in closed form, at a time
+        or at each time of a 1-D array.  With scale = sqrt(pi / 2 nu) and
+        x = t / scale the kinks sit at x_k = sqrt(2k + 1), where the sign of
+        cos(pi x^2 / 2) flips, so with K kinks before t
+
+            psi = w12_0 scale [(-1)^K C(x) + 2 sum_{k<K} (-1)^k C(x_k)]
+
+        (C the Fresnel cosine integral)."""
+        scale = math.sqrt(math.pi / (2.0 * self.nu))
+        if isinstance(t, np.ndarray):
+            count = np.ceil(self.nu * t * t / math.pi - 0.5).astype(int)
+            top = int(count.max(initial=0))
+        else:
+            count = top = math.ceil(self.nu * t * t / math.pi - 0.5)
+        sums = _fresnel_kink_sums(1 << top.bit_length())
+        _, c_t = fresnel(t / scale)
+        return self.w12_0 * scale * ((1 - 2 * (count % 2)) * c_t + sums[count])
 
     def tilt_angle(self, t: float) -> float:
         """q(t) = gd(psi(t)) = 2 arctan(tanh(psi/2))."""
         return 2.0 * math.atan(math.tanh(0.5 * self.norm_integral(t)))
 
     def coupling(self, t):
+        offset = self.theta_v0 - self.theta_u0 - math.pi / 2.0
         if isinstance(t, np.ndarray):
-            # one quadrature per time
-            return np.vectorize(self.coupling, otypes=[float, float, complex])(t)
+            q = 2.0 * np.arctan(np.tanh(0.5 * self.norm_integral(t)))
+            norm = self.w12_0 * np.abs(np.cos(self.nu * t * t))
+            return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - np.tan(q) + offset))
         q = self.tilt_angle(t)
-        theta12 = (3.0 * q - math.tan(q) + self.theta_v0 - self.theta_u0
-                   - math.pi / 2.0)
         norm = self.w12_0 * abs(math.cos(self.nu * t * t))
-        return 0.0, 0.0, norm * np.exp(1j * theta12)
+        return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - math.tan(q) + offset))
 
     def diag_integrals(self, t):
         return 0.0, 0.0

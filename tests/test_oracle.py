@@ -245,6 +245,16 @@ def test_oracle_imports_no_factorization_code():
     used = {(name.split(".") + ["<package>"])[1] for name in names
             if name.split(".")[0] == "twomode"}
     assert used <= {"fock", "scenario"}, sorted(used)
+    # drives mix occupation shells, so the Fock oracle stays a full-space
+    # product: of fock it may take only the space and its plain operators
+    from_fock = {name.split(".", 2)[2] for name in names
+                 if name.startswith("twomode.fock.")}
+    assert from_fock <= {"FockSpace", "annihilator", "interior_mask",
+                         "number_diagonals"}, sorted(from_fock)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "shell_expm" not in read
 
 
 def test_oracle_reads_no_closed_form_data():

@@ -433,3 +433,38 @@ def test_fresnel_norm_integral_across_kinks():
 
     for t in [*np.linspace(0.8, 1.6, 41), 18.5]:
         assert abs(sc.norm_integral(t) - piecewise(t)) < 1e-12
+
+
+def _quad_norm_integral(sc, t):
+    # the adaptive quadrature that the closed psi replaced, told the kinks
+    from scipy.integrate import quad
+    if t == 0.0:
+        return 0.0
+    kinks = sc.breakpoints(t)
+    val, _ = quad(lambda s: sc.w12_0 * abs(math.cos(sc.nu * s * s)),
+                  0.0, t, epsabs=1e-12, epsrel=1e-12,
+                  limit=200 + len(kinks),
+                  points=kinks if len(kinks) else None)
+    return val
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 2.0])
+def test_fresnel_norm_integral_matches_quadrature(nu):
+    sc = FresnelNormScenario(w12_0=0.9, nu=nu)
+    first_kink = math.sqrt(0.5 * math.pi / nu)
+    # before the first kink, across the first few, and far past them
+    times = np.concatenate([np.linspace(0.0, 4.0 * first_kink, 41),
+                            [first_kink, np.nextafter(first_kink, 9.0), 18.5]])
+    along = sc.norm_integral(times)
+    for t, psi in zip(times, along):
+        want = _quad_norm_integral(sc, float(t))
+        assert abs(sc.norm_integral(float(t)) - want) <= 1e-12
+        assert abs(psi - want) <= 1e-12
+
+
+def test_fresnel_norm_coupling_on_an_array_matches_scalar_calls():
+    sc = FresnelNormScenario(w12_0=1.0, nu=0.4, theta_v0=0.1, theta_u0=-0.2)
+    times = np.linspace(0.0, 6.0, 61)
+    _, _, w12 = sc.coupling(times)
+    for t, w in zip(times, w12):
+        assert abs(w - sc.coupling(float(t))[2]) <= 1e-12
