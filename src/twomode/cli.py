@@ -81,6 +81,18 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_table(cfg: RunConfig, name: str, case: str, header: list[str],
+                 rows: list[list], **extra) -> None:
+    """<name>.csv and/or <name>.json in the output directory, as the run's
+    format asks; the JSON holds the case, the columns, the rows and any
+    extra keys."""
+    if cfg.fmt in ("csv", "both"):
+        _write_csv(os.path.join(cfg.out_dir, name + ".csv"), header, rows)
+    if cfg.fmt in ("json", "both"):
+        _write_json(os.path.join(cfg.out_dir, name + ".json"),
+                    {"case": case, "columns": header, "rows": rows, **extra})
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
@@ -200,14 +212,8 @@ def cmd_factors(cfg: RunConfig) -> int:
                      float(gam.real), float(gam.imag), int(ok)])
     header = ["t", "re_Lambda", "im_Lambda", "re_Omega", "im_Omega",
               "re_Gamma", "im_Gamma", "chart_valid"]
-    if cfg.fmt in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, "factors.csv"), header, rows)
-    if cfg.fmt in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "factors.json"), {
-            "case": scenario.case,
-            "singular_time": factors.singular_time,
-            "columns": header,
-            "rows": rows})
+    _write_table(cfg, "factors", scenario.case, header, rows,
+                 singular_time=factors.singular_time)
     if factors.singular_time is not None:
         print(f"chart singularity at t = {factors.singular_time:.6g}; "
               "later samples flagged invalid", file=sys.stderr)
@@ -230,11 +236,7 @@ def cmd_smatrix(cfg: RunConfig) -> int:
                      sm.unitarity_defect])
     header = ["t", "re_S11", "im_S11", "re_S12", "im_S12",
               "re_S21", "im_S21", "re_S22", "im_S22", "unitarity_defect"]
-    if cfg.fmt in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, "smatrix.csv"), header, rows)
-    if cfg.fmt in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "smatrix.json"), {
-            "case": scenario.case, "columns": header, "rows": rows})
+    _write_table(cfg, "smatrix", scenario.case, header, rows)
     return 0
 
 
@@ -273,11 +275,7 @@ def cmd_coherent(cfg: RunConfig) -> int:
                      check.residual])
     header = ["t", "re_c1", "im_c1", "re_c2", "im_c2", "norm2",
               "eigen_residual"]
-    if cfg.fmt in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, "coherent.csv"), header, rows)
-    if cfg.fmt in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "coherent.json"), {
-            "case": scenario.case, "columns": header, "rows": rows})
+    _write_table(cfg, "coherent", scenario.case, header, rows)
     return 0
 
 

@@ -6,8 +6,9 @@ Hermitian matrices, so every step is unitary to roundoff.  Both oracles
 sample the midpoint coefficients as arrays, in the calling thread.
 
 * 2x2: each step is the closed-form exponential of a Hermitian 2x2 matrix.
-  The steps are formed in blocks of fixed size, and each block is
-  multiplied by an order-preserving pairwise tree.
+  The steps are laid out uniformly within each piece between the
+  scenario's breakpoints, formed in blocks of fixed size, and each block
+  is multiplied by an order-preserving pairwise tree.
 * Fock space: each step is exponentiated by eigendecomposition.  The steps
   are split into contiguous chunks, one per CPU the process may run on.
   Worker threads form each chunk's time-ordered product from arrays alone,
@@ -184,15 +185,23 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 
 
 def brute_force_smatrix(scenario: Scenario, t: float, n_steps: int) -> np.ndarray:
-    """Same midpoint product for the 2x2 coefficient matrix W(s)."""
+    """Same midpoint product for the 2x2 coefficient matrix W(s), laid out
+    piece by piece between the scenario's breakpoints(t): a midpoint step
+    across a kink of W is only first order.  A piece of length L takes
+    max(1, round(n_steps L / t)) uniform steps, so without breakpoints the
+    n_steps steps span [0, t] uniformly."""
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
-    dt = t / n_steps
+    edges = [0.0, *sorted(b for b in scenario.breakpoints(t) if 0 < b < t), t]
     s = np.eye(2, dtype=complex)
-    for start in range(0, n_steps, _BLOCK):
-        ts = (np.arange(start, min(start + _BLOCK, n_steps)) + 0.5) * dt
-        w11, w22, w12 = scenario.coupling(ts)
-        s = _ordered_product(_su2_steps(w11, w22, w12, ts.size, dt)) @ s
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = max(1, round(n_steps * (hi - lo) / t)) if t else n_steps
+        dt = (hi - lo) / n
+        for start in range(0, n, _BLOCK):
+            ts = lo + (np.arange(start, min(start + _BLOCK, n)) + 0.5) * dt
+            w11, w22, w12 = scenario.coupling(ts)
+            steps = _su2_steps(w11, w22, w12, ts.size, dt)
+            s = _ordered_product(steps) @ s
     return s
 
 

@@ -7,11 +7,21 @@ Lambda obeys the Riccati equation
     dLambda/ds = eta(s) + conj(eta(s)) Lambda^2,        Lambda(0) = 0,
 
 with Omega = 2 int conj(eta) Lambda and Gamma = -int conj(eta) e^{Omega}.
-That system is the projective image of i dS/ds = W S (Wei & Norman): the
-numeric route integrates S and reads all three off it.  The module also
-evaluates the closed forms for every phase family that admits one, plus
-the alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
-(no separate rho rotation), whose coefficients relate to the standard ones by
+That system is the projective image of i dS/ds = W S (Wei & Norman).  Every
+standard factor set is read off one Gauss-frame matrix
+
+    G = e^{i alpha/2} diag(e^{i rho/2}, e^{-i rho/2}) S
+
+by one read-off, _read_off: Lambda = G12/G22, Gamma = G21/G22 and
+Omega = -2 log G22, with arg G22 on the 2 pi branch nearest a reference
+arg.  The numeric route takes G from one integration of S and unwraps arg
+G22 along its samples; every phase family declares one closed block G(t)
+(_closed_block) with its own reference arg, and smatrix_closed unframes
+the same block.  One rule (_regular) decides whether a sample lies on the
+chart.
+
+The alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
+(no separate rho rotation) relates to the standard one by
 
     Lambda~ = e^{-i rho} Lambda,   Omega~ = Omega - i rho,   Gamma~ = Gamma.
 
@@ -76,9 +86,10 @@ class FactorSample:
 
 @dataclass(frozen=True)
 class DisentangledFactors:
-    """Factor coefficients sampled on a grid, with an exact evaluator for
-    off-grid times when one is available (dense ODE output or closed form).
-    Numeric factors carry s_dense, s -> rows S11, S12, S21, S22 of their S."""
+    """Factor coefficients sampled on a grid, with an exact evaluator _eval,
+    t -> (Lambda, Omega, Gamma), for any time (dense ODE output or closed
+    form).  Numeric factors carry s_dense, s -> rows S11, S12, S21, S22 of
+    their S."""
 
     scenario: Scenario
     ordering: str
@@ -89,28 +100,36 @@ class DisentangledFactors:
     omega: np.ndarray
     gamma: np.ndarray
     valid: np.ndarray
+    _eval: Callable
     singular_time: float | None = None
-    _eval: Callable | None = None
     s_dense: Callable | None = None
 
     def at(self, t: float) -> FactorSample:
         alpha, rho = self.scenario.diag_integrals(t)
-        if self._eval is not None:
-            lam, omega, gamma = self._eval(t)
-        else:
-            i = int(np.argmin(np.abs(self.t - t)))
-            if abs(self.t[i] - t) > 1e-9:
-                raise ValueError(f"time {t} not on the factor grid and no "
-                                 "dense evaluator is attached")
-            lam, omega, gamma = self.lam[i], self.omega[i], self.gamma[i]
-        finite = np.all(np.isfinite([lam.real, lam.imag, omega.real,
-                                     omega.imag, gamma.real, gamma.imag]))
-        ok = bool(finite) and abs(lam) <= LAM_LIMIT
+        lam, omega, gamma = self._eval(t)
+        ok = bool(_regular(lam, omega, gamma))
         if self.singular_time is not None and t >= self.singular_time:
             ok = False
         return FactorSample(t=float(t), alpha=alpha, rho=rho,
                             lam=complex(lam), omega=complex(omega),
                             gamma=complex(gamma), valid=ok)
+
+
+def _regular(lam, omega, gamma):
+    """Whether chart samples are regular: Omega and Gamma finite and
+    |Lambda| <= LAM_LIMIT (which a NaN Lambda fails)."""
+    return (np.abs(lam) <= LAM_LIMIT) & np.isfinite(omega) & np.isfinite(gamma)
+
+
+def _read_off(g12, g21, g22, ref):
+    """(Lambda, Omega, Gamma) from the Gauss-frame entries G12, G21, G22:
+    Lambda = G12/G22, Gamma = G21/G22 and Omega = -2 (log|G22| + i arg G22)
+    with arg G22 on the 2 pi branch nearest ref.  The branch moves only
+    Im Omega, by 4 pi k, which no Gauss product sees."""
+    arg = np.angle(g22)
+    arg += 2.0 * math.pi * np.round((ref - arg) / (2.0 * math.pi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return g12 / g22, -2.0 * (np.log(np.abs(g22)) + 1j * arg), g21 / g22
 
 
 @dataclass(frozen=True)
@@ -195,11 +214,9 @@ def _chart_end(scenario: Scenario, dense, ts):
 def solve_riccati_numeric(scenario: Scenario, t_end: float,
                           tol: float = 1e-10,
                           grid=None) -> DisentangledFactors:
-    """Read (Lambda, Omega, Gamma) off one adaptive integration of S.  With
-    G = e^{i alpha/2} diag(e^{i rho/2}, e^{-i rho/2}) S, Lambda = G12/G22,
-    Gamma = G21/G22 and Omega = -2 log G22, arg G22 unwrapped along the
-    solver steps, the grid and the near-zeros of |S22| (the branch moves
-    only Im Omega, by 4 pi k, which no Gauss product sees).  The chart
+    """Read (Lambda, Omega, Gamma) off one adaptive integration of S: the
+    Gauss frame G of S through _read_off, with arg G22 unwrapped along the
+    solver steps, the grid and the near-zeros of |S22|.  The chart
     ends at the first local minimum of |S22| where |Lambda| reaches
     LAM_LIMIT; samples from that singular time on are NaN and invalid."""
     if grid is None:
@@ -234,17 +251,12 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
     arg_ts = np.unwrap(np.angle(gauss(ts)[2]))
 
     def read(times):
-        g12, g21, g22 = gauss(times)
-        arg = np.angle(g22)
         ref = arg_ts[np.searchsorted(ts, times, side="right") - 1]
-        arg += 2.0 * math.pi * np.round((ref - arg) / (2.0 * math.pi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (g12 / g22, -2.0 * (np.log(np.abs(g22)) + 1j * arg),
-                    g21 / g22)
+        return _read_off(*gauss(times), ref)
 
     past = grid >= stop
     lam, omega, gamma = (np.where(past, np.nan, v) for v in read(grid))
-    valid = (np.abs(lam) <= LAM_LIMIT) & np.isfinite(omega) & np.isfinite(gamma)
+    valid = _regular(lam, omega, gamma)
 
     def evaluate(t):
         top = min(t_end, stop)
@@ -264,52 +276,30 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
 # ---------------------------------------------------------------------------
 # closed forms, standard ordering
 
-def _branch_index(x):
-    return np.floor(x / math.pi + 0.5)
+def _closed_block(fam: PhaseFamily, t):
+    """A phase family's closed Gauss-frame block at a time or 1-D array of
+    times, as its entries (G11, G12, G21, G22), and the reference arg of
+    G22.  With x the rotation angle, c, s = cos x, sin x, r = w0/delta,
+    a = 2 eps eta0/delta (r = a = 0 at delta = 0) and u = e^{i phi~/2}:
 
+        G = [[u (c - i r s),            a u e^{i phi0} s],
+             [-a conj(u) e^{-i phi0} s, conj(u) (c + i r s)]].
 
-def _phase_family_values(fam: PhaseFamily, t):
-    """(Lambda, Omega, Gamma) of a phase family at the times t.
-
-    With delta = sqrt(4 eta0^2 + w0^2) and the rotation angle x (eta0 t
-    when w0 = 0), the coefficients stay continuous across tan poles by
-    unwrapping
-
-        A(x) = arctan((w0/delta) tan x) + sign(w0) pi floor(x/pi + 1/2).
-    """
-    eta0, w0, eps, phi0 = fam.eta0, fam.w0, fam.eps, fam.phi0
-    t = np.asarray(t, dtype=float)
-    phi_tilde = np.asarray(fam.phi_tilde(t), dtype=float)
-    phi_t = phi0 + phi_tilde
+    arg(c + i r s) stays within pi/2 of sign(w0) x, so the reference arg
+    sign(w0) x - phi~/2 picks the branch that follows G22 continuously
+    from t = 0; w0 = -0.0 counts as positive, like w0 = 0."""
     delta = fam.delta
-    if delta < 1e-150:
-        # eta0 (and any phase slope) this small leaves the factors at zero
-        # to double precision, and delta^2 would underflow below
-        z = np.zeros_like(t, dtype=complex)
-        return z, z.copy(), z.copy()
+    r = fam.w0 / delta if delta else 0.0
+    a = 2.0 * fam.eps * fam.eta0 / delta if delta else 0.0
     x = fam.angle(t)
-    k = _branch_index(x)
-    if w0 == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tanx = np.tan(x)
-            lam = eps * tanx * np.exp(1j * phi_t)
-            re_om = -2.0 * np.log(np.abs(np.cos(x)))
-            gam = -eps * tanx * np.exp(-1j * phi0)
-        im_om = phi_tilde - 2.0 * math.pi * k
-        return lam, re_om + 1j * im_om, gam
-    a_unwrapped = (np.arctan((w0 / delta) * np.tan(x))
-                   + math.copysign(math.pi, w0) * k)
-    # repair the isolated points where tan overflows
-    a_unwrapped = np.where(np.isfinite(a_unwrapped), a_unwrapped,
-                           math.copysign(math.pi / 2, w0)
-                           + math.copysign(math.pi, w0) * k)
-    sinx, cosx = np.sin(x), np.cos(x)
-    den = np.sqrt((delta * cosx) ** 2 + (w0 * sinx) ** 2)
-    rot = np.exp(-1j * a_unwrapped)
-    lam = 2.0 * eps * eta0 * np.exp(1j * phi_t) * sinx * rot / den
-    omega = np.log(delta ** 2 / den ** 2) + 1j * (phi_tilde - 2.0 * a_unwrapped)
-    gam = -2.0 * eps * eta0 * np.exp(-1j * phi0) * sinx * rot / den
-    return lam, omega, gam
+    c, s = np.cos(x), np.sin(x)
+    half = 0.5 * np.asarray(fam.phi_tilde(t), dtype=float)
+    u = np.exp(1j * half)
+    ubar = np.conj(u)
+    ep = cmath.exp(1j * fam.phi0)
+    block = (u * (c - 1j * r * s), a * ep * u * s,
+             -a * ep.conjugate() * ubar * s, ubar * (c + 1j * r * s))
+    return block, (-x if fam.w0 < 0 else x) - half
 
 
 def closed_factors(scenario: Scenario, t):
@@ -321,8 +311,9 @@ def closed_factors(scenario: Scenario, t):
         raise ValueError(f"no standard-ordering closed factors for case "
                          f"{scenario.case}")
     scalar = np.isscalar(t)
-    lam, omega, gam = _phase_family_values(
-        fam, np.atleast_1d(np.asarray(t, dtype=float)))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    (_, g12, g21, g22), ref = _closed_block(fam, t)
+    lam, omega, gam = _read_off(g12, g21, g22, ref)
     if scalar:
         return complex(lam[0]), complex(omega[0]), complex(gam[0])
     return lam, omega, gam
@@ -341,8 +332,7 @@ def factors_on_grid(scenario: Scenario, grid,
     alpha, rho = _diag(scenario, grid)
     lam, omega, gamma = (np.asarray(v, dtype=complex)
                          for v in chart(scenario, grid))
-    finite = np.isfinite(lam) & np.isfinite(omega) & np.isfinite(gamma)
-    valid = finite & (np.abs(lam) <= LAM_LIMIT)
+    valid = _regular(lam, omega, gamma)
     bad = np.nonzero(~valid)[0]
     singular = float(grid[bad[0]]) if bad.size else None
     return DisentangledFactors(

@@ -197,7 +197,8 @@ class Scenario:
         return None
 
     def phase_reference(self, t: float) -> float:
-        """Model phase phi(t) of eta used by check_phase_condition."""
+        """Model phase phi(t) of eta used by check_phase_condition, at a
+        time or at each time of a 1-D array."""
         fam = self.phase_family()
         if fam is None:
             raise NotImplementedError
@@ -223,19 +224,17 @@ def check_phase_condition(scenario: Scenario, grid, tol: float = 1e-9,
 
     Points where w12 vanishes carry no phase information and contribute
     zero residual.  An explicit reference phi(t) overrides the scenario's
-    own phase model.
+    own phase model; like the coefficients, it is called once, with the
+    whole grid array, and a scalar it returns broadcasts.
     """
     grid = np.asarray(grid, dtype=float)
     phi = reference if reference is not None else scenario.phase_reference
-    residual = np.zeros_like(grid)
-    for i, t in enumerate(grid):
-        _, _, w12 = scenario.coupling(t)
-        if abs(w12) < 1e-300:
-            continue
-        _, rho = scenario.diag_integrals(t)
-        target = phi(t) + math.pi / 2.0 - rho
-        diff = np.angle(w12) - target
-        residual[i] = (diff + math.pi) % TWO_PI - math.pi
+    _, _, w12 = scenario.coupling(grid)
+    _, rho = scenario.diag_integrals(grid)
+    w12 = np.broadcast_to(w12, grid.shape)
+    diff = np.angle(w12) - (phi(grid) + math.pi / 2.0 - rho)
+    residual = np.where(np.abs(w12) < 1e-300, 0.0,
+                        (diff + math.pi) % TWO_PI - math.pi)
     max_violation = float(np.max(np.abs(residual))) if grid.size else 0.0
     return PhaseConditionReport(satisfied=bool(max_violation <= tol),
                                 max_violation=max_violation,
@@ -691,8 +690,8 @@ class FresnelNormScenario(Scenario):
         return 0.0, 0.0
 
     def phase_reference(self, t):
-        q = self.tilt_angle(t)
-        return 3.0 * q - math.tan(q) + self.theta_v0 - self.theta_u0 - math.pi
+        q = 2.0 * np.arctan(np.tanh(0.5 * self.norm_integral(t)))
+        return 3.0 * q - np.tan(q) + self.theta_v0 - self.theta_u0 - math.pi
 
     def alt_chart(self, t):
         """Closed on the first non-negative stretch nu t^2 <= pi/2 where
@@ -772,7 +771,8 @@ class TabulatedScenario(Scenario):
 
     def _check_domain(self, t):
         lo, hi = self.grid[0], self.grid[-1]
-        first, last = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+        first, last = ((t.min(initial=lo), t.max(initial=hi))
+                       if isinstance(t, np.ndarray) else (t, t))
         if first < lo - 1e-9 or last > hi + 1e-9:
             bad = first if first < lo - 1e-9 else last
             raise ValueError(f"time {bad} outside tabulated domain [{lo}, {hi}]")

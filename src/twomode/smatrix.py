@@ -3,22 +3,24 @@
 S solves i dS/ds = W(s) S with S(0) = I, where W is the Hermitian
 coefficient matrix [[w11, w12], [w21, w22]].  It is the j=1/2 carrier of
 the su(2) part of the evolution: unitary, with det S = e^{-i alpha(t)}.
-Every case with a phase family (eta = eps |eta| e^{i (phi0 + phi_tilde)})
-has one printed element block, built from that family and the diagonal
-integrals; any factor set reconstructs S through the Gauss product.
-Numeric S and numeric factors come from the same integration routine,
-riccati._integrate.
+Every factor set is read off the Gauss frame
+G = e^{i alpha/2} diag(e^{i rho/2}, e^{-i rho/2}) S (see riccati), and
+rebuilds S through the Gauss product.  Every case with a phase family
+(eta = eps |eta| e^{i (phi0 + phi_tilde)}) has one printed block: the
+family's closed G, the one its closed factors are read from, unframed by
+the diagonal integrals.  Numeric S and numeric factors come from the same
+integration routine, riccati._integrate.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .riccati import ChartSingularity, DisentangledFactors, _integrate
+from .riccati import (ChartSingularity, DisentangledFactors,
+                      _closed_block, _integrate)
 from .scenario import Scenario
 
 
@@ -76,28 +78,17 @@ def _sampled(dense, grid, tol: float) -> list[SMatrix2]:
 # closed element block
 
 def smatrix_closed(scenario: Scenario, t: float) -> SMatrix2:
-    """Printed closed-form S(t) for every case with a phase family: with
-    x its rotation angle, a = 2 eps eta0 / delta, e1,2 = e^{-i (alpha +-
-    rho)/2} and u = e^{i phi~/2}, S = [[e1 u (cos x - i (w0/delta) sin x),
-    a e1 u e^{i phi0} sin x], [-a e2 u* e^{-i phi0} sin x,
-    e2 u* (cos x + i (w0/delta) sin x)]]."""
+    """Printed closed-form S(t) for every case with a phase family: the
+    family's closed Gauss-frame block G (riccati._closed_block) unframed,
+    S = e^{-i alpha/2} diag(e^{-i rho/2}, e^{i rho/2}) G."""
     fam = scenario.phase_family()
     if fam is None:
         raise ValueError(f"no printed closed S block for case {scenario.case}")
     alpha, rho = scenario.diag_integrals(t)
-    half = 0.5 * fam.phi_tilde(t)
-    delta = fam.delta
-    # delta = 0 leaves x = 0, so S is diagonal whatever the ratios
-    ratio = fam.w0 / delta if delta else 0.0
-    amp = 2.0 * fam.eps * fam.eta0 / delta if delta else 0.0
-    x = fam.angle(t)
-    c, s = math.cos(x), math.sin(x)
-    e1 = cmath.exp(1j * (half - 0.5 * (alpha + rho)))
-    e2 = cmath.exp(-1j * (half + 0.5 * (alpha - rho)))
-    ep = cmath.exp(1j * fam.phi0)
-    m = np.array([[e1 * (c - 1j * ratio * s), amp * e1 * ep * s],
-                  [-amp * e2 * ep.conjugate() * s, e2 * (c + 1j * ratio * s)]],
-                 dtype=complex)
+    (g11, g12, g21, g22), _ = _closed_block(fam, t)
+    e1 = cmath.exp(-0.5j * (alpha + rho))
+    e2 = cmath.exp(-0.5j * (alpha - rho))
+    m = np.array([[e1 * g11, e1 * g12], [e2 * g21, e2 * g22]], dtype=complex)
     return SMatrix2(t=float(t), mat=m)
 
 

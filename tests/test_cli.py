@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import twomode
+import twomode.cli
 from twomode.cli import main, parse_scenario
 from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
@@ -356,6 +357,92 @@ def test_verify_flags_coarse_oracle(tmp_path, capsys):
                  "--nmax", "6", "--steps", "4", "--out", str(out)])
     assert code == 1
     assert "FAIL  smatrix_vs_oracle" in capsys.readouterr().out
+
+
+# The csv/json writers and the per-subcommand output blocks that one
+# table writer replaced, kept as the reference for its bytes.
+
+def _reference_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                f"{v:.17g}" if isinstance(v, float) else str(v)
+                for v in row) + "\n")
+
+
+def _reference_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _reference_tables(out, command, case, header, rows, singular_time):
+    _reference_csv(os.path.join(out, command + ".csv"), header, rows)
+    payload = {"case": case, "columns": header, "rows": rows}
+    if command == "factors":
+        payload = {"case": case, "singular_time": singular_time,
+                   "columns": header, "rows": rows}
+    _reference_json(os.path.join(out, command + ".json"), payload)
+
+
+@pytest.mark.parametrize("command,text,t_end", [
+    ("factors", "[ConstantPhase]\neta0 = 1.0\n", "2.0"),
+    ("factors", CONSTANT_PHASE_INI, "0.8"),
+    ("smatrix", ALL_CONSTANT_INI, "1.5"),
+    ("coherent", ISOTROPIC_INI, "2.0"),
+])
+def test_table_formats_keep_their_bytes(tmp_path, monkeypatch, command,
+                                        text, t_end):
+    ini = write_ini(tmp_path, text)
+    tables = []
+    writer = twomode.cli._write_csv
+
+    def capture(path, header, rows):
+        tables.append((header, rows))
+        writer(path, header, rows)
+
+    monkeypatch.setattr(twomode.cli, "_write_csv", capture)
+    out = tmp_path / "run"
+    code = main([command, "--scenario", ini, "--t-end", t_end, "--grid", "21",
+                 "--out", str(out), "--format", "both"])
+    [(header, rows)] = tables
+    scenario = parse_scenario(ini)
+    singular = None
+    if command == "factors":
+        singular = twomode.solve_riccati_numeric(
+            scenario, float(t_end), 1e-10,
+            np.linspace(0.0, float(t_end), 21)).singular_time
+    assert code == (2 if singular is not None else 0)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _reference_tables(str(ref), command, scenario.case, header, rows, singular)
+    for suffix in (".csv", ".json"):
+        name = command + suffix
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    assert sorted(os.listdir(out)) == [command + ".csv", command + ".json"]
+
+
+FRESNEL_INI = """\
+[FresnelNorm]
+eta0 = 0.7
+nu = 2.0
+"""
+
+
+@pytest.mark.parametrize("t_end", ["1", "3"])
+def test_verify_passes_across_fresnel_kinks(tmp_path, capsys, t_end):
+    # the oracle's step-doubling ratio stays near 4 across the kinks of
+    # |cos(nu s^2)| (14.2 at t_end 1 and 49.8 at 3 with steps that straddle
+    # them)
+    ini = write_ini(tmp_path, FRESNEL_INI)
+    out = tmp_path / "run"
+    code = main(["verify", "--scenario", ini, "--t-end", t_end,
+                 "--out", str(out)])
+    assert "FAIL" not in capsys.readouterr().out
+    assert code == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert 3.5 <= checks[0]["value"] <= 4.5
 
 
 def test_bad_run_configuration(tmp_path, capsys):

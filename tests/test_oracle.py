@@ -12,8 +12,8 @@ from twomode.oracle import (InsufficientSamples, brute_force_propagator,
                             hamiltonian_matrix, hamiltonian_ops, ode_residual)
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
-                              LinearPhaseScenario, RotatingDrive,
-                              eval_coeffs)
+                              FresnelNormScenario, LinearPhaseScenario,
+                              RotatingDrive, eval_coeffs)
 from twomode.smatrix import smatrix_closed
 
 
@@ -228,6 +228,42 @@ def test_oracles_match_loops_for_few_steps(n_steps):
     got = brute_force_propagator(space, scenario, 0.7, n_steps)
     ref = loop_propagator(space, scenario, 0.7, n_steps)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+# The single uniform stepping over [0, t] that piecewise stepping between
+# breakpoints generalizes, kept as its reference for scenarios without them.
+
+def _uniform_smatrix(scenario, t, n_steps):
+    dt = t / n_steps
+    s = np.eye(2, dtype=complex)
+    for start in range(0, n_steps, twomode.oracle._BLOCK):
+        ts = (np.arange(start, min(start + twomode.oracle._BLOCK, n_steps))
+              + 0.5) * dt
+        w11, w22, w12 = scenario.coupling(ts)
+        s = twomode.oracle._ordered_product(
+            twomode.oracle._su2_steps(w11, w22, w12, ts.size, dt)) @ s
+    return s
+
+
+@pytest.mark.parametrize("t,n_steps", [(0.0, 7), (0.7, 1), (1.3, 1000),
+                                       (2.1, 3000)])
+def test_smatrix_oracle_without_breakpoints_steps_uniformly(t, n_steps):
+    scenario = LinearPhaseScenario(eta0=0.8, w0=0.6, phi0=-0.4, w11=0.3,
+                                   w22=-0.1)
+    assert len(scenario.breakpoints(t)) == 0
+    got = brute_force_smatrix(scenario, t, n_steps)
+    assert np.array_equal(got, _uniform_smatrix(scenario, t, n_steps))
+
+
+def test_smatrix_oracle_converges_across_kinks():
+    # |cos(nu s^2)| has kinks before t = 3; stepping between them keeps the
+    # midpoint product second order, so halving the step quarters the error
+    scenario = FresnelNormScenario(w12_0=0.7, nu=2.0)
+    assert len(scenario.breakpoints(3.0)) > 3
+    ref = brute_force_smatrix(scenario, 3.0, 16384)
+    d1 = np.max(np.abs(brute_force_smatrix(scenario, 3.0, 1024) - ref))
+    d2 = np.max(np.abs(brute_force_smatrix(scenario, 3.0, 2048) - ref))
+    assert 3.5 <= d1 / d2 <= 4.5
 
 
 def test_oracle_imports_no_factorization_code():

@@ -255,12 +255,6 @@ def test_factor_sample_lookup():
     assert abs(sample.omega - want[1]) < 1e-14
     assert sample.valid
 
-    bare = factors_on_grid(scenario, grid)
-    object.__setattr__(bare, "_eval", None)
-    assert abs(bare.at(0.5).lam - closed_factors(scenario, 0.5)[0]) < 1e-14
-    with pytest.raises(ValueError):
-        bare.at(0.55)
-
 
 def test_factors_on_grid_rejects_unknown_ordering():
     scenario = ConstantPhaseScenario(eta0=1.0)
@@ -496,3 +490,122 @@ def test_no_case_test_outside_the_case_table():
                          for n in ast.walk(node.args[1])}
                 found += [(path.name, name) for name in named & cases]
     assert not found
+
+
+# The closed factors as two branches of explicit formulas, as they were
+# written before the closed Gauss block and its read-off replaced them;
+# kept as the reference for closed_factors.
+
+def _reference_branch_index(x):
+    return np.floor(x / math.pi + 0.5)
+
+
+def _reference_family_values(fam, t):
+    eta0, w0, eps, phi0 = fam.eta0, fam.w0, fam.eps, fam.phi0
+    t = np.asarray(t, dtype=float)
+    phi_tilde = np.asarray(fam.phi_tilde(t), dtype=float)
+    phi_t = phi0 + phi_tilde
+    delta = fam.delta
+    if delta < 1e-150:
+        z = np.zeros_like(t, dtype=complex)
+        return z, z.copy(), z.copy()
+    x = fam.angle(t)
+    k = _reference_branch_index(x)
+    if w0 == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tanx = np.tan(x)
+            lam = eps * tanx * np.exp(1j * phi_t)
+            re_om = -2.0 * np.log(np.abs(np.cos(x)))
+            gam = -eps * tanx * np.exp(-1j * phi0)
+        im_om = phi_tilde - 2.0 * math.pi * k
+        return lam, re_om + 1j * im_om, gam
+    a_unwrapped = (np.arctan((w0 / delta) * np.tan(x))
+                   + math.copysign(math.pi, w0) * k)
+    a_unwrapped = np.where(np.isfinite(a_unwrapped), a_unwrapped,
+                           math.copysign(math.pi / 2, w0)
+                           + math.copysign(math.pi, w0) * k)
+    sinx, cosx = np.sin(x), np.cos(x)
+    den = np.sqrt((delta * cosx) ** 2 + (w0 * sinx) ** 2)
+    rot = np.exp(-1j * a_unwrapped)
+    lam = 2.0 * eps * eta0 * np.exp(1j * phi_t) * sinx * rot / den
+    omega = np.log(delta ** 2 / den ** 2) + 1j * (phi_tilde - 2.0 * a_unwrapped)
+    gam = -2.0 * eps * eta0 * np.exp(-1j * phi0) * sinx * rot / den
+    return lam, omega, gam
+
+
+def _family_draw(rng, case):
+    u = rng.uniform
+    if case == "ConstantPhase":
+        return ConstantPhaseScenario(eta0=u(0.0, 2.0), phi0=u(-3.0, 3.0),
+                                     w11=u(-1.0, 1.0), w22=u(-1.0, 1.0))
+    if case == "LinearPhase":
+        return LinearPhaseScenario(eta0=u(0.0, 2.0), w0=u(-3.0, 3.0),
+                                   phi0=u(-3.0, 3.0), w11=u(-1.0, 1.0),
+                                   w22=u(-1.0, 1.0))
+    if case == "GeneralPhase":
+        sign = rng.choice([-1.0, 1.0])
+        return GeneralPhaseScenario(eta0=u(0.1, 2.0), w0=u(0.1, 3.0),
+                                    phi0=u(-3.0, 3.0),
+                                    theta0=sign * u(0.1, 2.0),
+                                    nu=sign * u(0.0, 0.3), w11=u(-1.0, 1.0))
+    if case == "AllConstant":
+        return AllConstantScenario(w11=u(-1.0, 1.0), w22=u(-1.0, 1.0),
+                                   w12=complex(u(-1.0, 1.0), u(-1.0, 1.0)))
+    if case == "IsotropicConstant":
+        return IsotropicConstantScenario.from_polar(
+            u(0.05, 1.5), u(-3.0, 3.0), u(-3.0, 3.0))
+    if case == "RhoConstant":
+        return RhoConstantScenario(rho0=u(0.05, 1.5), eta0=u(0.1, 2.0),
+                                   w0=u(0.1, 3.0), theta_alpha0=u(-3.0, 3.0),
+                                   theta_beta0=u(-3.0, 3.0))
+    return LogRhoScenario(t0=u(0.1, 2.0), eta0=u(0.1, 2.0), w0=u(0.1, 3.0),
+                          theta_alpha0=u(-3.0, 3.0), theta_beta0=u(-3.0, 3.0))
+
+
+FAMILY_CASES = ("ConstantPhase", "LinearPhase", "GeneralPhase", "AllConstant",
+                "IsotropicConstant", "RhoConstant", "LogRho")
+SIGNED_ZERO_W0 = [LinearPhaseScenario(eta0=0.8, w0=-0.0, phi0=0.4),
+                  AllConstantScenario(w11=-0.0, w22=0.0, w12=0.6 - 0.3j)]
+FAMILY_EDGES = SIGNED_ZERO_W0 + [
+    ConstantPhaseScenario(eta0=0.0, phi0=-1.1, w11=0.4),
+    LinearPhaseScenario(eta0=0.0, w0=1.3, phi0=0.2),
+    ConstantPhaseScenario(eta0=1e-170, phi0=0.7),
+    LinearPhaseScenario(eta0=3e-171, w0=1e-170, phi0=0.7),
+    AllConstantScenario(w11=0.3, w22=0.3, w12=1e-170j),
+    LinearPhaseScenario(eta0=1.0, w0=1e-5, phi0=0.3),
+    IsotropicConstantScenario.from_polar(math.pi / 4.0, 0.3, -0.5),
+]
+
+
+def _family_scenarios():
+    rng = np.random.default_rng(20261018)
+    draws = [_family_draw(rng, case) for case in FAMILY_CASES
+             for _ in range(12)]
+    return draws + FAMILY_EDGES
+
+
+@pytest.mark.parametrize("scenario", _family_scenarios(),
+                         ids=lambda s: s.case)
+def test_closed_factors_match_reference_formulas(scenario):
+    # [0, 20] crosses many chart poles of every family
+    grid = np.linspace(0.0, 20.0, 4001)
+    want = _reference_family_values(scenario.phase_family(), grid)
+    got = closed_factors(scenario, grid)
+    for g, w in zip(got, want):
+        assert _rel_err(g, w) <= 1e-12
+    ok = (np.isfinite(want[0]) & np.isfinite(want[1]) & np.isfinite(want[2])
+          & (np.abs(want[0]) <= 1e8))
+    factors = factors_on_grid(scenario, grid)
+    assert np.array_equal(factors.valid, ok)
+    bad = np.nonzero(~ok)[0]
+    assert factors.singular_time == (float(grid[bad[0]]) if bad.size else None)
+
+
+@pytest.mark.parametrize("scenario", SIGNED_ZERO_W0, ids=lambda s: s.case)
+def test_signed_zero_w0_keeps_the_positive_branch(scenario):
+    # w0 = -0.0 winds Im Omega like w0 = 0: down by 2 pi at each pole
+    fam = scenario.phase_family()
+    first_pole = math.pi / (2.0 * fam.eta0)
+    grid = np.linspace(first_pole + 0.1, 3.0 * first_pole - 0.1, 50)
+    _, omega, _ = closed_factors(scenario, grid)
+    assert np.max(np.abs(omega.imag + 2.0 * math.pi)) < 1e-12

@@ -118,6 +118,75 @@ def test_phase_condition_explicit_reference():
     assert not bad.satisfied
 
 
+# The per-point loop that the array evaluation of check_phase_condition
+# replaced, kept as its reference, with the scalar FresnelNorm phase model
+# it called.
+
+def _scalar_fresnel_reference(sc):
+    def phi(t):
+        q = sc.tilt_angle(t)
+        return 3.0 * q - math.tan(q) + sc.theta_v0 - sc.theta_u0 - math.pi
+    return phi
+
+
+def _loop_phase_residual(scenario, grid, reference=None):
+    phi = reference if reference is not None else scenario.phase_reference
+    if reference is None and isinstance(scenario, FresnelNormScenario):
+        phi = _scalar_fresnel_reference(scenario)
+    residual = np.zeros_like(grid)
+    for i, t in enumerate(grid):
+        _, _, w12 = scenario.coupling(t)
+        if abs(w12) < 1e-300:
+            continue
+        _, rho = scenario.diag_integrals(t)
+        diff = np.angle(w12) - (phi(t) + math.pi / 2.0 - rho)
+        residual[i] = (diff + math.pi) % (2.0 * math.pi) - math.pi
+    return residual
+
+
+def _drifting_tabulated():
+    ts = np.linspace(0.0, 2.5, 26)
+    w12 = (0.6 + 0.1 * ts) * np.exp(1j * (0.3 + 0.9 * ts))
+    return TabulatedScenario.from_samples(ts, 0.4 + 0.1 * ts, 0.2 + 0 * ts,
+                                          w12)
+
+
+@pytest.mark.parametrize("scenario", ALL_CASES + [
+    _drifting_tabulated(),
+    AllConstantScenario(w11=0.3, w22=0.1, w12=0.0),
+], ids=lambda s: s.case)
+def test_phase_condition_on_arrays_matches_per_point_loop(scenario):
+    grid = np.linspace(0.0, 2.5, 51)
+    report = check_phase_condition(scenario, grid)
+    want = _loop_phase_residual(scenario, grid)
+    assert np.max(np.abs(report.violation - want)) <= 1e-15
+    assert report.max_violation == np.max(np.abs(report.violation))
+
+
+def test_phase_condition_explicit_reference_gets_the_grid():
+    sc = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j)
+    grid = np.linspace(0.0, 2.0, 21)
+    seen = []
+
+    def reference(t):
+        seen.append(np.shape(t))
+        return 0.1 + 0.2 * np.sin(t)
+
+    report = check_phase_condition(sc, grid, reference=reference)
+    assert seen == [grid.shape]
+    want = _loop_phase_residual(sc, grid, lambda t: 0.1 + 0.2 * np.sin(t))
+    assert np.max(np.abs(report.violation - want)) <= 1e-15
+    constant = check_phase_condition(sc, grid, reference=lambda t: 0.1)
+    want = _loop_phase_residual(sc, grid, lambda t: 0.1)
+    assert np.max(np.abs(constant.violation - want)) <= 1e-15
+
+
+def test_phase_condition_on_an_empty_grid():
+    for sc in ALL_CASES + [_drifting_tabulated()]:
+        report = check_phase_condition(sc, np.array([]))
+        assert report.satisfied and report.max_violation == 0.0
+
+
 def test_general_phase_validation():
     with pytest.raises(ValueError):
         GeneralPhaseScenario(eta0=1.0, w0=1.0, theta0=0.0)
