@@ -84,8 +84,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_table(cfg: RunConfig, name: str, case: str, header: list[str],
                  rows: list[list], **extra) -> None:
     """<name>.csv and/or <name>.json in the output directory, as the run's
-    format asks; the JSON holds the case, the columns, the rows and any
-    extra keys."""
+    format asks; the JSON holds case, columns, rows and any extra keys."""
     if cfg.fmt in ("csv", "both"):
         _write_csv(os.path.join(cfg.out_dir, name + ".csv"), header, rows)
     if cfg.fmt in ("json", "both"):

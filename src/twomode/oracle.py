@@ -6,9 +6,9 @@ Hermitian matrices, so every step is unitary to roundoff.  Both oracles
 sample the midpoint coefficients as arrays, in the calling thread.
 
 * 2x2: each step is the closed-form exponential of a Hermitian 2x2 matrix.
-  The steps are laid out uniformly within each piece between the
-  scenario's breakpoints, formed in blocks of fixed size, and each block
-  is multiplied by an order-preserving pairwise tree.
+  The steps are uniform, save that a step across a kink of W is split
+  there; they are formed in blocks of fixed size, and each block is
+  multiplied by an order-preserving pairwise tree.
 * Fock space: each step is exponentiated by eigendecomposition.  The steps
   are split into contiguous chunks, one per CPU the process may run on.
   Worker threads form each chunk's time-ordered product from arrays alone,
@@ -151,8 +151,9 @@ def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
     return u
 
 
-def _su2_steps(w11, w22, w12, n: int, dt: float) -> np.ndarray:
-    """(n, 2, 2) stack of exp(-i W dt), W = [[w11, w12], [conj(w12), w22]]:
+def _su2_steps(w11, w22, w12, n: int, dt) -> np.ndarray:
+    """(n, 2, 2) stack of exp(-i W dt), W = [[w11, w12], [conj(w12), w22]],
+    with one dt for all steps or an array of n step lengths:
     e^{-i mu dt} [cos(Omega dt) I - i dt sinc(Omega dt) (W - mu I)] with
     mu = (w11 + w22)/2 and Omega = sqrt(((w11 - w22)/2)^2 + |w12|^2)."""
     mu = 0.5 * (w11 + w22)
@@ -185,23 +186,24 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 
 
 def brute_force_smatrix(scenario: Scenario, t: float, n_steps: int) -> np.ndarray:
-    """Same midpoint product for the 2x2 coefficient matrix W(s), laid out
-    piece by piece between the scenario's breakpoints(t): a midpoint step
-    across a kink of W is only first order.  A piece of length L takes
-    max(1, round(n_steps L / t)) uniform steps, so without breakpoints the
-    n_steps steps span [0, t] uniformly."""
+    """Same midpoint product for the 2x2 coefficient matrix W(s) on n_steps
+    uniform steps, save that a step across one of scenario.kinks(t), where
+    a midpoint step is only first order, is split there into midpoint
+    sub-steps.  The steps for 2 n_steps still nest in those for n_steps."""
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
-    edges = [0.0, *sorted(b for b in scenario.breakpoints(t) if 0 < b < t), t]
+    dt = t / n_steps
+    kinks = np.asarray(scenario.kinks(t), dtype=float)
     s = np.eye(2, dtype=complex)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(1, round(n_steps * (hi - lo) / t)) if t else n_steps
-        dt = (hi - lo) / n
-        for start in range(0, n, _BLOCK):
-            ts = lo + (np.arange(start, min(start + _BLOCK, n)) + 0.5) * dt
-            w11, w22, w12 = scenario.coupling(ts)
-            steps = _su2_steps(w11, w22, w12, ts.size, dt)
-            s = _ordered_product(steps) @ s
+    for start in range(0, n_steps, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, n_steps))
+        ts, h = (k + 0.5) * dt, dt
+        inner = kinks[(kinks > k[0] * dt) & (kinks < (k[-1] + 1) * dt)]
+        if inner.size:
+            edges = np.union1d(np.append(k, k[-1] + 1) * dt, inner)
+            ts, h = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+        w11, w22, w12 = scenario.coupling(ts)
+        s = _ordered_product(_su2_steps(w11, w22, w12, ts.size, h)) @ s
     return s
 
 

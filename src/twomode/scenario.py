@@ -191,6 +191,11 @@ class Scenario:
         """Times in (0, t) where the coefficients lose smoothness."""
         return ()
 
+    def kinks(self, t: float):
+        """The breakpoints(t) where W has a corner: a midpoint step across
+        one is only first order, where across a C2 point it stays second."""
+        return ()
+
     def dressed_mode0(self) -> tuple[complex, complex] | None:
         """(alpha0, beta0) of the dressed lowering operator at t = 0 for the
         cases that carry coherent data (with z0), else None."""
@@ -653,6 +658,8 @@ class FresnelNormScenario(Scenario):
         k = np.arange(math.ceil(self.nu * t * t / math.pi - 0.5))
         return np.sqrt((k + 0.5) * math.pi / self.nu)
 
+    kinks = breakpoints
+
     def norm_integral(self, t):
         """psi(t) = int_0^t w12_0 |cos(nu s^2)| ds in closed form, at a time
         or at each time of a 1-D array.  With scale = sqrt(pi / 2 nu) and
@@ -672,17 +679,20 @@ class FresnelNormScenario(Scenario):
         _, c_t = fresnel(t / scale)
         return self.w12_0 * scale * ((1 - 2 * (count % 2)) * c_t + sums[count])
 
-    def tilt_angle(self, t: float) -> float:
-        """q(t) = gd(psi(t)) = 2 arctan(tanh(psi/2))."""
-        return 2.0 * math.atan(math.tanh(0.5 * self.norm_integral(t)))
+    def tilt_angle(self, t):
+        """q(t) = gd(psi(t)) = 2 arctan(tanh(psi/2)), at a time or at each
+        time of a 1-D array (a scalar goes through math, as it always has)."""
+        half = 0.5 * self.norm_integral(t)
+        if isinstance(t, np.ndarray):
+            return 2.0 * np.arctan(np.tanh(half))
+        return 2.0 * math.atan(math.tanh(half))
 
     def coupling(self, t):
         offset = self.theta_v0 - self.theta_u0 - math.pi / 2.0
+        q = self.tilt_angle(t)
         if isinstance(t, np.ndarray):
-            q = 2.0 * np.arctan(np.tanh(0.5 * self.norm_integral(t)))
             norm = self.w12_0 * np.abs(np.cos(self.nu * t * t))
             return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - np.tan(q) + offset))
-        q = self.tilt_angle(t)
         norm = self.w12_0 * abs(math.cos(self.nu * t * t))
         return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - math.tan(q) + offset))
 
@@ -690,7 +700,7 @@ class FresnelNormScenario(Scenario):
         return 0.0, 0.0
 
     def phase_reference(self, t):
-        q = 2.0 * np.arctan(np.tanh(0.5 * self.norm_integral(t)))
+        q = self.tilt_angle(t)
         return 3.0 * q - np.tan(q) + self.theta_v0 - self.theta_u0 - math.pi
 
     def alt_chart(self, t):

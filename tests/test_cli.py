@@ -445,6 +445,27 @@ def test_verify_passes_across_fresnel_kinks(tmp_path, capsys, t_end):
     assert 3.5 <= checks[0]["value"] <= 4.5
 
 
+def test_verify_passes_on_a_dense_table(tmp_path, capsys):
+    # the spline stays C2 at its 160 knots before t_end, so the oracle steps
+    # straight across them; laid out between the knots, 64 and 128 steps
+    # would both take one step per piece and read a ratio of 1
+    ts = np.linspace(0.0, 2.0, 201)
+    w12 = (0.14 + 0.03 * np.sin(1.1 * ts)) * np.exp(1j * (0.3 + 0.5 * ts))
+    lines = ["t,w11,w22,re_w12,im_w12,re_F1,im_F1,re_F2,im_F2,B"]
+    lines += [f"{t:.17g},{0.8 + 0.05 * math.sin(1.3 * t):.17g},"
+              f"{0.05 + 0.03 * math.cos(0.9 * t):.17g},{w.real:.17g},"
+              f"{w.imag:.17g},0,0,0,0,0" for t, w in zip(ts, w12)]
+    (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+    ini = write_ini(tmp_path, "[Tabulated]\ndata = samples.csv\n")
+    out = tmp_path / "run"
+    code = main(["verify", "--scenario", ini, "--t-end", "1.6", "--nmax", "6",
+                 "--steps", "64", "--out", str(out)])
+    assert "FAIL" not in capsys.readouterr().out
+    assert code == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert 3.5 <= checks[0]["value"] <= 4.5
+
+
 def test_bad_run_configuration(tmp_path, capsys):
     ini = write_ini(tmp_path, ALL_CONSTANT_INI)
     assert main(["factors", "--scenario", ini, "--grid", "1",

@@ -13,7 +13,7 @@ from twomode.oracle import (InsufficientSamples, brute_force_propagator,
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, LinearPhaseScenario,
-                              RotatingDrive, eval_coeffs)
+                              RotatingDrive, TabulatedScenario, eval_coeffs)
 from twomode.smatrix import smatrix_closed
 
 
@@ -253,6 +253,19 @@ def test_smatrix_oracle_without_breakpoints_steps_uniformly(t, n_steps):
     assert len(scenario.breakpoints(t)) == 0
     got = brute_force_smatrix(scenario, t, n_steps)
     assert np.array_equal(got, _uniform_smatrix(scenario, t, n_steps))
+
+
+@pytest.mark.parametrize("n_steps", [16, 1000, 3000])
+def test_smatrix_oracle_steps_straight_across_smooth_knots(n_steps):
+    # a cubic spline stays C2 at its knots, where a midpoint step keeps
+    # second order, so a table is stepped uniformly however dense it is
+    ts = np.linspace(0.0, 2.0, 401)
+    scenario = TabulatedScenario.from_samples(
+        ts, 0.8 + 0.05 * np.sin(1.3 * ts), 0.05 + 0.03 * np.cos(0.9 * ts),
+        (0.14 + 0.03 * np.sin(1.1 * ts)) * np.exp(1j * (0.3 + 0.5 * ts)))
+    assert len(scenario.breakpoints(1.6)) > 300
+    got = brute_force_smatrix(scenario, 1.6, n_steps)
+    assert np.array_equal(got, _uniform_smatrix(scenario, 1.6, n_steps))
 
 
 def test_smatrix_oracle_converges_across_kinks():

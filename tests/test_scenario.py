@@ -537,3 +537,23 @@ def test_fresnel_norm_coupling_on_an_array_matches_scalar_calls():
     _, _, w12 = sc.coupling(times)
     for t, w in zip(times, w12):
         assert abs(w - sc.coupling(float(t))[2]) <= 1e-12
+
+
+def test_fresnel_norm_tilt_angle_on_an_array_matches_scalar_calls():
+    sc = FresnelNormScenario(w12_0=1.0, nu=0.4, theta_v0=0.1, theta_u0=-0.2)
+    times = np.linspace(0.0, 6.0, 61)
+    q = sc.tilt_angle(times)
+    assert q.shape == times.shape
+    for t, want in zip(times, q):
+        assert abs(sc.tilt_angle(float(t)) - want) <= 1e-15
+
+
+def test_only_fresnel_norm_declares_kinks():
+    # |cos(nu s^2)| has corners, while a cubic spline stays C2 at its knots
+    fresnel = FresnelNormScenario(w12_0=1.0, nu=2.0)
+    assert np.array_equal(fresnel.kinks(3.0), fresnel.breakpoints(3.0))
+    ts = np.linspace(0.0, 2.0, 9)
+    tab = TabulatedScenario.from_samples(ts, 0.5 + 0.1 * ts, 0.2 + 0 * ts,
+                                         0.3 * ts + 0.1j)
+    assert len(tab.breakpoints(2.0)) == 7
+    assert len(tab.kinks(2.0)) == 0
