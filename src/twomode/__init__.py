@@ -13,10 +13,9 @@ from .scenario import (AllConstantScenario, ConstantDrive,
                        RhoConstantScenario, RotatingDrive, TabulatedScenario,
                        check_phase_condition, eval_coeffs)
 from .special import SeriesDivergence, fresnel_c, kummer_1f1
-from .riccati import (ChartSingularity, ConditionViolated,
-                      DisentangledFactors, StepUnderflow, alt_factors,
-                      alt_factors_theta_u_zero, alternative_from_standard,
-                      closed_factors, factors_on_grid, gamma_conjugacy_check,
+from .riccati import (ChartSingularity, DisentangledFactors, alt_factors,
+                      alternative_from_standard, closed_factors,
+                      factors_on_grid, gamma_conjugacy_check,
                       solve_riccati_numeric)
 from .smatrix import (SMatrix2, smatrix_closed, smatrix_from_factors,
                       smatrix_numeric, smatrix_numeric_grid)

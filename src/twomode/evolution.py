@@ -7,14 +7,15 @@ through a displacement in front of the quadratic part:
     U(t, 0) = D(c1(t), c2(t)) e^{-i P(t)} U0(t, 0),
     dP/ds = Re(conj(F1) c1 + conj(F2) c2) + B,     P(0) = 0,
 
-with U0 the Gauss product of the factors; one flow gives (c1, c2, P).
-When the factor chart is singular at t the assembly falls back to a
-globally regular single-exponential form obtained by lifting the numeric
-j=1/2 propagator to the truncated Fock space; factors and lift share one
-S solve.  The quadratic part conserves n1 + n2, so the Gauss factors and
-the lift are exponentiated one occupation shell at a time (fock.shell_expm),
-partial shells above n_max included; the displacement is a Kronecker
-product of two single-mode exponentials.
+with U0 the Gauss product of the factors; one Magnus flow (magnus.flow)
+gives S, (c1, c2) and P together.  When the factor chart is singular at t
+the assembly falls back to a globally regular single-exponential form
+obtained by lifting the numeric j=1/2 propagator to the truncated Fock
+space; factors, lift and amplitudes share that one flow.  The quadratic
+part conserves n1 + n2, so the Gauss factors and the lift are
+exponentiated one occupation shell at a time (fock.shell_expm), partial
+shells above n_max included; the displacement is a Kronecker product of
+two single-mode exponentials.
 
 The isotropic families carry coherent data; without drives their coherent
 states follow one law, the closed S block applied to c(0).
@@ -31,7 +32,8 @@ import numpy as np
 from .fock import (FockSpace, _lowering, annihilator, coherent_state,
                    displacement_operator, number_diagonals, shell_expm,
                    su2_generator)
-from .riccati import _flow, solve_riccati_numeric
+from . import magnus
+from .riccati import _read_factors
 from .scenario import Scenario, drive_is_zero
 from .smatrix import smatrix_closed
 
@@ -82,27 +84,22 @@ def coherent_spec(scenario: Scenario) -> CoherentStateSpec:
 def c_coefficients(scenario: Scenario, c0, t, tol: float = 1e-10):
     """Propagate the drive amplitudes from c(0) = c0 and accumulate the
     scalar phase P(t), at one time t or, as a list, at each of a 1-D array
-    of ascending times, all from one flow of (c1, c2, P)."""
+    of ascending times, all from one flow of (S, c, P) with the times as
+    step edges."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-
-    def rhs(s, y):
-        w11, w22, w12 = scenario.coupling(s)
-        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
-        f = np.array([scenario.f1(s), scenario.f2(s)], dtype=complex)
-        return np.append(-1j * (w @ y[:2] + f),
-                         np.vdot(f, y[:2]).real + complex(scenario.b(s)).real)
-
-    y = np.zeros((3, times.size), dtype=complex)
-    y[:2] = np.asarray(c0, dtype=complex).reshape(2, 1)
+    c0 = np.asarray(c0, dtype=complex)
+    c = np.tile(c0, (times.size, 1))
+    p = np.zeros(times.size)
     positive = times > 0
     if np.any(positive):
-        dense = _flow(scenario, rhs, y[:, 0], float(times[-1]), tol)
-        y[:, positive] = dense(times[positive])
+        c[positive], p[positive] = magnus.flow(
+            scenario, float(times[-1]), tol, times[positive],
+            drives=True).amplitudes(times[positive], c0)
     amps = [CoherentAmplitudes(t=float(t), c1=complex(c1), c2=complex(c2),
-                               global_phase=cmath.exp(-1j * p.real))
-            for t, c1, c2, p in zip(times, *y)]
+                               global_phase=cmath.exp(-1j * p))
+            for t, (c1, c2), p in zip(times, c, p)]
     return amps if np.ndim(t) else amps[0]
 
 
@@ -152,19 +149,21 @@ def _su2_lift(space: FockSpace, smat: np.ndarray, alpha: float) -> np.ndarray:
 
 def assemble_U(space: FockSpace, scenario: Scenario, t: float,
                tol: float = 1e-10) -> np.ndarray:
-    """Dense propagator on the truncated space via the factorized form.
-    Falls back to the regular single-exponential lift when the factor
-    chart is singular at t."""
-    factors = solve_riccati_numeric(scenario, t, tol, grid=np.array([t]))
-    amps = c_coefficients(scenario, (0j, 0j), t, tol)
+    """Dense propagator on the truncated space via the factorized form,
+    from one flow of (S, c, P).  Falls back to the regular
+    single-exponential lift when the factor chart is singular at t."""
+    grid = np.array([float(t)])
+    solved = magnus.flow(scenario, t, tol, grid, drives=True)
+    factors = _read_factors(scenario, solved, grid)
+    (c1, c2), p = (v[0] for v in solved.amplitudes(grid, np.zeros(2)))
     alpha, rho = factors.alpha[0], factors.rho[0]
     if factors.valid[0]:
         u0 = _gauss_product(space, alpha, rho, factors.lam[0],
                             factors.omega[0], factors.gamma[0])
     else:
         u0 = _su2_lift(space, factors.s_dense(t).reshape(2, 2), alpha)
-    disp = displacement_operator(space, amps.c1, amps.c2)
-    return amps.global_phase * (disp @ u0)
+    disp = displacement_operator(space, c1, c2)
+    return cmath.exp(-1j * p) * (disp @ u0)
 
 
 # ---------------------------------------------------------------------------

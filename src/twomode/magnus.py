@@ -1,0 +1,293 @@
+"""Sixth-order Magnus flows along a scenario.
+
+Every flow the package takes along a scenario is linear.  S solves
+i dS/ds = W(s) S, and the drive amplitudes with the scalar phase solve
+
+    i dc/ds = W c + F,      dP/ds = Re(conj(F) . c) + B.
+
+With P the real part of a complex p, dp/ds = conj(F) . c + B, the drive
+flow is linear in (c1, c2, p, 1), with the generator
+
+    [[-i W, 0, -i F], [conj(F), 0, B], [0, 0, 0, 0]]
+
+whose upper-left block is -i W.  Its propagator from 0 to s is
+[[S, 0, g], [a, 1, q], [0, 0, 0, 1]]: c(s) = S c(0) + g and
+P(s) = Re(a . c(0) + q) from P(0) = 0, so one flow carries S, c and P
+together.  The third column and the last row never change, so a drive
+flow keeps the 3x3 block [[S, g], [a, q]] (rows c1, c2, p; columns c1,
+c2, 1), its generator the 3x3 block [[-i W, -i F], [conj(F), B]], and a
+flow of S alone keeps the 2x2 block.  Products of generators and of
+propagators run through the two c columns and rows, plus, for
+propagators, the fixed entries.
+
+[0, t] is cut at its step edges: 0, the scenario's breakpoints(t), the
+requested sample times and t.  Each piece between two edges is split into
+n uniform steps.  On a step of length h the generator is sampled at the
+three Gauss-Legendre nodes, all steps' nodes in one call of coupling and
+of each drive, and combined into the sixth-order Magnus generator of
+Blanes, Casas & Ros (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009), section 4; Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983
+(1999)):
+
+    a1 = h A2,  a2 = sqrt(15) h (A3 - A1) / 3,  a3 = 10 h (A3 - 2 A2 + A1) / 3,
+    C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+
+Each step is exp(Omega) in closed form, through functions of the 2x2
+block at its two eigenvalues, and the steps are multiplied in order by a
+prefix scan, which gives the propagator at every step edge.  n starts
+where h max||W|| <= min(STEP_CAP, 2 tol^(1/6)) on every piece; the fixed
+cap keeps the step edges bracketing every minimum of |S22|
+(riccati._chart_end).  n then doubles until two meshes agree to tol at
+every step edge of the coarser one, and the finer is kept.  Off the step
+edges a flow takes one partial Magnus step from the left edge of the step
+that holds the time.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+STEP_CAP = 0.5          # bound on h max||W|| over every step
+MAX_STEPS = 1 << 16     # no refinement past this many steps
+_CHUNK = 2048           # steps exponentiated at a time, to bound memory
+_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_EYE = np.eye(2)
+# 1/(k+2)! for the Taylor series of phi2, from the highest power down
+_PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(9, -1, -1)]
+
+
+def _through_c(p, q):
+    """p[..., :, :2] @ q[..., :2, :], batched, as two outer products
+    (several times faster than matmul on stacks of tiny matrices)."""
+    return (p[..., :, 0, None] * q[..., None, 0, :]
+            + p[..., :, 1, None] * q[..., None, 1, :])
+
+
+def _bracket(p, q):
+    return _through_c(p, q) - _through_c(q, p)
+
+
+def _after(late, early):
+    """The propagators that apply early, then late, batch by batch."""
+    out = _through_c(late, early)
+    if out.shape[-1] == 3:
+        out[..., 2, :] += early[..., 2, :]
+        out[..., :, 2] += late[..., :, 2]
+    return out
+
+
+def _identity(dim):
+    """The identity propagator block, as a batch of one."""
+    out = np.zeros((1, dim, dim), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    return out
+
+
+def _generator(scenario, nodes, drives):
+    """The generator block at each node (any shape), and ||W|| there."""
+    w11, w22, w12 = scenario.coupling(nodes)
+    dim = 3 if drives else 2
+    gen = np.empty(nodes.shape + (dim, dim), dtype=complex)
+    gen[..., 0, 0] = -1j * w11
+    gen[..., 1, 1] = -1j * w22
+    gen[..., 0, 1] = -1j * w12
+    gen[..., 1, 0] = -1j * np.conj(w12)
+    half = 0.5 * (np.real(w11) - np.real(w22))
+    norm = (np.abs(0.5 * (np.real(w11) + np.real(w22)))
+            + np.sqrt(half * half + np.abs(w12) ** 2))
+    if drives:
+        f1, f2 = scenario.f1(nodes), scenario.f2(nodes)
+        gen[..., 0, 2] = -1j * f1
+        gen[..., 1, 2] = -1j * f2
+        gen[..., 2, 0] = np.conj(f1)
+        gen[..., 2, 1] = np.conj(f2)
+        gen[..., 2, 2] = np.real(scenario.b(nodes))
+    return gen, np.broadcast_to(norm, nodes.shape)
+
+
+def _omega6(gen, h):
+    """Sixth-order Magnus generator of each step from its generators at the
+    three Gauss nodes (gen batched as steps x nodes) and its length h."""
+    h = h[:, None, None]
+    a1, a2, a3 = gen[:, 0], gen[:, 1], gen[:, 2]
+    x1 = h * a2
+    x2 = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
+    x3 = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
+    c1 = _bracket(x1, x2)
+    c2 = _bracket(x1, 2.0 * x3 + c1) * (-1.0 / 60.0)
+    return (x1 + x3 * (1.0 / 12.0)
+            + _bracket(c1 - 20.0 * x1 - x3, x2 + c2) * (1.0 / 240.0))
+
+
+def _shc(z):
+    """sinh(z) / z, from 1 + z^2/6 for |z| < 1e-4 (where that is exact to
+    rounding and the quotient may overflow)."""
+    small = np.abs(z) < 1e-4
+    return np.where(small, 1.0 + z * z / 6.0,
+                    np.sinh(z) / np.where(small, 1.0, z))
+
+
+def _phis(z):
+    """phi1(z) = (e^z - 1) / z = e^{z/2} sinh(z/2) / (z/2) and
+    phi2(z) = (e^z - 1 - z) / z^2, the latter from its Taylor series for
+    |z| < 0.1, where (phi1 - 1) / z cancels."""
+    phi1 = np.exp(0.5 * z) * _shc(0.5 * z)
+    small = np.abs(z) < 0.1
+    series = np.zeros_like(z)
+    for coef in _PHI2_SERIES:
+        series = series * z + coef
+    return phi1, np.where(small, series,
+                          (phi1 - 1.0) / np.where(small, 1.0, z))
+
+
+def _exp(om):
+    """exp of each generator block in closed form.  With x = m I + B the
+    -i W block (B traceless, B^2 = s^2 I), e^x = e^m (cosh s I +
+    sinh(s)/s B); a drive block [[x, v], [u, r]] maps to
+    [[e^x, phi1(x) v], [u phi1(x), u phi2(x) v + r]], where
+    f(x) = (f(m + s) + f(m - s))/2 I + (f(m + s) - f(m - s))/(2 s) B.  B is
+    anti-Hermitian, so it has norm |s|: the difference's rounding, divided
+    by |s|, meets a B of norm |s|, and the error stays at rounding level."""
+    x = om[..., :2, :2]
+    m = 0.5 * (x[..., 0, 0] + x[..., 1, 1])
+    b = x - m[..., None, None] * _EYE
+    s = np.sqrt(b[..., 0, 0] ** 2 + b[..., 0, 1] * b[..., 1, 0])
+    em = np.exp(m)
+    out = np.empty_like(om)
+    out[..., :2, :2] = ((em * np.cosh(s))[..., None, None] * _EYE
+                        + (em * _shc(s))[..., None, None] * b)
+    if om.shape[-1] == 2:
+        return out
+    phi1, phi2 = _phis(np.stack([m + s, m - s]))
+    # below |s| = 1e-100 the B term is far under rounding; 0.5 / s could
+    # overflow there
+    tiny = np.abs(s) < 1e-100
+    half = np.where(tiny, 0.0, 0.5 / np.where(tiny, 1.0, s))
+    p1, p2 = ((0.5 * (f[0] + f[1]))[..., None, None] * _EYE
+              + ((f[0] - f[1]) * half)[..., None, None] * b
+              for f in (phi1, phi2))
+    v, u = om[..., :2, 2], om[..., 2, :2]
+    out[..., :2, 2] = np.sum(p1 * v[..., None, :], axis=-1)
+    out[..., 2, :2] = np.sum(u[..., :, None] * p1, axis=-2)
+    out[..., 2, 2] = (np.sum(u * np.sum(p2 * v[..., None, :], axis=-1),
+                             axis=-1) + om[..., 2, 2])
+    return out
+
+
+def _scan(steps):
+    """Inclusive prefix products, in place: steps[i] becomes the map that
+    applies steps[0] first and steps[i] last."""
+    n = steps.shape[0]
+    d = 1
+    while d < n:
+        steps[d:] = _after(steps[d:], steps[:n - d])
+        d *= 2
+    return steps
+
+
+def _mesh(edges, counts):
+    """Left edges and lengths of the steps: piece k between edges k and
+    k + 1 split into counts[k] uniform steps."""
+    h = np.repeat(np.diff(edges) / counts, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(edges[:-1], counts) + (np.arange(h.size) - first) * h, h
+
+
+def _nodes(left, h):
+    return left[:, None] + h[:, None] * _NODES
+
+
+def _march(gen, h):
+    """The propagator at every step edge from the steps' generators."""
+    steps = np.empty(gen.shape[:1] + gen.shape[2:], dtype=complex)
+    for lo in range(0, h.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        steps[part] = _exp(_omega6(gen[part], h[part]))
+    return np.concatenate([_identity(steps.shape[-1]), _scan(steps)])
+
+
+class Flow:
+    """One Magnus flow on [0, t]: the propagator block at the step edges ts
+    as stepped, and anywhere else by one partial step from the left edge
+    of the step that holds the time."""
+
+    def __init__(self, scenario, ts, values):
+        self.scenario = scenario
+        self.ts = ts
+        self.values = values
+
+    def __call__(self, times, s_only=False):
+        """The propagator blocks at a 1-D array of times; s_only keeps only
+        S, and its partial steps sample no drive."""
+        times = np.asarray(times, dtype=float)
+        j = np.clip(np.searchsorted(self.ts, times, side="right") - 1,
+                    0, self.ts.size - 1)
+        out = self.values[j]
+        if s_only:
+            out = out[:, :2, :2].copy()
+        theta = times - self.ts[j]
+        off = np.nonzero(theta)[0]
+        if off.size:
+            gen, _ = _generator(
+                self.scenario, _nodes(self.ts[j[off]], theta[off]),
+                out.shape[-1] == 3)
+            out[off] = _after(_exp(_omega6(gen, theta[off])), out[off])
+        return out
+
+    def amplitudes(self, times, c0):
+        """c = S c0 + g and P = Re(a . c0 + q) at a 1-D array of times, from
+        c(0) = c0 and P(0) = 0; a drive flow only."""
+        blocks = self(times)
+        return (blocks[:, :2, :2] @ c0 + blocks[:, :2, 2],
+                np.real(blocks[:, 2, :2] @ c0 + blocks[:, 2, 2]))
+
+    def s_rows(self, times):
+        """Rows S11, S12, S21, S22 of S at a time (shape (4,)) or at each of
+        a 1-D array of times (shape (4, n))."""
+        times = np.asarray(times, dtype=float)
+        rows = self(np.atleast_1d(times), s_only=True).reshape(-1, 4).T
+        return rows[:, 0] if times.ndim == 0 else rows
+
+
+def flow(scenario, t: float, tol: float, samples=(),
+         drives: bool = False) -> Flow:
+    """The flow of S, or with drives=True of (S, c, P), on [0, t], with
+    every sample time a step edge, refined by step doubling until
+    max |Y_2n - Y_n| <= tol at every step edge of Y_n."""
+    t = float(t)
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size and (samples.min() < 0.0 or samples.max() > t):
+        raise ValueError(f"sample times leave the span [0, {t}]")
+    inner = np.asarray(scenario.breakpoints(t), dtype=float)
+    edges = np.unique(np.concatenate(
+        ([0.0, t], inner[(inner > 0.0) & (inner < t)], samples)))
+    if edges.size == 1:
+        return Flow(scenario, edges, _identity(3 if drives else 2))
+    counts = np.ones(edges.size - 1, dtype=int)
+    left, h = _mesh(edges, counts)
+    gen, norm = _generator(scenario, _nodes(left, h), drives)
+    # a step's error goes as (h ||W||)^7: start near where it meets tol
+    cap = min(STEP_CAP, 2.0 * tol ** (1.0 / 6.0))
+    capped = np.ceil(np.diff(edges) * norm.max(axis=1) / cap).astype(int)
+    if np.any(capped > 1):
+        counts, gen = np.maximum(capped, 1), None
+    coarse = None
+    while True:
+        if counts.sum() > MAX_STEPS:
+            raise ValueError(
+                f"Magnus flow to t = {t:.6g} needs more than {MAX_STEPS} "
+                f"steps to reach tol {tol:.3e}")
+        if gen is None:
+            left, h = _mesh(edges, counts)
+            gen, _ = _generator(scenario, _nodes(left, h), drives)
+        fine = _march(gen, h)
+        if coarse is not None:
+            gap = float(np.max(np.abs(fine[::2] - coarse)))
+            if gap <= tol:
+                return Flow(scenario, np.append(left, t), fine)
+            if not math.isfinite(gap):
+                raise ValueError(f"Magnus flow to t = {t:.6g} is not finite")
+        coarse, counts, gen = fine, 2 * counts, None

@@ -14,8 +14,8 @@ standard factor set is read off one Gauss-frame matrix
 
 by one read-off, _read_off: Lambda = G12/G22, Gamma = G21/G22 and
 Omega = -2 log G22, with arg G22 on the 2 pi branch nearest a reference
-arg.  The numeric route takes G from one integration of S and unwraps arg
-G22 along its samples; every phase family declares one closed block G(t)
+arg.  The numeric route takes G from one flow of S and unwraps arg G22
+along its step edges; every phase family declares one closed block G(t)
 (_closed_block) with its own reference arg, and smatrix_closed unframes
 the same block.  One rule (_regular) decides whether a sample lies on the
 chart.
@@ -28,10 +28,11 @@ The alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
 QuadraticPhase and FresnelNorm declare their own closed alternative chart
 (Scenario.alt_chart); QuadraticPhase reads Gamma~ off a Wronskian.
 
-Every flow along a scenario (S, the drive amplitudes) runs in _flow, which
-restarts at the scenario's breakpoints(t): an adaptive step's error
-estimate misses a jump in a higher derivative, as at a Tabulated sample or
-a kink of FresnelNorm's |cos(nu s^2)|.
+Every flow along a scenario (S, and with the drives S, c and P) is one
+sixth-order Magnus flow (magnus.flow).  The scenario's breakpoints(t) are
+step edges of that flow, so no step straddles one: an error estimate from
+smooth steps misses a jump in a higher derivative, as at a Tabulated
+sample or a kink of FresnelNorm's |cos(nu s^2)|.
 
 Lambda diverging (a chart singularity, S22 -> 0) is a property of the
 coordinate patch, not of the underlying unitary; it is reported through
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import OdeSolution, quad, solve_ivp
 from scipy.optimize import brentq
 
+from . import magnus
 from .scenario import PhaseFamily, Scenario
 
 LAM_LIMIT = 1e8
@@ -60,14 +61,6 @@ class ChartSingularity(Exception):
     def __init__(self, message, singular_time=None):
         super().__init__(message)
         self.singular_time = singular_time
-
-
-class StepUnderflow(Exception):
-    """Adaptive integrator could not advance without violating tolerance."""
-
-
-class ConditionViolated(Exception):
-    """Scenario does not satisfy the constraint a closed form requires."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +80,7 @@ class FactorSample:
 @dataclass(frozen=True)
 class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator _eval,
-    t -> (Lambda, Omega, Gamma), for any time (dense ODE output or closed
+    t -> (Lambda, Omega, Gamma), for any time (dense flow output or closed
     form).  Numeric factors carry s_dense, s -> rows S11, S12, S21, S22 of
     their S."""
 
@@ -152,37 +145,6 @@ def gamma_conjugacy_check(factors: DisentangledFactors) -> ConjugacyReport:
 # ---------------------------------------------------------------------------
 # numeric route
 
-def _flow(scenario: Scenario, rhs, y0, t: float, tol: float):
-    """Dense solution of dy/ds = rhs(s, y), y(0) = y0, on [0, t], restarted
-    at the scenario's breakpoints: one DOP853 solve per piece between them,
-    stitched into one OdeSolution whose .ts lists every solver step."""
-    edges = [0.0, *sorted(b for b in scenario.breakpoints(t) if 0 < b < t), t]
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # a piece is smooth: try one step across it rather than the
-        # solver's cautious start, which costs several at every breakpoint
-        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=tol,
-                        atol=tol, dense_output=True,
-                        first_step=(hi - lo) if pieces else None)
-        if sol.status != 0:
-            raise StepUnderflow(sol.message)
-        pieces.append(sol.sol)
-        y0 = sol.y[:, -1]
-    ts = np.concatenate([pieces[0].ts] + [p.ts[1:] for p in pieces[1:]])
-    return OdeSolution(ts, [f for p in pieces for f in p.interpolants])
-
-
-def _integrate(scenario: Scenario, t: float, tol: float):
-    """Dense solution of i dS/ds = W(s) S, S(0) = I, on [0, t]: a callable
-    whose rows at s are S11, S12, S21, S22, with the solver steps in .ts."""
-    def rhs(s, y):
-        w11, w22, w12 = scenario.coupling(s)
-        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
-        return (-1j * w @ y.reshape(2, 2)).ravel()
-
-    return _flow(scenario, rhs, np.eye(2, dtype=complex).ravel(), t, tol)
-
-
 def _diag(scenario: Scenario, times) -> np.ndarray:
     """alpha and rho at each time, as the two rows of one array."""
     times = np.asarray(times, dtype=float)
@@ -214,34 +176,32 @@ def _chart_end(scenario: Scenario, dense, ts):
 def solve_riccati_numeric(scenario: Scenario, t_end: float,
                           tol: float = 1e-10,
                           grid=None) -> DisentangledFactors:
-    """Read (Lambda, Omega, Gamma) off one adaptive integration of S: the
-    Gauss frame G of S through _read_off, with arg G22 unwrapped along the
-    solver steps, the grid and the near-zeros of |S22|.  The chart
-    ends at the first local minimum of |S22| where |Lambda| reaches
+    """Read (Lambda, Omega, Gamma) off one Magnus flow of S with every grid
+    time a step edge: the Gauss frame G of S through _read_off, with arg
+    G22 unwrapped along the step edges and the near-zeros of |S22|.  The
+    chart ends at the first local minimum of |S22| where |Lambda| reaches
     LAM_LIMIT; samples from that singular time on are NaN and invalid."""
     if grid is None:
         grid = np.linspace(0.0, t_end, 201)
     grid = np.asarray(grid, dtype=float)
     if grid.size and (grid.min() < 0.0 or grid.max() > t_end):
         raise ValueError(f"grid leaves the span [0, {t_end}]")
+    return _read_factors(scenario, magnus.flow(scenario, t_end, tol, grid),
+                         grid)
+
+
+def _read_factors(scenario: Scenario, flow: magnus.Flow,
+                  grid: np.ndarray) -> DisentangledFactors:
+    """solve_riccati_numeric's factors on the grid, read off a flow whose
+    step edges hold the grid."""
+    t_end = float(flow.ts[-1])
     alpha, rho = _diag(scenario, grid)
-
-    if t_end == 0.0:
-        z = np.zeros(grid.size, dtype=complex)
-        return DisentangledFactors(
-            scenario=scenario, ordering="standard", t=grid, alpha=alpha,
-            rho=rho, lam=z, omega=z.copy(), gamma=z.copy(),
-            valid=np.ones(grid.size, dtype=bool),
-            _eval=lambda t: (0j, 0j, 0j),
-            s_dense=lambda t: np.eye(2, dtype=complex).ravel())
-
-    dense = _integrate(scenario, t_end, tol)
-    steps = np.union1d(dense.ts, grid)
-    singular_time, near = _chart_end(scenario, dense, steps)
+    dense = flow.s_rows
+    singular_time, near = _chart_end(scenario, dense, flow.ts)
     stop = math.inf if singular_time is None else singular_time
     # near-zeros of |S22| join the unwrapping samples: each splits the
     # fast half turn of arg G22 there into two quarter turns
-    ts = np.union1d(steps[steps < stop], near)
+    ts = np.union1d(flow.ts[flow.ts < stop], near)
 
     def gauss(times):
         alpha, rho = _diag(scenario, times)
@@ -359,48 +319,3 @@ def alt_factors(scenario: Scenario, t):
         return chart
     _, rho = scenario.diag_integrals(t)
     return alternative_from_standard(*closed_factors(scenario, t), rho)
-
-
-def alt_factors_theta_u_zero(scenario: Scenario, t: float,
-                             drift_tol: float = 1e-8):
-    """Alternative ordering for couplings whose eta phase is frozen
-    (theta12 + rho constant).  With q(t) = int_0^t |w12| and the phase
-    offset theta_v0 = angle(eta(0)) + pi:
-
-        Lambda~ = -tan(q) e^{i theta_v0} e^{-i rho(t)}
-        Omega~  = 2 ln|sec q| - i (2 pi floor(q/pi + 1/2) + rho(t))
-        Gamma~  =  tan(q) e^{-i theta_v0}
-
-    Raises ConditionViolated when the eta phase actually drifts.
-    """
-    probes = np.linspace(0.0, t, 17) if t > 0 else np.array([0.0])
-    phi0 = None
-    for s in probes:
-        e = scenario.eta(s)
-        if abs(e) < 1e-300:
-            continue
-        ang = float(np.angle(e))
-        if phi0 is None:
-            phi0 = ang
-            continue
-        drift = (ang - phi0 + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(drift) > drift_tol:
-            raise ConditionViolated(
-                f"eta phase drifts by {drift:.3e} at s = {s:.6g}; "
-                "the frozen-phase alternative form does not apply")
-    if phi0 is None:
-        return 0j, 0j, 0j
-    theta_v0 = phi0 + math.pi
-
-    def norm(s):
-        _, _, w12 = scenario.coupling(s)
-        return abs(w12)
-    q, _ = quad(norm, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-    _, rho = scenario.diag_integrals(t)
-    k = math.floor(q / math.pi + 0.5)
-    tanq = math.tan(q)
-    lam = -tanq * cmath.exp(1j * (theta_v0 - rho))
-    omega = (-2.0 * math.log(abs(math.cos(q)))
-             - 1j * (2.0 * math.pi * k + rho))
-    gam = tanq * cmath.exp(-1j * theta_v0)
-    return lam, omega, gam

@@ -17,8 +17,8 @@ measures the residual on a grid.
 Every case's coupling() and every drive also take a 1-D array of times and
 return arrays; an entry that does not depend on time stays a scalar, which
 broadcasts against the others.  A scalar time still gives scalars, through
-the math module where a case needs elementary functions, so the per-point
-calls of the adaptive integrators cost no more than before.
+the math module where a case needs elementary functions, so per-point
+calls cost no more than before.
 
 A case is declared once, by its class: CASES maps each tag to it, the INI
 parser fills the parameters of its ini_constructor(), every closed-form

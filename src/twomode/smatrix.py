@@ -9,7 +9,7 @@ rebuilds S through the Gauss product.  Every case with a phase family
 (eta = eps |eta| e^{i (phi0 + phi_tilde)}) has one printed block: the
 family's closed G, the one its closed factors are read from, unframed by
 the diagonal integrals.  Numeric S and numeric factors come from the same
-integration routine, riccati._integrate.
+Magnus flow, magnus.flow.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riccati import (ChartSingularity, DisentangledFactors,
-                      _closed_block, _integrate)
+from . import magnus
+from .riccati import ChartSingularity, DisentangledFactors, _closed_block
 from .scenario import Scenario
 
 
@@ -51,11 +51,11 @@ def smatrix_numeric(scenario: Scenario, t: float,
 
 def smatrix_numeric_grid(scenario: Scenario, grid,
                          tol: float = 1e-10) -> list[SMatrix2]:
-    """One integration pass sampled at the grid times (ascending, from 0).
-    A sample is re-unitarized by polar projection only if integration
+    """One Magnus flow with the grid times (ascending, from 0) as step
+    edges.  A sample is re-unitarized by polar projection only if its
     drift exceeds 10x the requested tolerance, and that is flagged."""
     grid = np.asarray(grid, dtype=float)
-    dense = (_integrate(scenario, float(grid[-1]), tol)
+    dense = (magnus.flow(scenario, float(grid[-1]), tol, grid).s_rows
              if np.any(grid > 0) else None)
     return _sampled(dense, grid, tol)
 

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import OdeSolution, quad, solve_ivp
 
+from twomode import magnus
 from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
                                coherent_evolution_closed, coherent_spec,
                                habeta_spectrum_check, ladder_eigenvalue_check)
 from twomode.fock import (annihilator, coherent_state, expectation,
                           interior_mask, make_space)
 from twomode.oracle import brute_force_propagator, compare_operators
-from twomode.riccati import _flow, solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, IsotropicConstantScenario,
@@ -210,20 +210,24 @@ def test_c_coefficients_on_a_time_array():
         c_coefficients(scenario, c0, np.array([0.0, 1.0, 0.5]))
 
 
-def test_assemble_makes_one_s_and_one_drive_solve(monkeypatch):
+def _count_flows(monkeypatch):
+    """The drives flag of every Magnus flow taken while the patch holds."""
     calls = []
-    for name in ("cli", "evolution", "fock", "oracle", "riccati",
-                 "scenario", "smatrix"):
-        module = importlib.import_module(f"twomode.{name}")
-        if hasattr(module, "solve_ivp"):
-            def counted(*args, _solve=module.solve_ivp, **kwargs):
-                calls.append(args[1])
-                return _solve(*args, **kwargs)
-            monkeypatch.setattr(module, "solve_ivp", counted)
+
+    def counted(*args, _flow=magnus.flow, **kwargs):
+        calls.append(kwargs.get("drives", False))
+        return _flow(*args, **kwargs)
+    monkeypatch.setattr(magnus, "flow", counted)
+    return calls
+
+
+def test_assemble_makes_one_s_and_one_drive_solve(monkeypatch):
+    # S, the amplitudes and the phase all come from one drive flow
+    calls = _count_flows(monkeypatch)
     scenario = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j,
                                    f1=RotatingDrive(0.1, 1.0, 0.0))
     assemble_U(make_space(4), scenario, 1.0)
-    assert len(calls) <= 2
+    assert calls == [True]
 
 
 # The two printed coherent laws, isotropic and mixing-angle, kept as the
@@ -288,20 +292,46 @@ def test_coherent_law_matches_reference_laws(scenario):
 
 # The drive-integral route the linear amplitude flow replaced, kept as its
 # reference: c(t) = S(t) (c0 - i int_0^t S^dag F) from a dense S, and P(t)
-# summed with one adaptive quadrature per interval.  The drive integral runs
-# on the breakpoint-aware flow, like S: stepping across the samples of a
-# Tabulated case puts it about 1e-9 off at tol 1e-12.
+# summed with one adaptive quadrature per interval.  S and the drive
+# integral come from one DOP853 solve per piece between the scenario's
+# breakpoints, stitched into one dense solution, so the reference shares
+# no code with the Magnus route it checks.
+
+def _knot_by_knot(scenario, rhs, y0, t_end, tol):
+    """Dense solution of dy/ds = rhs(s, y) on [0, t_end], one DOP853 solve
+    per piece between the scenario's breakpoints."""
+    edges = [0.0, *sorted(b for b in scenario.breakpoints(t_end)
+                          if 0 < b < t_end), t_end]
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=tol,
+                        atol=tol, dense_output=True)
+        assert sol.status == 0
+        pieces.append(sol.sol)
+        y0 = sol.y[:, -1]
+    ts = np.concatenate([pieces[0].ts] + [p.ts[1:] for p in pieces[1:]])
+    return OdeSolution(ts, [f for p in pieces for f in p.interpolants])
+
 
 def _reference_amplitudes(scenario, c0, times, tol):
-    dense = solve_riccati_numeric(scenario, times[-1], tol,
-                                  grid=times[-1:]).s_dense
-    s_dense = lambda s: dense(s).reshape(2, 2)
     c0 = np.asarray(c0, dtype=complex)
     f_at = lambda s: np.array([complex(scenario.f1(s)),
                                complex(scenario.f2(s))])
-    g_at = _flow(scenario, lambda s, g: s_dense(s).conj().T @ f_at(s),
-                 np.zeros(2, dtype=complex), float(times[-1]), tol)
-    c_at = lambda s: s_dense(s) @ (c0 - 1j * g_at(s))
+
+    def rhs(s, y):
+        # y = (S row-major, g) with dS/ds = -i W S and dg/ds = S^dag F
+        w11, w22, w12 = scenario.coupling(s)
+        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
+        smat = y[:4].reshape(2, 2)
+        return np.concatenate([(-1j * w @ smat).ravel(),
+                               smat.conj().T @ f_at(s)])
+
+    y0 = np.concatenate([np.eye(2).ravel(), np.zeros(2)]).astype(complex)
+    dense = _knot_by_knot(scenario, rhs, y0, float(times[-1]), tol)
+
+    def c_at(s):
+        y = dense(s)
+        return y[:4].reshape(2, 2) @ (c0 - 1j * y[4:])
 
     def p_integrand(s):
         return (np.vdot(f_at(s), c_at(s)).real
@@ -416,20 +446,19 @@ def test_fresnel_norm_s_matches_kink_by_kink_reference(nu, t_end):
 
 
 def test_smooth_amplitudes_make_one_solve_and_no_quadrature(monkeypatch):
-    calls = {"solve_ivp": 0, "quad": 0}
-    for name in ("cli", "evolution", "fock", "oracle", "riccati",
+    flows = _count_flows(monkeypatch)
+    quads = []
+    for name in ("cli", "evolution", "fock", "magnus", "oracle", "riccati",
                  "scenario", "smatrix"):
         module = importlib.import_module(f"twomode.{name}")
-        for fn in calls:
-            if hasattr(module, fn):
-                def counted(*args, _fn=fn, _orig=getattr(module, fn),
-                            **kwargs):
-                    calls[_fn] += 1
-                    return _orig(*args, **kwargs)
-                monkeypatch.setattr(module, fn, counted)
+        if hasattr(module, "quad"):
+            def counted(*args, _orig=module.quad, **kwargs):
+                quads.append(args)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(module, "quad", counted)
     scenario, _ = AMPLITUDE_CASES[1]
     c_coefficients(scenario, (0.1, 0.0), np.linspace(0.0, 2.0, 11))
-    assert calls == {"solve_ivp": 1, "quad": 0}
+    assert flows == [True] and quads == []
 
 
 def test_amplitudes_at_time_zero_are_the_initial_ones():

@@ -11,9 +11,7 @@ import twomode
 import twomode.scenario
 from twomode.riccati import (
     ChartSingularity,
-    ConditionViolated,
     alt_factors,
-    alt_factors_theta_u_zero,
     alternative_from_standard,
     closed_factors,
     factors_on_grid,
@@ -154,6 +152,46 @@ def test_alternative_chart_relations():
         assert abs(back[0] - alt_lam) < 1e-15
 
 
+# The frozen-phase alternative chart by quadrature, a reference for
+# alt_factors on couplings whose eta phase is frozen (theta12 + rho
+# constant): with q(t) = int_0^t |w12| and the phase offset
+# theta_v0 = angle(eta(0)) + pi,
+#
+#     Lambda~ = -tan(q) e^{i theta_v0} e^{-i rho(t)}
+#     Omega~  = 2 ln|sec q| - i (2 pi floor(q/pi + 1/2) + rho(t))
+#     Gamma~  =  tan(q) e^{-i theta_v0},
+#
+# and a ValueError when the eta phase drifts.
+
+def alt_factors_theta_u_zero(scenario, t, drift_tol=1e-8):
+    probes = np.linspace(0.0, t, 17) if t > 0 else np.array([0.0])
+    phi0 = None
+    for s in probes:
+        e = scenario.eta(s)
+        if abs(e) < 1e-300:
+            continue
+        ang = float(np.angle(e))
+        if phi0 is None:
+            phi0 = ang
+            continue
+        drift = (ang - phi0 + math.pi) % (2.0 * math.pi) - math.pi
+        if abs(drift) > drift_tol:
+            raise ValueError(f"eta phase drifts by {drift:.3e} at s = {s:.6g}")
+    if phi0 is None:
+        return 0j, 0j, 0j
+    theta_v0 = phi0 + math.pi
+    q, _ = quad(lambda s: abs(scenario.coupling(s)[2]), 0.0, t,
+                epsabs=1e-12, epsrel=1e-12, limit=200)
+    _, rho = scenario.diag_integrals(t)
+    k = math.floor(q / math.pi + 0.5)
+    tanq = math.tan(q)
+    lam = -tanq * cmath.exp(1j * (theta_v0 - rho))
+    omega = (-2.0 * math.log(abs(math.cos(q)))
+             - 1j * (2.0 * math.pi * k + rho))
+    gam = tanq * cmath.exp(-1j * theta_v0)
+    return lam, omega, gam
+
+
 def test_frozen_phase_alternative_frozen_values():
     # phi0 = pi puts theta_v0 at 3 pi / 2, flipping the signs relative to
     # the phi0 = 0 standard-chart triple
@@ -174,7 +212,7 @@ def test_frozen_phase_alternative_matches_chart_relations():
 
 
 def test_frozen_phase_alternative_rejects_drift():
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(ValueError):
         alt_factors_theta_u_zero(LinearPhaseScenario(eta0=1.0, w0=1.0), 1.0)
 
 
@@ -359,8 +397,8 @@ def test_numeric_route_locates_isotropic_pole():
     assert np.all(numeric.valid[~past])
 
 
-def _solve_ivp_call_sites(path):
-    """(module, function) for each call of solve_ivp in a source file."""
+def _call_sites(path, name):
+    """(module, function) for each call of name in a source file."""
     sites = []
 
     def visit(node, where):
@@ -368,7 +406,7 @@ def _solve_ivp_call_sites(path):
             where = where or node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "solve_ivp":
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
                 sites.append((path.stem, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -378,17 +416,28 @@ def _solve_ivp_call_sites(path):
 
 
 def test_flow_is_the_only_integrator_call_site():
-    # every flow along a scenario restarts at its breakpoints, so the one
-    # helper that does so is the only place allowed to call solve_ivp
+    # every flow along a scenario is one Magnus flow with the breakpoints
+    # as step edges: the package calls solve_ivp nowhere, imports nothing
+    # from scipy.integrate, and takes flows only where S or the amplitudes
+    # are wanted
     package = Path(twomode.__file__).parent
-    sites = [site for path in sorted(package.glob("*.py"))
-             for site in _solve_ivp_call_sites(path)]
-    assert sites == [("riccati", "_flow")]
-    tree = ast.parse((package / "evolution.py").read_text())
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names}
-    assert not imported & {"quad", "solve_ivp", "scipy.integrate"}
+    paths = sorted(package.glob("*.py"))
+    assert [site for path in paths
+            for site in _call_sites(path, "solve_ivp")] == []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     for alias in node.names}
+        assert not imported & {"quad", "solve_ivp", "scipy.integrate"}, path
+    flows = sorted(site for path in paths
+                   for site in _call_sites(path, "flow"))
+    assert flows == [("evolution", "assemble_U"),
+                     ("evolution", "c_coefficients"),
+                     ("riccati", "solve_riccati_numeric"),
+                     ("smatrix", "smatrix_numeric_grid")]
 
 
 # The quadrature route that the closed Gamma~ of QuadraticPhase replaced,
