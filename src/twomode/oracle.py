@@ -1,19 +1,24 @@
 """Brute-force reference propagators and comparison helpers.
 
 These deliberately avoid the factorization machinery: the only ingredients
-are midpoint sampling of the Hamiltonian and exact exponentials of frozen
-Hermitian matrices, so every step is unitary to roundoff.  Both oracles
-sample the midpoint coefficients as arrays, in the calling thread.
+are midpoint sampling of the Hamiltonian and exponentials of frozen
+Hermitian matrices exact to roundoff, so every step is unitary to
+roundoff.  Both oracles take their steps from _midpoints: n_steps uniform
+steps, save that a step across one of the scenario's kinks (where a
+midpoint step is only first order) is split there.  Both sample the
+midpoint coefficients as arrays, in the calling thread.
 
 * 2x2: each step is the closed-form exponential of a Hermitian 2x2 matrix.
-  The steps are uniform, save that a step across a kink of W is split
-  there; they are formed in blocks of fixed size, and each block is
+  The steps are formed in blocks of fixed size, and each block is
   multiplied by an order-preserving pairwise tree.
-* Fock space: each step is exponentiated by eigendecomposition.  The steps
-  are split into contiguous chunks, one per CPU the process may run on.
-  Worker threads form each chunk's time-ordered product from arrays alone,
-  each with one BLAS thread, and the chunk products are combined in time
-  order.
+* Fock space: the steps act on a block of states (by default the
+  identity, which gives the full propagator), never forming a step
+  unitary.  With H_k = sum_j c_kj B_j over nine fixed operators B_j, the
+  bound theta_k = h_k sum_j |c_kj| |B_j|_1 >= |h_k H_k|_1 comes from the
+  coefficients alone.  A step is taken as ceil(theta_k) equal substeps of
+  the same frozen H_k, each the Horner sum of the Taylor series of the
+  exponential to the least degree whose remainder bound is 2^-53 (Al-Mohy
+  and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
 Agreement between this route and the closed forms is the main evidence the
 factorization is right; the two routes must stay independent.
@@ -21,12 +26,6 @@ factorization is right; the two routes must stay independent.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,10 @@ from .scenario import Scenario
 
 # midpoints the 2x2 oracle samples and multiplies at once; bounds its memory
 _BLOCK = 1024
+
+# truncation bound of each Taylor sum in the Fock oracle, relative to the
+# vector it acts on: the unit roundoff of a double
+_TAYLOR_TOL = 2.0 ** -53
 
 # operators whose coefficients make up H, in the column order of
 # _coefficients: w11 n1 + w22 n2 + w12 a1+ a2 + conj(w12) a2+ a1
@@ -83,72 +86,61 @@ def hamiltonian_matrix(space: FockSpace, scenario: Scenario, t: float,
     return (coef[0] @ _basis(ops)).reshape(space.dim, space.dim)
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without CPU affinity
-        return os.cpu_count() or 1
+def _midpoints(scenario: Scenario, t: float,
+               n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and lengths of the oracle steps over [0, t]: n_steps
+    uniform steps, save that a step across one of scenario.kinks(t), where
+    a midpoint step is only first order, is split there (the steps then
+    run between the uniform edges and the kinks).  The steps for 2 n_steps
+    still nest in those for n_steps."""
+    dt = t / n_steps
+    kinks = np.asarray(scenario.kinks(t), dtype=float)
+    if kinks.size == 0:
+        return (np.arange(n_steps) + 0.5) * dt, np.full(n_steps, dt)
+    edges = np.union1d(np.arange(n_steps + 1) * dt, kinks)
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 
-@functools.cache
-def _openblas_local_threads():
-    """OpenBLAS's per-thread thread-count setter, or None.
-
-    NumPy's bundled OpenBLAS spreads each large enough call over its own
-    thread pool, whichever thread makes the call.  Chunk workers that all
-    do so contend for the same CPUs: on 2 CPUs with 2 OpenBLAS threads, 128
-    eigendecompositions of 81x81 matrices split between two workers took
-    3.8 ms each, against 2.1 ms when one thread made them all.  Each worker
-    therefore restricts its own calls to one OpenBLAS thread; other threads
-    keep the process-wide setting.  Without such a library (another BLAS, or an
-    OpenBLAS older than 0.3.27) workers use the BLAS as configured.
-    """
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                          "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        return setter
-    return None
-
-
-def _chunk_product(basis: np.ndarray, coef: np.ndarray,
-                   dt: float) -> np.ndarray:
-    """Time-ordered product of exp(-i H_k dt), H_k = coef[k] @ basis, first
-    row applied first.  Reads arrays only, so it runs in a worker thread."""
-    set_blas_threads = _openblas_local_threads()
-    if set_blas_threads is not None:
-        set_blas_threads(1)
-    dim = math.isqrt(basis.shape[1])
-    u = np.eye(dim, dtype=complex)
-    for row in coef:
-        vals, vecs = np.linalg.eigh((row @ basis).reshape(dim, dim))
-        u = (vecs * np.exp(-1j * vals * dt)) @ (vecs.conj().T @ u)
-    return u
+def _taylor_degrees(tau: np.ndarray) -> np.ndarray:
+    """Smallest m with tau^(m+1)/(m+1)! e^tau <= 2^-53 for each tau in
+    [0, 1]: a bound on the remainder of the degree-m Taylor sum of
+    e^A v relative to |v| when |A|_1 <= tau."""
+    m = np.zeros(tau.shape, dtype=int)
+    bound = tau * np.exp(tau)                  # the bound for m = 0
+    k = 0
+    while np.any(bound > _TAYLOR_TOL):
+        k += 1
+        m[bound > _TAYLOR_TOL] = k
+        bound = bound * tau / (k + 1)
+    return m
 
 
 def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
-                           n_steps: int) -> np.ndarray:
-    """Time-ordered product of midpoint-frozen step unitaries on the
-    truncated Fock space.  Second order accurate in t/n_steps."""
+                           n_steps: int, states=None) -> np.ndarray:
+    """U @ states, U the time-ordered product of the midpoint-frozen step
+    exponentials on the truncated Fock space.  states is a vector or a
+    dim x k block; by default the identity, so that U itself is returned.
+    Second order accurate in t/n_steps."""
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
-    dt = t / n_steps
-    coef = _coefficients(scenario, (np.arange(n_steps) + 0.5) * dt)
-    basis = _basis(hamiltonian_ops(space))
-    chunks = np.array_split(coef, min(_cpu_count(), n_steps))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_chunk_product, basis, chunk, dt)
-                   for chunk in chunks]
-        products = [future.result() for future in futures]
-    u = products[0]
-    for later in products[1:]:
-        u = later @ u
-    return u
+    ts, h = _midpoints(scenario, t, n_steps)
+    coef = _coefficients(scenario, ts)
+    ops = hamiltonian_ops(space)
+    norms = np.array([np.abs(ops[name]).sum(axis=0).max() for name in _TERMS])
+    theta = h * (np.abs(coef) @ norms)        # >= |h_k H_k|_1
+    substeps = np.maximum(np.ceil(theta), 1).astype(int)
+    degrees = _taylor_degrees(theta / substeps)
+    basis = _basis(ops)
+    out = np.eye(space.dim, dtype=complex) if states is None else \
+        np.asarray(states, dtype=complex)
+    for row, hk, s, m in zip(coef, h, substeps, degrees):
+        a = ((row * (-1j * hk / s)) @ basis).reshape(space.dim, space.dim)
+        for _ in range(s):
+            w = out
+            for j in range(m, 0, -1):
+                w = out + (a @ w) / j
+            out = w
+    return out
 
 
 def _su2_steps(w11, w22, w12, n: int, dt) -> np.ndarray:
@@ -186,24 +178,16 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 
 
 def brute_force_smatrix(scenario: Scenario, t: float, n_steps: int) -> np.ndarray:
-    """Same midpoint product for the 2x2 coefficient matrix W(s) on n_steps
-    uniform steps, save that a step across one of scenario.kinks(t), where
-    a midpoint step is only first order, is split there into midpoint
-    sub-steps.  The steps for 2 n_steps still nest in those for n_steps."""
+    """Same midpoint product for the 2x2 coefficient matrix W(s) over the
+    steps of _midpoints, taken _BLOCK steps at a time."""
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
-    dt = t / n_steps
-    kinks = np.asarray(scenario.kinks(t), dtype=float)
+    ts, h = _midpoints(scenario, t, n_steps)
     s = np.eye(2, dtype=complex)
-    for start in range(0, n_steps, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, n_steps))
-        ts, h = (k + 0.5) * dt, dt
-        inner = kinks[(kinks > k[0] * dt) & (kinks < (k[-1] + 1) * dt)]
-        if inner.size:
-            edges = np.union1d(np.append(k, k[-1] + 1) * dt, inner)
-            ts, h = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
-        w11, w22, w12 = scenario.coupling(ts)
-        s = _ordered_product(_su2_steps(w11, w22, w12, ts.size, h)) @ s
+    for start in range(0, ts.size, _BLOCK):
+        tb, hb = ts[start:start + _BLOCK], h[start:start + _BLOCK]
+        w11, w22, w12 = scenario.coupling(tb)
+        s = _ordered_product(_su2_steps(w11, w22, w12, tb.size, hb)) @ s
     return s
 
 
@@ -223,6 +207,17 @@ def ode_residual(ts, values, rhs) -> float:
         dev = np.max(np.abs(deriv - np.asarray(rhs(ts[i], values[i]))))
         worst = max(worst, float(dev))
     return worst
+
+
+def state_fidelities(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|<x | y>|^2 / (|x|^2 |y|^2) for each pair of columns of x and y,
+    0 where either column vanishes."""
+    nx = np.linalg.norm(x, axis=0)
+    ny = np.linalg.norm(y, axis=0)
+    overlap = np.abs(np.sum(x.conj() * y, axis=0)) ** 2
+    denom = nx * nx * ny * ny
+    return np.divide(overlap, denom, out=np.zeros_like(overlap),
+                     where=(nx != 0.0) & (ny != 0.0))
 
 
 @dataclass(frozen=True)
@@ -254,17 +249,8 @@ def compare_operators(a: np.ndarray, b: np.ndarray, test_states,
         diff = np.abs(a - b)
     max_entry = float(diff.max()) if diff.size else 0.0
 
-    fids = []
-    for psi in test_states:
-        x = a @ psi
-        y = b @ psi
-        nx = np.linalg.norm(x)
-        ny = np.linalg.norm(y)
-        if nx == 0.0 or ny == 0.0:
-            fids.append(0.0)
-            continue
-        fids.append(float(abs(np.vdot(x, y)) ** 2 / (nx * nx * ny * ny)))
-    fids = np.asarray(fids)
+    states = np.stack(list(test_states), axis=1)
+    fids = state_fidelities(a @ states, b @ states)
 
     sign_a, logdet_a = np.linalg.slogdet(a)
     sign_b, logdet_b = np.linalg.slogdet(b)

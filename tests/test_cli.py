@@ -12,6 +12,7 @@ import pytest
 import twomode
 import twomode.cli
 from twomode.cli import main, parse_scenario
+from twomode.fock import number_diagonals
 from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, GeneralPhaseScenario,
@@ -333,6 +334,8 @@ def test_verify_passes(tmp_path, capsys):
     assert names == ["oracle_convergence", "oracle_unitarity",
                      "smatrix_vs_oracle", "factor_reconstruction",
                      "operator_fidelity"]
+    for check in payload["checks"]:
+        assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0
 
 
 def test_verify_detects_corruption(tmp_path, capsys):
@@ -346,6 +349,26 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL  factor_reconstruction" in captured
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is False
+
+
+def test_verify_detects_a_wrong_operator(tmp_path, capsys, monkeypatch):
+    # U e^{-0.05 i n1} is not U up to a global phase: the operator check,
+    # which sees U only through its three test states, must still fail
+    assemble = twomode.cli.assemble_U
+
+    def skewed(space, scenario, t, tol):
+        n1, _ = number_diagonals(space)
+        return assemble(space, scenario, t, tol) * np.exp(-0.05j * n1)
+
+    monkeypatch.setattr(twomode.cli, "assemble_U", skewed)
+    ini = write_ini(tmp_path, ALL_CONSTANT_INI)
+    out = tmp_path / "run"
+    code = main(["verify", "--scenario", ini, "--t-end", "1.0",
+                 "--nmax", "6", "--steps", "256", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr().out
+    assert "FAIL  operator_fidelity" in captured
+    assert "FAIL  factor_reconstruction" not in captured
 
 
 def test_verify_flags_coarse_oracle(tmp_path, capsys):

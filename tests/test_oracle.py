@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import twomode.oracle
 from twomode.fock import annihilator, coherent_state, make_space, number_diagonals
@@ -13,7 +15,8 @@ from twomode.oracle import (InsufficientSamples, brute_force_propagator,
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, LinearPhaseScenario,
-                              RotatingDrive, TabulatedScenario, eval_coeffs)
+                              RhoConstantScenario, RotatingDrive,
+                              TabulatedScenario, eval_coeffs)
 from twomode.smatrix import smatrix_closed
 
 
@@ -219,7 +222,7 @@ def test_propagator_matches_sequential_loop():
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
 def test_oracles_match_loops_for_few_steps(n_steps):
-    # odd tree sizes, and fewer steps than worker threads
+    # odd tree sizes of the pairwise 2x2 product
     space = make_space(3)
     scenario = LinearPhaseScenario(eta0=0.8, w0=0.6, phi0=-0.4, w11=0.3,
                                    w22=-0.1, f1=RotatingDrive(0.2, 0.7, 0.1))
@@ -228,6 +231,72 @@ def test_oracles_match_loops_for_few_steps(n_steps):
     got = brute_force_propagator(space, scenario, 0.7, n_steps)
     ref = loop_propagator(space, scenario, 0.7, n_steps)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@st.composite
+def driven_scenarios(draw):
+    def x(lo, hi):
+        return draw(st.floats(min_value=lo, max_value=hi))
+
+    drives = {"f1": RotatingDrive(complex(x(-0.3, 0.3), x(-0.3, 0.3)),
+                                  x(-2.0, 2.0), x(-3.0, 3.0)),
+              "f2": ConstantDrive(complex(x(-0.3, 0.3), x(-0.3, 0.3))),
+              "b": CosineDrive(x(-0.5, 0.5), x(0.0, 2.0), x(-3.0, 3.0))}
+    family = draw(st.sampled_from(["AllConstant", "ConstantPhase",
+                                   "LinearPhase", "RhoConstant"]))
+    if family == "AllConstant":
+        return AllConstantScenario(w11=x(-1.0, 1.0), w22=x(-1.0, 1.0),
+                                   w12=complex(x(-0.5, 0.5), x(-0.5, 0.5)),
+                                   **drives)
+    if family == "ConstantPhase":
+        return ConstantPhaseScenario(eta0=x(0.2, 1.0), phi0=x(-3.0, 3.0),
+                                     w11=x(-0.5, 0.5), w22=x(-0.5, 0.5),
+                                     **drives)
+    if family == "LinearPhase":
+        return LinearPhaseScenario(eta0=x(0.2, 1.0), w0=x(-1.0, 1.0),
+                                   phi0=x(-3.0, 3.0), w11=x(-0.5, 0.5),
+                                   w22=x(-0.5, 0.5), **drives)
+    return RhoConstantScenario(rho0=x(0.1, 1.2), eta0=x(0.2, 1.0),
+                               w0=x(0.2, 1.5), theta_alpha0=x(-3.0, 3.0),
+                               theta_beta0=x(-3.0, 3.0), **drives)
+
+
+@seed(1)
+@settings(max_examples=30, deadline=None)
+# a single step at t = 3 on n_max 8 has |A|_1 far above 1, so every step
+# of the Taylor action is split into substeps
+@example(scenario=DRIVEN, n_max=8, t=3.0, n_steps=1)
+@given(scenario=driven_scenarios(), n_max=st.integers(min_value=1, max_value=5),
+       t=st.floats(min_value=0.0, max_value=3.0),
+       n_steps=st.sampled_from([1, 2, 3, 5, 64]))
+def test_taylor_action_matches_eigendecomposition_loop(scenario, n_max, t,
+                                                       n_steps):
+    space = make_space(n_max)
+    u = brute_force_propagator(space, scenario, t, n_steps)
+    assert np.max(np.abs(u - loop_propagator(space, scenario, t,
+                                             n_steps))) <= 1e-12
+    assert np.max(np.abs(u.conj().T @ u - np.eye(space.dim))) <= 1e-12
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
+    got = brute_force_propagator(space, scenario, t, n_steps, states=psi)
+    assert got.shape == psi.shape
+    assert np.max(np.abs(got - u @ psi)) <= 1e-12
+    one = brute_force_propagator(space, scenario, t, n_steps, states=psi[:, 1])
+    assert one.shape == (space.dim,)
+    assert np.max(np.abs(one - u @ psi[:, 1])) <= 1e-12
+
+
+def test_propagator_converges_across_kinks():
+    # the FresnelNorm case of the CLI tests: steps across the kinks of
+    # |cos(nu s^2)| are split there, so the Fock oracle keeps second order
+    # (the ratio read 0.88 with uniform steps straddling them)
+    space = make_space(3)
+    scenario = FresnelNormScenario(w12_0=0.7, nu=2.0)
+    ref = brute_force_propagator(space, scenario, 3.0, 16 * 64)
+    d1 = np.max(np.abs(brute_force_propagator(space, scenario, 3.0, 64) - ref))
+    d2 = np.max(np.abs(brute_force_propagator(space, scenario, 3.0, 128)
+                       - ref))
+    assert 3.5 <= d1 / d2 <= 4.5
 
 
 # The single uniform stepping over [0, t] that piecewise stepping between
