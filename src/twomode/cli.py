@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import inspect
 import json
 import os
@@ -33,7 +34,8 @@ from .oracle import (brute_force_propagator, brute_force_smatrix,
 from .riccati import ChartSingularity, solve_riccati_numeric
 from .scenario import (CASES, ConstantDrive, CosineDrive, RotatingDrive,
                        TabulatedScenario)
-from .smatrix import _sampled, smatrix_from_factors, smatrix_numeric_grid
+from .smatrix import (_sampled, smatrix_from_factors, smatrix_numeric_grid,
+                      unitarity_defects)
 
 
 @dataclass(frozen=True)
@@ -224,16 +226,11 @@ def cmd_factors(cfg: RunConfig) -> int:
 def cmd_smatrix(cfg: RunConfig) -> int:
     scenario = parse_scenario(cfg.scenario_path)
     grid = np.linspace(0.0, cfg.t_end, cfg.grid)
-    mats = smatrix_numeric_grid(scenario, grid, cfg.tol)
-    rows = []
-    for sm in mats:
-        m = sm.mat
-        rows.append([sm.t,
-                     float(m[0, 0].real), float(m[0, 0].imag),
-                     float(m[0, 1].real), float(m[0, 1].imag),
-                     float(m[1, 0].real), float(m[1, 0].imag),
-                     float(m[1, 1].real), float(m[1, 1].imag),
-                     sm.unitarity_defect])
+    mats = np.array([sm.mat for sm in
+                     smatrix_numeric_grid(scenario, grid, cfg.tol)])
+    # each row of S11 ... S22 read as floats is re_S11, im_S11, ... im_S22
+    rows = np.column_stack([grid, mats.reshape(-1, 4).view(float),
+                            unitarity_defects(mats)]).tolist()
     header = ["t", "re_S11", "im_S11", "re_S12", "im_S12",
               "re_S21", "im_S21", "re_S22", "im_S22", "unitarity_defect"]
     _write_table(cfg, "smatrix", scenario.case, header, rows)
@@ -372,6 +369,7 @@ def _flip_gamma(triple):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True,

@@ -82,7 +82,14 @@ class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator _eval,
     t -> (Lambda, Omega, Gamma), for any time (dense flow output or closed
     form).  Numeric factors carry s_dense, s -> rows S11, S12, S21, S22 of
-    their S."""
+    their S.
+
+    at(t) reads the stored sample i when t is exactly the grid time t[i],
+    valid[i] is set and t lies before singular_time (or there is none).
+    Any other time (off the grid, an invalid sample, or a grid time at or
+    past the singular time) goes through diag_integrals and _eval, so a
+    numeric chart still raises ChartSingularity past its end and a closed
+    chart reads invalid from its first invalid sample on."""
 
     scenario: Scenario
     ordering: str
@@ -98,6 +105,14 @@ class DisentangledFactors:
     s_dense: Callable | None = None
 
     def at(self, t: float) -> FactorSample:
+        i = int(np.searchsorted(self.t, t))
+        if (i < self.t.size and self.t[i] == t and self.valid[i]
+                and (self.singular_time is None or t < self.singular_time)):
+            return FactorSample(
+                t=float(t), alpha=float(self.alpha[i]),
+                rho=float(self.rho[i]), lam=complex(self.lam[i]),
+                omega=complex(self.omega[i]), gamma=complex(self.gamma[i]),
+                valid=True)
         alpha, rho = self.scenario.diag_integrals(t)
         lam, omega, gamma = self._eval(t)
         ok = bool(_regular(lam, omega, gamma))

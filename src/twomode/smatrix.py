@@ -32,10 +32,18 @@ class SMatrix2:
 
     @property
     def unitarity_defect(self) -> float:
-        return float(np.max(np.abs(self.mat.conj().T @ self.mat - np.eye(2))))
+        return float(unitarity_defects(self.mat))
 
     def __getitem__(self, idx):
         return self.mat[idx]
+
+
+def unitarity_defects(mats) -> np.ndarray:
+    """max |S^H S - I| of a 2x2 matrix, or of each one in an (..., 2, 2)
+    stack."""
+    mats = np.asarray(mats)
+    gram = np.swapaxes(mats, -1, -2).conj() @ mats
+    return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
 
 
 def _polar_project(m: np.ndarray) -> np.ndarray:
@@ -61,17 +69,19 @@ def smatrix_numeric_grid(scenario: Scenario, grid,
 
 
 def _sampled(dense, grid, tol: float) -> list[SMatrix2]:
-    """smatrix_numeric_grid's samples from dense, s -> rows S11 ... S22."""
+    """smatrix_numeric_grid's samples from dense, s -> rows S11 ... S22.
+    The unitarity defects of all samples come from one unitarity_defects
+    pass; only the samples whose defect exceeds 10 tol are polar-projected,
+    and those are flagged."""
     mats = np.tile(np.eye(2, dtype=complex), (grid.size, 1, 1))
     positive = grid > 0
     if np.any(positive):
         mats[positive] = dense(grid[positive]).T.reshape(-1, 2, 2)
-    out: list[SMatrix2] = []
-    for t, m in zip(grid, mats):
-        projected = SMatrix2(t=t, mat=m).unitarity_defect > 10.0 * tol
-        out.append(SMatrix2(t=float(t), projected=projected,
-                            mat=_polar_project(m) if projected else m))
-    return out
+    projected = unitarity_defects(mats) > 10.0 * tol
+    for i in np.nonzero(projected)[0]:
+        mats[i] = _polar_project(mats[i])
+    return [SMatrix2(t=t, mat=m, projected=p)
+            for t, m, p in zip(grid.tolist(), mats, projected.tolist())]
 
 
 # ---------------------------------------------------------------------------

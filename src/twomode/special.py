@@ -41,9 +41,11 @@ def kummer_1f1(a: complex, b: complex, z: complex,
                tol: float = 1e-14) -> SpecialValue:
     """Confluent hypergeometric 1F1(a; b; z) by its defining series.
 
-    Terms follow t_{n+1} = t_n (a+n) z / ((b+n)(n+1)); the sum is formed
-    with compensated accumulation.  Arguments with |z| > 30 are rejected,
-    and so are sums that cancel past _SERIES_ROUNDOFF: there the
+    Terms follow t_{n+1} = t_n (a+n) z / ((b+n)(n+1)).  The stop test (two
+    quiet terms in a row, |t_n| <= tol max(1, |partial sum|), once n >= |z|)
+    reads a running sum, so each term costs O(1); the value is the
+    compensated sum of all terms, formed once.  Arguments with |z| > 30 are
+    rejected, and so are sums that cancel past _SERIES_ROUNDOFF: there the
     alternating series loses too many digits in doubles.
     """
     b = complex(b)
@@ -56,14 +58,15 @@ def kummer_1f1(a: complex, b: complex, z: complex,
     z = complex(z)
     term = 1.0 + 0j
     terms = [term]
+    partial = term
     n = 0
     quiet = 0
     while n < _SERIES_MAX_TERMS:
         term = term * (a + n) * z / ((b + n) * (n + 1))
         terms.append(term)
+        partial += term
         n += 1
-        partial = abs(_fsum_complex(terms))
-        if abs(term) <= tol * max(1.0, partial) and n >= abs(z):
+        if abs(term) <= tol * max(1.0, abs(partial)) and n >= abs(z):
             quiet += 1
             if quiet >= 2:
                 break

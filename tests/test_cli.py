@@ -351,6 +351,29 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert payload["passed"] is False
 
 
+def test_parser_is_shared_without_leaking_options(tmp_path, capsys):
+    # one parser serves every call in a process; an option given to one
+    # call must not carry over to the next
+    assert twomode.cli._build_parser() is twomode.cli._build_parser()
+    ini = write_ini(tmp_path, ALL_CONSTANT_INI)
+    common = ["--scenario", ini, "--t-end", "1.0", "--nmax", "6",
+              "--steps", "256", "--out", str(tmp_path / "verify")]
+    assert main(["verify", *common, "--corrupt", "factor-sign"]) == 1
+    assert "FAIL  factor_reconstruction" in capsys.readouterr().out
+    assert main(["verify", *common]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+    out = tmp_path / "factors"
+    argv = ["factors", "--scenario", ini, "--t-end", "0.8", "--grid", "21",
+            "--out", str(out), "--format", "both"]
+    written = []
+    for _ in range(2):
+        assert main(argv) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("factors.csv", "factors.json")])
+    assert written[0] == written[1]
+
+
 def test_verify_detects_a_wrong_operator(tmp_path, capsys, monkeypatch):
     # U e^{-0.05 i n1} is not U up to a global phase: the operator check,
     # which sees U only through its three test states, must still fail

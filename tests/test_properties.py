@@ -10,7 +10,8 @@ from twomode.oracle import brute_force_smatrix
 from twomode.riccati import closed_factors, factors_on_grid
 from twomode.scenario import AllConstantScenario, LinearPhaseScenario
 from twomode.smatrix import smatrix_from_factors
-from twomode.special import fresnel_c, kummer_1f1
+from twomode import special
+from twomode.special import SeriesDivergence, fresnel_c, kummer_1f1
 
 ETA_MIN = 0.2
 ETA_MAX = 1.3
@@ -80,6 +81,63 @@ def test_kummer_collapses_to_exponential(a, re, im):
     z = complex(re, im)
     got = kummer_1f1(a, a, z).value
     assert abs(got - cmath.exp(z)) < 1e-9 * max(1.0, abs(cmath.exp(z)))
+
+
+def _kummer_refsummed(a, b, z, tol):
+    """kummer_1f1 with its stop test on the compensated sum of all terms so
+    far, re-formed at every term (quadratic in the term count)."""
+    a, b, z = complex(a), complex(b), complex(z)
+    term = 1.0 + 0j
+    terms = [term]
+    n = 0
+    quiet = 0
+    while n < special._SERIES_MAX_TERMS:
+        term = term * (a + n) * z / ((b + n) * (n + 1))
+        terms.append(term)
+        n += 1
+        partial = abs(special._fsum_complex(terms))
+        if abs(term) <= tol * max(1.0, partial) and n >= abs(z):
+            quiet += 1
+            if quiet >= 2:
+                break
+        else:
+            quiet = 0
+    else:
+        raise SeriesDivergence("no settle")
+    value = special._fsum_complex(terms)
+    special._check_roundoff(terms, value)
+    return value, n + 1
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except SeriesDivergence:
+        return "SeriesDivergence"
+
+
+@seed(1)
+@settings(max_examples=300)
+@given(
+    a=st.complex_numbers(max_magnitude=6.0),
+    b_re=st.floats(min_value=0.05, max_value=5.0),
+    b_im=st.sampled_from([0.0, 0.5, -1.5]),
+    r=st.floats(min_value=0.0, max_value=30.0),
+    angle=st.floats(min_value=-math.pi, max_value=math.pi),
+    tol=st.sampled_from([1e-13, 1e-14]),
+)
+def test_kummer_running_stop_test_matches_compensated_one(a, b_re, b_im, r,
+                                                          angle, tol):
+    b = complex(b_re, b_im)
+    z = cmath.rect(r, angle)
+    assume(abs(z) <= 30.0)
+
+    def running():
+        got = kummer_1f1(a, b, z, tol)
+        return got.value, got.terms
+
+    assert _outcome(running) == _outcome(
+        lambda: _kummer_refsummed(a, b, z, tol))
 
 
 @seed(1)

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -361,11 +362,80 @@ def test_numeric_omega_follows_its_winding():
         assert _rel_err(sample.omega, omega) <= 1e-8
 
 
-def _smooth_tabulated():
+def _smooth_tabulated(driven=False):
     ts = np.linspace(0.0, 1.2, 61)
     w12 = (0.7 + 0.2 * np.cos(3.0 * ts)) * np.exp(1j * (0.5 + 0.8 * ts ** 2))
+    drives = dict(f1=0.1 * np.exp(1j * ts), f2=0.05 + 0.02j + 0.0 * ts,
+                  b=0.2 * np.cos(ts)) if driven else {}
     return TabulatedScenario.from_samples(
-        ts, 0.3 + 0.2 * np.sin(2.0 * ts), 0.1 * np.cos(ts), w12)
+        ts, 0.3 + 0.2 * np.sin(2.0 * ts), 0.1 * np.cos(ts), w12, **drives)
+
+
+@pytest.mark.parametrize("factors", [
+    factors_on_grid(ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2,
+                                          w22=0.05),
+                    np.array([0.0, 0.4, 1.1, math.pi / 2.0, 1.8, 2.0])),
+    factors_on_grid(LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, w11=0.15,
+                                        w22=0.05), np.linspace(0.0, 2.0, 41)),
+    factors_on_grid(QuadraticPhaseScenario(eta0=0.7, theta0=-0.45),
+                    np.linspace(0.0, 1.2, 41), "alternative"),
+    factors_on_grid(FresnelNormScenario(w12_0=0.9, nu=0.4, theta_v0=1.0,
+                                        theta_u0=-2.0),
+                    np.linspace(0.0, 1.5, 41), "alternative"),
+    factors_on_grid(AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j),
+                    np.linspace(0.0, 2.0, 41), "alternative"),
+    solve_riccati_numeric(_smooth_tabulated(driven=True), 1.2,
+                          grid=np.linspace(0.0, 1.2, 25)),
+    solve_riccati_numeric(ConstantPhaseScenario(eta0=1.0, phi0=0.3), 2.0,
+                          grid=np.linspace(0.0, 2.0, 41)),
+], ids=["ConstantPhase", "LinearPhase", "QuadraticPhase-alt",
+        "FresnelNorm-alt", "AllConstant-alt", "Tabulated-numeric",
+        "ConstantPhase-numeric"])
+def test_grid_times_read_the_stored_samples(factors):
+    def refuse(t):
+        raise AssertionError(f"evaluator called at grid time {t}")
+
+    # a grid time on the chart never reaches the evaluator
+    stored_only = replace(factors, _eval=refuse)
+    read = 0
+    for i, t in enumerate(factors.t.tolist()):
+        if not factors.valid[i] or (factors.singular_time is not None
+                                    and t >= factors.singular_time):
+            continue
+        sample = stored_only.at(t)
+        assert sample.valid and sample.t == t
+        assert (sample.alpha, sample.rho) == (factors.alpha[i], factors.rho[i])
+        stored = (factors.lam[i], factors.omega[i], factors.gamma[i])
+        assert (sample.lam, sample.omega, sample.gamma) == stored
+        # the grid read agrees with the evaluator route at that time
+        for got, want in zip(stored, factors._eval(t)):
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+        for got, want in zip((sample.alpha, sample.rho),
+                             factors.scenario.diag_integrals(t)):
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+        read += 1
+    assert read >= 3
+
+
+def test_numeric_grid_time_past_the_pole_still_raises():
+    cp = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
+    got = solve_riccati_numeric(cp, 2.0, grid=np.array([0.0, 1.0, 1.8, 2.0]))
+    assert got.singular_time < 1.8
+    with pytest.raises(ChartSingularity):
+        got.at(1.8)
+    assert got.at(1.0).valid
+
+
+def test_closed_grid_time_past_first_invalid_sample_reads_invalid():
+    # the closed Lambda = tan(t) e^{i phi0} is regular again at 1.8, but
+    # the chart ended at the invalid sample pi/2
+    cp = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
+    factors = factors_on_grid(cp, np.array([0.0, 1.0, math.pi / 2.0, 1.8]))
+    assert list(factors.valid) == [True, True, False, True]
+    assert factors.singular_time == math.pi / 2.0
+    assert not factors.at(1.8).valid
+    with pytest.raises(ChartSingularity):
+        smatrix_from_factors(factors, 1.8)
 
 
 @pytest.mark.parametrize("scenario", [

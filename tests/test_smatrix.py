@@ -18,8 +18,9 @@ from twomode.scenario import (
     QuadraticPhaseScenario,
     RhoConstantScenario,
 )
-from twomode.smatrix import (SMatrix2, smatrix_closed, smatrix_from_factors,
-                             smatrix_numeric, smatrix_numeric_grid)
+from twomode.smatrix import (SMatrix2, _sampled, smatrix_closed,
+                             smatrix_from_factors, smatrix_numeric,
+                             smatrix_numeric_grid, unitarity_defects)
 
 PRINTED_CASES = [
     ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05),
@@ -132,6 +133,44 @@ def test_unitarity_defect_property():
     tilted = SMatrix2(t=0.0, mat=np.eye(2, dtype=complex) * (1.0 + 1e-6))
     assert abs(tilted.unitarity_defect - 2e-6) < 1e-9
     assert tilted[0, 0] == 1.0 + 1e-6
+
+
+def _drifting_rows(s):
+    # rows S11 ... S22 of a rotation by s, scaled by 1 + 1e-6 from s = 0.7
+    # on, so those samples drift off unitarity by about 2e-6
+    c, n = np.cos(s), np.sin(s)
+    scale = np.where(s >= 0.7, 1.0 + 1e-6, 1.0)
+    return scale * np.array([c, -n, n, c], dtype=complex)
+
+
+def test_sampled_projects_only_drifted_samples():
+    grid = np.array([0.0, 0.5, 1.0])
+    strict = _sampled(_drifting_rows, grid, 1e-10)
+    assert [sm.projected for sm in strict] == [False, False, True]
+    assert [sm.t for sm in strict] == grid.tolist()
+    assert np.array_equal(strict[1].mat,
+                          _drifting_rows(np.array([0.5])).T.reshape(2, 2))
+    # the reported defect is the projected matrix's
+    assert strict[2].unitarity_defect <= 1e-12
+    assert unitarity_defects(np.array([sm.mat for sm in strict]))[2] <= 1e-12
+    rotation = np.array([[np.cos(1.0), -np.sin(1.0)],
+                         [np.sin(1.0), np.cos(1.0)]])
+    assert np.max(np.abs(strict[2].mat - rotation)) < 1e-12
+
+    loose = _sampled(_drifting_rows, grid, 1e-3)
+    assert not any(sm.projected for sm in loose)
+    drifted = _drifting_rows(np.array([1.0])).T.reshape(2, 2)
+    assert np.array_equal(loose[2].mat, drifted)
+    assert abs(loose[2].unitarity_defect - 2e-6) < 1e-9
+
+
+def test_batched_defects_match_per_matrix_defects():
+    mats = _drifting_rows(np.linspace(0.0, 1.4, 15)).T.reshape(-1, 2, 2)
+    mats = mats * np.exp(0.3j * np.arange(15))[:, None, None]
+    batched = unitarity_defects(mats)
+    assert batched.shape == (15,)
+    assert batched.tolist() == [SMatrix2(t=0.0, mat=m).unitarity_defect
+                                for m in mats]
 
 
 def test_no_printed_block_outside_catalog():
