@@ -11,7 +11,7 @@ from .scenario import (AllConstantScenario, ConstantDrive,
                        IsotropicConstantScenario, LinearPhaseScenario,
                        LogRhoScenario, QuadraticPhaseScenario,
                        RhoConstantScenario, RotatingDrive, TabulatedScenario,
-                       check_phase_condition, eval_coeffs)
+                       check_phase_condition)
 from .special import SeriesDivergence, fresnel_c, kummer_1f1
 from .riccati import (ChartSingularity, DisentangledFactors, alt_factors,
                       alternative_from_standard, closed_factors,

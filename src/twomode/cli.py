@@ -55,8 +55,8 @@ class RunConfig:
             raise ValueError("tol must lie in (0, 1e-2]")
         if self.grid < 2:
             raise ValueError("grid must have at least 2 points")
-        if self.t_end <= 0.0:
-            raise ValueError("t-end must be positive")
+        if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
+            raise ValueError("t-end must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.n_max < 1:
@@ -309,7 +309,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         conv_ok = 3.5 <= ratio <= 4.5
     record("oracle_convergence", conv_ok, ratio, "[3.5, 4.5]")
 
-    defect = float(np.max(np.abs(ref.conj().T @ ref - np.eye(2))))
+    defect = float(unitarity_defects(ref))
     record("oracle_unitarity", defect < 1e-9, defect, 1e-9)
 
     # the check grid ends at t: the factors' S serves both checks

@@ -171,23 +171,24 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
 
 def coherent_evolution_closed(scenario: Scenario, state: CoherentStateSpec,
                               t: float) -> CoherentAmplitudes:
-    """Printed amplitude evolution for the isotropic families (no drives):
-    the state stays coherent, |c1|^2 + |c2|^2 = |z0|^2 for all t.
+    """Printed amplitude evolution without drives: the coherent state stays
+    coherent, |c1|^2 + |c2|^2 = |z0|^2 for all t.
 
-    c(t) = S(t) c(0) with the closed S block and c(0) = z0 conj(alpha0,
-    beta0) from the case's dressed mode (cos r0 e^{i theta_alpha0},
-    sin r0 e^{i theta_beta0}).  Written out this is the mixing-family law,
-    with brackets (w0 cos r0 + 2 eta0 sin r0)/delta on c1 and
-    (w0 sin r0 - 2 eta0 cos r0)/delta on c2, so nothing divides by w0 or
-    tan r0.
+    c(t) = S(t) c(0) with the closed S block of any case with a phase
+    family and c(0) = z0 conj(alpha0, beta0) from the given state.  For an
+    isotropic family's own state (coherent_spec), whose dressed mode is
+    (cos r0 e^{i theta_alpha0}, sin r0 e^{i theta_beta0}), this written out
+    is the mixing-family law, with brackets (w0 cos r0 + 2 eta0 sin r0)/delta
+    on c1 and (w0 sin r0 - 2 eta0 cos r0)/delta on c2, so nothing divides
+    by w0 or tan r0.  A case without a printed block raises ValueError.
     """
     if not (drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2)
             and drive_is_zero(scenario.b)):
         raise ValueError("closed coherent laws hold for the undriven case")
-    mode = scenario.dressed_mode0()
-    if mode is None:
-        raise ValueError(f"no closed coherent law for case {scenario.case}")
-    c = smatrix_closed(scenario, t).mat @ (state.z0 * np.conj(mode))
+    # c(0) as one array product, whose last bits can differ from those of
+    # c_initial's two scalar products
+    c0 = state.z0 * np.conj((state.alpha0, state.beta0))
+    c = smatrix_closed(scenario, t).mat @ c0
     return CoherentAmplitudes(t=float(t), c1=complex(c[0]), c2=complex(c[1]),
                               global_phase=1.0 + 0j)
 

@@ -279,19 +279,15 @@ def _closed_block(fam: PhaseFamily, t):
 
 def closed_factors(scenario: Scenario, t):
     """Closed-form (Lambda, Omega, Gamma) in the standard ordering for any
-    scenario with a phase family.  Vectorized over t; values at a chart
-    pole come out infinite and must be screened by the caller."""
+    scenario with a phase family, at a time or 1-D array of times; values
+    at a chart pole come out infinite and must be screened by the
+    caller."""
     fam = scenario.phase_family()
     if fam is None:
         raise ValueError(f"no standard-ordering closed factors for case "
                          f"{scenario.case}")
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    (_, g12, g21, g22), ref = _closed_block(fam, t)
-    lam, omega, gam = _read_off(g12, g21, g22, ref)
-    if scalar:
-        return complex(lam[0]), complex(omega[0]), complex(gam[0])
-    return lam, omega, gam
+    (_, g12, g21, g22), ref = _closed_block(fam, np.asarray(t, dtype=float))
+    return _read_off(g12, g21, g22, ref)
 
 
 def factors_on_grid(scenario: Scenario, grid,

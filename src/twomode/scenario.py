@@ -14,11 +14,10 @@ The condition theta12(s) = phi(s) + pi/2 - rho(s) (mod 2pi) ties the raw
 coupling phase theta12 to the eta phase model phi; check_phase_condition
 measures the residual on a grid.
 
-Every case's coupling() and every drive also take a 1-D array of times and
-return arrays; an entry that does not depend on time stays a scalar, which
-broadcasts against the others.  A scalar time still gives scalars, through
-the math module where a case needs elementary functions, so per-point
-calls cost no more than before.
+Every case's coupling(), diag_integrals() and alt_chart() and every drive
+take a time or a 1-D array of times, through one numpy formula: an array
+gives arrays, a scalar time gives numpy scalars, and an entry that does
+not depend on time stays a scalar, which broadcasts against the others.
 
 A case is declared once, by its class: CASES maps each tag to it, the INI
 parser fills the parameters of its ini_constructor(), every closed-form
@@ -39,7 +38,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import fresnel
 
-from .special import fresnel_c, kummer_1f1
+from .special import kummer_1f1
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,24 +86,7 @@ def drive_is_zero(drive) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# samples and reports
-
-@dataclass(frozen=True)
-class CoeffSample:
-    """All Hamiltonian coefficients at one instant."""
-
-    t: float
-    w11: float
-    w22: float
-    w12: complex
-    f1: complex
-    f2: complex
-    b: float
-
-    @property
-    def w21(self) -> complex:
-        return np.conj(self.w12)
-
+# reports
 
 @dataclass(frozen=True)
 class PhaseConditionReport:
@@ -213,13 +195,6 @@ class Scenario:
         _, rho = self.diag_integrals(t)
         _, _, w12 = self.coupling(t)
         return -1j * w12 * np.exp(1j * rho)
-
-
-def eval_coeffs(scenario: Scenario, t: float) -> CoeffSample:
-    w11, w22, w12 = scenario.coupling(t)
-    return CoeffSample(t=float(t), w11=w11, w22=w22, w12=w12,
-                       f1=complex(scenario.f1(t)), f2=complex(scenario.f2(t)),
-                       b=float(complex(scenario.b(t)).real))
 
 
 def check_phase_condition(scenario: Scenario, grid, tol: float = 1e-9,
@@ -535,24 +510,20 @@ class LogRhoScenario(_MixingAngle, Scenario):
         if self.eta0 <= 0 or self.w0 <= 0:
             raise ValueError("eta0 and w0 must be positive")
 
-    def _log_term(self, t: float) -> float:
+    def _log_term(self, t):
         u = t + self.t0
-        ratio = (1.0 + u * u) / (1.0 + self.t0 * self.t0)
-        return np.log(ratio) if isinstance(ratio, np.ndarray) else math.log(ratio)
+        return np.log((1.0 + u * u) / (1.0 + self.t0 * self.t0))
 
     def coupling(self, t):
         u = t + self.t0
         den = 1.0 + u * u
-        atan_u = np.arctan(u) if isinstance(u, np.ndarray) else math.atan(u)
         theta12 = (self.theta_beta0 - self.theta_alpha0
                    + (self.w0 / (2.0 * self.eta0)) * self._log_term(t)
-                   + t + 2.0 * math.atan(self.t0) - 2.0 * atan_u)
+                   + t + 2.0 * math.atan(self.t0) - 2.0 * np.arctan(u))
         return 1.0 / den, u * u / den, (u / den) * np.exp(1j * theta12)
 
     def diag_integrals(self, t):
-        u = t + self.t0
-        atan_u = np.arctan(u) if isinstance(u, np.ndarray) else math.atan(u)
-        return t, 2.0 * atan_u - 2.0 * math.atan(self.t0) - t
+        return t, 2.0 * np.arctan(t + self.t0) - 2.0 * math.atan(self.t0) - t
 
     def phi_tilde(self, t):
         return (self.w0 / (2.0 * self.eta0)) * self._log_term(t)
@@ -670,31 +641,22 @@ class FresnelNormScenario(Scenario):
 
         (C the Fresnel cosine integral)."""
         scale = math.sqrt(math.pi / (2.0 * self.nu))
-        if isinstance(t, np.ndarray):
-            count = np.ceil(self.nu * t * t / math.pi - 0.5).astype(int)
-            top = int(count.max(initial=0))
-        else:
-            count = top = math.ceil(self.nu * t * t / math.pi - 0.5)
-        sums = _fresnel_kink_sums(1 << top.bit_length())
+        count = np.ceil(self.nu * t * t / math.pi - 0.5).astype(int)
+        sums = _fresnel_kink_sums(1 << int(count.max(initial=0)).bit_length())
         _, c_t = fresnel(t / scale)
         return self.w12_0 * scale * ((1 - 2 * (count % 2)) * c_t + sums[count])
 
     def tilt_angle(self, t):
         """q(t) = gd(psi(t)) = 2 arctan(tanh(psi/2)), at a time or at each
-        time of a 1-D array (a scalar goes through math, as it always has)."""
-        half = 0.5 * self.norm_integral(t)
-        if isinstance(t, np.ndarray):
-            return 2.0 * np.arctan(np.tanh(half))
-        return 2.0 * math.atan(math.tanh(half))
+        time of a 1-D array; psi runs across every kink, so q rises
+        monotonically towards pi/2."""
+        return 2.0 * np.arctan(np.tanh(0.5 * self.norm_integral(t)))
 
     def coupling(self, t):
         offset = self.theta_v0 - self.theta_u0 - math.pi / 2.0
         q = self.tilt_angle(t)
-        if isinstance(t, np.ndarray):
-            norm = self.w12_0 * np.abs(np.cos(self.nu * t * t))
-            return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - np.tan(q) + offset))
-        norm = self.w12_0 * abs(math.cos(self.nu * t * t))
-        return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - math.tan(q) + offset))
+        norm = self.w12_0 * np.abs(np.cos(self.nu * t * t))
+        return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - np.tan(q) + offset))
 
     def diag_integrals(self, t):
         return 0.0, 0.0
@@ -704,25 +666,18 @@ class FresnelNormScenario(Scenario):
         return 3.0 * q - np.tan(q) + self.theta_v0 - self.theta_u0 - math.pi
 
     def alt_chart(self, t):
-        """Closed on the first non-negative stretch nu t^2 <= pi/2 where
-
-            psi(t) = w12_0 sqrt(pi / 2 nu) C(sqrt(2 nu / pi) t)
-
-        (C the Fresnel cosine integral), q = gd(psi), theta_v = q + theta_v0,
-        theta_u = tan(q) - q + theta_u0.  The factors come from the
-        linearizing solution u = cos(q) e^{i theta_u}, so only theta_u -
-        theta_u0 enters Omega~ and Gamma~:
+        """Closed at every time, across the kinks of |cos(nu s^2)|: with
+        q = tilt_angle(t), the Gudermannian of the closed psi(t) of
+        norm_integral, theta_v = q + theta_v0 and theta_u = tan(q) - q +
+        theta_u0.  The factors come from the linearizing solution
+        u = cos(q) e^{i theta_u}, so only theta_u - theta_u0 enters Omega~
+        and Gamma~:
 
             Lambda~ = -tan(q) e^{i (theta_v - theta_u)}
             Omega~  = ln sec^2(q) - 2 i (theta_u - theta_u0)
             Gamma~  =  tan(q) e^{-i (tan(q) + theta_v0 - theta_u0)}.
         """
-        t = np.asarray(t, dtype=float)
-        if np.any(self.nu * t * t > math.pi / 2.0 + 1e-12):
-            raise ValueError("closed Fresnel form needs nu t^2 <= pi/2")
-        scale = math.sqrt(math.pi / (2.0 * self.nu))
-        psi = self.w12_0 * scale * _series(fresnel_c, t / scale).real
-        q = 2.0 * np.arctan(np.tanh(0.5 * psi))
+        q = self.tilt_angle(np.asarray(t, dtype=float))
         tanq = np.tan(q)
         offset = self.theta_v0 - self.theta_u0
         chart = (-tanq * np.exp(1j * (2.0 * q - tanq + offset)),
@@ -781,8 +736,8 @@ class TabulatedScenario(Scenario):
 
     def _check_domain(self, t):
         lo, hi = self.grid[0], self.grid[-1]
-        first, last = ((t.min(initial=lo), t.max(initial=hi))
-                       if isinstance(t, np.ndarray) else (t, t))
+        t = np.asarray(t)
+        first, last = t.min(initial=lo), t.max(initial=hi)
         if first < lo - 1e-9 or last > hi + 1e-9:
             bad = first if first < lo - 1e-9 else last
             raise ValueError(f"time {bad} outside tabulated domain [{lo}, {hi}]")

@@ -519,6 +519,17 @@ def test_bad_run_configuration(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["factors", "smatrix", "evolve"])
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_non_finite_t_end_is_rejected(tmp_path, capsys, command, t_end):
+    ini = write_ini(tmp_path, ISOTROPIC_INI)
+    out = tmp_path / "run"
+    assert main([command, "--scenario", ini, "--t-end", t_end,
+                 "--out", str(out)]) == 1
+    assert "t-end must be positive" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_console_entry_point(tmp_path):
     # The suite runs from source, so no installer has put `twomode` on PATH.
     # Build the launcher an installer would generate from the project's own

@@ -17,8 +17,8 @@ from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, IsotropicConstantScenario,
                               LinearPhaseScenario, LogRhoScenario,
-                              RhoConstantScenario, RotatingDrive,
-                              TabulatedScenario)
+                              QuadraticPhaseScenario, RhoConstantScenario,
+                              RotatingDrive, TabulatedScenario)
 from twomode.smatrix import smatrix_closed, smatrix_numeric_grid
 
 
@@ -126,6 +126,30 @@ def test_mixing_family_closed_law(scenario):
         assert abs(closed.c2 - generic.c2) < 1e-9
         # norm conservation of the dressed eigenvalue
         assert abs(closed.norm2 - 0.16) < 1e-9
+
+
+def test_closed_law_follows_the_given_state():
+    # c(0) comes from the state passed in, not from the case's dressed mode
+    scenario = IsotropicConstantScenario.from_polar(0.4, 0.3, -0.2, z0=0.8)
+    spec = CoherentStateSpec(z0=0.8, alpha0=1.0, beta0=0.0)
+    for t in (0.4, 1.1, 2.3):
+        closed = coherent_evolution_closed(scenario, spec, t)
+        generic = c_coefficients(scenario, spec.c_initial, t, tol=1e-12)
+        assert abs(closed.c1 - generic.c1) < 1e-9
+        assert abs(closed.c2 - generic.c2) < 1e-9
+
+
+def test_closed_law_on_a_constant_phase_state():
+    scenario = ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05)
+    spec = CoherentStateSpec(z0=0.5 + 0.2j, alpha0=0.6, beta0=0.8j)
+    for t in (0.4, 1.1, 2.3):
+        closed = coherent_evolution_closed(scenario, spec, t)
+        generic = c_coefficients(scenario, spec.c_initial, t, tol=1e-12)
+        assert abs(closed.c1 - generic.c1) < 1e-9
+        assert abs(closed.c2 - generic.c2) < 1e-9
+    with pytest.raises(ValueError, match="no printed closed S block"):
+        coherent_evolution_closed(QuadraticPhaseScenario(eta0=1.0, theta0=0.5),
+                                  spec, 1.0)
 
 
 def test_closed_law_refuses_drives():

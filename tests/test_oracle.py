@@ -16,12 +16,13 @@ from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, LinearPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
-                              TabulatedScenario, eval_coeffs)
+                              TabulatedScenario)
 from twomode.smatrix import smatrix_closed
 
 
-# Sequential midpoint products, one eval_coeffs and one eigendecomposition
-# per step: the loops the batched oracles replaced, kept as their reference.
+# Sequential midpoint products, one coefficient sample and one
+# eigendecomposition per step: the loops the batched oracles replaced, kept
+# as their reference.
 
 def _loop_step_unitary(h, dt):
     vals, vecs = np.linalg.eigh(h)
@@ -33,15 +34,16 @@ def _loop_hamiltonian(space, scenario, t):
     a2 = annihilator(space, 2)
     n1, n2 = number_diagonals(space)
     k12 = a1.conj().T @ a2
-    c = eval_coeffs(scenario, t)
-    h = (c.w11 * np.diag(n1) + c.w22 * np.diag(n2)
-         + c.w12 * k12 + np.conj(c.w12) * k12.conj().T)
-    if c.f1 != 0:
-        h = h + c.f1 * a1.conj().T + np.conj(c.f1) * a1
-    if c.f2 != 0:
-        h = h + c.f2 * a2.conj().T + np.conj(c.f2) * a2
-    if c.b != 0:
-        h = h + c.b * np.eye(space.dim)
+    w11, w22, w12 = scenario.coupling(t)
+    f1, f2, b = scenario.f1(t), scenario.f2(t), np.real(scenario.b(t))
+    h = (w11 * np.diag(n1) + w22 * np.diag(n2)
+         + w12 * k12 + np.conj(w12) * k12.conj().T)
+    if f1 != 0:
+        h = h + f1 * a1.conj().T + np.conj(f1) * a1
+    if f2 != 0:
+        h = h + f2 * a2.conj().T + np.conj(f2) * a2
+    if b != 0:
+        h = h + b * np.eye(space.dim)
     return h
 
 
@@ -58,8 +60,8 @@ def loop_smatrix(scenario, t, n_steps):
     dt = t / n_steps
     s = np.eye(2, dtype=complex)
     for k in range(n_steps):
-        c = eval_coeffs(scenario, (k + 0.5) * dt)
-        w = np.array([[c.w11, c.w12], [np.conj(c.w12), c.w22]], dtype=complex)
+        w11, w22, w12 = scenario.coupling((k + 0.5) * dt)
+        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
         s = _loop_step_unitary(w, dt) @ s
     return s
 

@@ -32,8 +32,8 @@ from twomode.scenario import (
     Scenario,
     TabulatedScenario,
 )
-from twomode.smatrix import smatrix_from_factors
-from twomode.special import kummer_1f1
+from twomode.smatrix import smatrix_from_factors, smatrix_numeric_grid
+from twomode.special import fresnel_c, kummer_1f1
 
 PHASE_CASES = [
     (ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05), 1.2),
@@ -264,9 +264,52 @@ def test_fresnel_small_time_slope():
 
 def test_fresnel_domain_guards():
     with pytest.raises(ValueError):
-        alt_factors(FresnelNormScenario(w12_0=1.0, nu=1.0), 1.3)
-    with pytest.raises(ValueError):
         FresnelNormScenario(w12_0=-1.0, nu=1.0)
+
+
+@pytest.mark.parametrize("w12_0,nu,t_end", [
+    (1.0, 2.0, 2.5), (0.6, 0.8, 4.0), (1.4, 3.0, 2.2)])
+def test_fresnel_alt_chart_past_the_kinks(w12_0, nu, t_end):
+    # the closed chart reads psi across every kink of |cos(nu s^2)|, so the
+    # S it rebuilds follows the numeric flow far past the first stretch
+    scenario = FresnelNormScenario(w12_0=w12_0, nu=nu, theta_v0=0.1,
+                                   theta_u0=-0.2)
+    assert len(scenario.kinks(t_end)) >= 4
+    grid = np.linspace(0.0, t_end, 61)
+    factors = factors_on_grid(scenario, grid, ordering="alternative")
+    assert factors.valid.all() and factors.singular_time is None
+    numeric = smatrix_numeric_grid(scenario, grid, tol=1e-12)
+    for t, want in zip(grid, numeric):
+        rebuilt = smatrix_from_factors(factors, float(t))
+        assert np.max(np.abs(rebuilt.mat - want.mat)) <= 1e-12
+
+
+def _series_psi_chart(scenario, t):
+    # the first-stretch chart that the closed psi replaced, kept as its
+    # reference: psi from one Fresnel C series per point, valid while
+    # nu t^2 <= pi/2
+    scale = math.sqrt(math.pi / (2.0 * scenario.nu))
+    series = np.vectorize(lambda x: fresnel_c(x).value, otypes=[complex])
+    psi = scenario.w12_0 * scale * series(t / scale).real
+    q = 2.0 * np.arctan(np.tanh(0.5 * psi))
+    tanq = np.tan(q)
+    offset = scenario.theta_v0 - scenario.theta_u0
+    return (-tanq * np.exp(1j * (2.0 * q - tanq + offset)),
+            -2.0 * (np.log(np.abs(np.cos(q))) + 1j * (tanq - q)),
+            tanq * np.exp(-1j * (tanq + offset)))
+
+
+@pytest.mark.parametrize("w12_0,nu", [(1.0, 0.4), (0.5, 2.0), (2.5, 1.0)])
+def test_fresnel_alt_chart_matches_series_on_first_stretch(w12_0, nu):
+    scenario = FresnelNormScenario(w12_0=w12_0, nu=nu, theta_v0=0.1,
+                                   theta_u0=-0.2)
+    times = np.linspace(0.0, math.sqrt(0.5 * math.pi / nu), 41)
+    want = _series_psi_chart(scenario, times)
+    along = scenario.alt_chart(times)
+    singles = zip(*(scenario.alt_chart(float(t)) for t in times))
+    for got in (along, singles):
+        for g, w in zip(got, want):
+            assert np.all(np.abs(np.array(g) - w) <= 1e-13 * np.abs(w))
 
 
 def test_numeric_route_flags_singularity():

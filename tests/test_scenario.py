@@ -12,8 +12,7 @@ from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
                               IsotropicConstantScenario, LinearPhaseScenario,
                               LogRhoScenario, QuadraticPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
-                              TabulatedScenario, check_phase_condition,
-                              eval_coeffs)
+                              TabulatedScenario, check_phase_condition)
 
 ALL_CASES = [
     ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05),
@@ -38,20 +37,13 @@ def test_case_table_lists_every_case():
     assert all(cls.case == tag for tag, cls in CASES.items())
 
 
-def test_w21_is_conjugate_everywhere():
-    for sc in ALL_CASES:
-        for t in (0.0, 0.41, 1.37):
-            sample = eval_coeffs(sc, t)
-            assert sample.w21 == np.conj(sample.w12)
-
-
 def test_eta_relation():
     # eta(s) = -i w12(s) e^{i rho(s)} for every case
     for sc in ALL_CASES:
         for t in (0.2, 0.9):
-            sample = eval_coeffs(sc, t)
+            _, _, w12 = sc.coupling(t)
             _, rho = sc.diag_integrals(t)
-            want = -1j * sample.w12 * np.exp(1j * rho)
+            want = -1j * w12 * np.exp(1j * rho)
             assert abs(sc.eta(t) - want) < 1e-12
 
 
@@ -60,10 +52,10 @@ def test_diag_integrals_match_quadrature():
     for sc in ALL_CASES:
         t_end = 1.3
         alpha, rho = sc.diag_integrals(t_end)
-        alpha_q, _ = quad(lambda s: eval_coeffs(sc, s).w11
-                          + eval_coeffs(sc, s).w22, 0.0, t_end, limit=200)
-        rho_q, _ = quad(lambda s: eval_coeffs(sc, s).w11
-                        - eval_coeffs(sc, s).w22, 0.0, t_end, limit=200)
+        alpha_q, _ = quad(lambda s: sc.coupling(s)[0] + sc.coupling(s)[1],
+                          0.0, t_end, limit=200)
+        rho_q, _ = quad(lambda s: sc.coupling(s)[0] - sc.coupling(s)[1],
+                        0.0, t_end, limit=200)
         assert abs(alpha - alpha_q) < 1e-9
         assert abs(rho - rho_q) < 1e-9
 
@@ -77,10 +69,10 @@ def test_all_constant_frozen_integrals():
 
 def test_log_rho_initial_coefficients():
     sc = LogRhoScenario(t0=1.0, eta0=0.9, w0=0.7)
-    sample = eval_coeffs(sc, 0.0)
-    assert abs(sample.w11 - 0.5) < 1e-12
-    assert abs(sample.w22 - 0.5) < 1e-12
-    assert abs(abs(sample.w12) - 0.5) < 1e-12
+    w11, w22, w12 = sc.coupling(0.0)
+    assert abs(w11 - 0.5) < 1e-12
+    assert abs(w22 - 0.5) < 1e-12
+    assert abs(abs(w12) - 0.5) < 1e-12
     assert abs(sc.mixing_angle0() - math.pi / 4.0) < 1e-12
 
 
@@ -208,9 +200,9 @@ def test_general_phase_reduces_to_linear():
 def test_general_phase_norm_tracks_phase_speed():
     sc = GeneralPhaseScenario(eta0=0.8, w0=1.2, theta0=1.0, nu=0.2)
     for t in (0.0, 0.5, 1.1):
-        sample = eval_coeffs(sc, t)
+        _, _, w12 = sc.coupling(t)
         dphi = sc.theta0 + 2.0 * sc.nu * t
-        assert abs(abs(sample.w12) - (sc.eta0 / sc.w0) * dphi) < 1e-12
+        assert abs(abs(w12) - (sc.eta0 / sc.w0) * dphi) < 1e-12
 
 
 def test_isotropic_constructors():
@@ -225,8 +217,8 @@ def test_isotropic_constructors():
 def test_isotropic_coupling_and_integrals():
     sc = IsotropicConstantScenario(alpha=1 / math.sqrt(2),
                                    beta=1 / math.sqrt(2))
-    sample = eval_coeffs(sc, 0.7)
-    assert abs(sample.w12 - 0.5) < 1e-12
+    _, _, w12 = sc.coupling(0.7)
+    assert abs(w12 - 0.5) < 1e-12
     assert abs(sc.eta(0.7) + 0.5j) < 1e-12
     alpha, rho = sc.diag_integrals(1.7)
     assert abs(alpha - 1.7) < 1e-12
@@ -235,10 +227,10 @@ def test_isotropic_coupling_and_integrals():
 
 def test_rho_constant_structure():
     sc = RhoConstantScenario(rho0=math.pi / 6.0, eta0=0.8, w0=1.0)
-    sample = eval_coeffs(sc, 0.9)
-    assert abs(sample.w11 - math.cos(math.pi / 6) ** 2) < 1e-12
-    assert abs(sample.w22 - math.sin(math.pi / 6) ** 2) < 1e-12
-    assert abs(abs(sample.w12)
+    w11, w22, w12 = sc.coupling(0.9)
+    assert abs(w11 - math.cos(math.pi / 6) ** 2) < 1e-12
+    assert abs(w22 - math.sin(math.pi / 6) ** 2) < 1e-12
+    assert abs(abs(w12)
                - math.sin(math.pi / 6) * math.cos(math.pi / 6)) < 1e-12
     assert abs(sc.delta - math.hypot(1.6, 1.0)) < 1e-12
     with pytest.raises(ValueError):
@@ -252,9 +244,9 @@ def test_rho_constant_zero_drift_ratio():
     rho0 = math.pi / 6.0
     sc = RhoConstantScenario(rho0=rho0, eta0=math.sqrt(3) / 2.0, w0=1.0)
     assert abs(sc.theta_drift) < 1e-12
-    s0 = eval_coeffs(sc, 0.0)
-    s1 = eval_coeffs(sc, 1.7)
-    assert abs(np.angle(s1.w12) - np.angle(s0.w12)) < 1e-12
+    _, _, w12_0 = sc.coupling(0.0)
+    _, _, w12_1 = sc.coupling(1.7)
+    assert abs(np.angle(w12_1) - np.angle(w12_0)) < 1e-12
 
 
 def test_log_rho_validation_and_rho_formula():
@@ -279,9 +271,8 @@ def test_quadratic_phase_eta():
 def test_fresnel_norm_profile():
     sc = FresnelNormScenario(w12_0=0.8, nu=0.6)
     for t in (0.0, 0.5, 1.2):
-        sample = eval_coeffs(sc, t)
-        assert abs(abs(sample.w12)
-                   - 0.8 * abs(math.cos(0.6 * t * t))) < 1e-12
+        _, _, w12 = sc.coupling(t)
+        assert abs(abs(w12) - 0.8 * abs(math.cos(0.6 * t * t))) < 1e-12
     assert abs(sc.norm_integral(0.0)) == 0.0
     # psi is increasing and below the unconstrained-norm line
     psis = [sc.norm_integral(t) for t in (0.3, 0.6, 0.9)]
@@ -312,25 +303,20 @@ def test_drives_enter_samples():
                              f1=RotatingDrive(0.1, 1.0, 0.0),
                              f2=ConstantDrive(0.2j),
                              b=CosineDrive(0.5, 1.0, 0.0))
-    sample = eval_coeffs(sc, 0.9)
-    assert abs(sample.f1 - 0.1 * np.exp(0.9j)) < 1e-15
-    assert sample.f2 == 0.2j
-    assert abs(sample.b - 0.5 * math.cos(0.9)) < 1e-15
+    assert abs(sc.f1(0.9) - 0.1 * np.exp(0.9j)) < 1e-15
+    assert sc.f2(0.9) == 0.2j
+    assert abs(sc.b(0.9) - 0.5 * math.cos(0.9)) < 1e-15
 
 
 def test_tabulated_roundtrip_against_closed_case():
     base = LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, w11=0.15, w22=0.05)
     ts = np.linspace(0.0, 2.0, 81)
-    samples = [eval_coeffs(base, t) for t in ts]
-    tab = TabulatedScenario.from_samples(
-        ts,
-        w11=[s.w11 for s in samples],
-        w22=[s.w22 for s in samples],
-        w12=[s.w12 for s in samples])
+    w11, w22, w12 = (np.broadcast_to(v, ts.shape) for v in base.coupling(ts))
+    tab = TabulatedScenario.from_samples(ts, w11=w11, w22=w22, w12=w12)
     for t in (0.37, 1.12, 1.91):
-        a, b = eval_coeffs(base, t), eval_coeffs(tab, t)
-        assert abs(a.w11 - b.w11) < 1e-6
-        assert abs(a.w12 - b.w12) < 1e-6
+        a, b = base.coupling(t), tab.coupling(t)
+        assert abs(a[0] - b[0]) < 1e-6
+        assert abs(a[2] - b[2]) < 1e-6
     alpha_a, rho_a = base.diag_integrals(1.7)
     alpha_b, rho_b = tab.diag_integrals(1.7)
     assert abs(alpha_a - alpha_b) < 1e-6
@@ -350,7 +336,7 @@ def test_tabulated_validation():
         np.linspace(0, 1, 5), w11=np.zeros(5), w22=np.zeros(5),
         w12=np.full(5, 0.5))
     with pytest.raises(ValueError):
-        eval_coeffs(tab, 1.5)
+        tab.coupling(1.5)
 
 
 def test_tabulated_csv(tmp_path):
@@ -360,10 +346,10 @@ def test_tabulated_csv(tmp_path):
         rows.append(f"{t},0.3,0.3,0.2,0.1,0.05,0.0,0.0,0.0,0.1")
     path.write_text("\n".join(rows) + "\n")
     tab = TabulatedScenario.from_csv(path)
-    sample = eval_coeffs(tab, 0.5)
-    assert abs(sample.w12 - (0.2 + 0.1j)) < 1e-9
-    assert abs(sample.f1 - 0.05) < 1e-9
-    assert abs(sample.b - 0.1) < 1e-9
+    _, _, w12 = tab.coupling(0.5)
+    assert abs(w12 - (0.2 + 0.1j)) < 1e-9
+    assert abs(tab.f1(0.5) - 0.05) < 1e-9
+    assert abs(tab.b(0.5) - 0.1) < 1e-9
 
     bad = tmp_path / "missing.csv"
     bad.write_text("t,w11\n0,0\n1,0\n2,0\n3,0\n")
@@ -400,7 +386,8 @@ def test_array_times_match_scalar_calls(sc):
     singles = [sc.coupling(float(t)) for t in ts]
     for got, want in zip(sc.coupling(ts), zip(*singles)):
         _assert_stacked(got, want)
-    for value in singles[3]:
+    chart = sc.alt_chart(0.7)
+    for value in (*singles[3], *sc.diag_integrals(0.7), *(chart or ())):
         assert np.isscalar(value)
     for drive in (sc.f1, sc.f2, sc.b):
         _assert_stacked(drive(ts), [drive(float(t)) for t in ts])
