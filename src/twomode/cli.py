@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import (assemble_U, c_coefficients, coherent_evolution_closed,
-                        coherent_spec, ladder_eigenvalue_check)
-from .fock import coherent_state, interior_mask, make_space
+                        coherent_spec, ladder_eigenvalue_checks)
+from .fock import TruncationError, coherent_state, interior_mask, make_space
 from .oracle import (brute_force_propagator, brute_force_smatrix,
                      state_fidelities)
 from .riccati import ChartSingularity, solve_riccati_numeric
@@ -263,13 +263,12 @@ def cmd_coherent(cfg: RunConfig) -> int:
     state = coherent_spec(scenario)
     space = make_space(cfg.n_max)
     grid = np.linspace(0.0, cfg.t_end, cfg.grid)
-    rows = []
-    for t in grid:
-        amps = coherent_evolution_closed(scenario, state, float(t))
-        check = ladder_eigenvalue_check(space, state, amps)
-        rows.append([float(t), amps.c1.real, amps.c1.imag,
-                     amps.c2.real, amps.c2.imag, amps.norm2,
-                     check.residual])
+    amps = [coherent_evolution_closed(scenario, state, float(t))
+            for t in grid]
+    _, residuals = ladder_eigenvalue_checks(
+        space, state, [a.c1 for a in amps], [a.c2 for a in amps])
+    rows = [[float(t), a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm2,
+             res] for t, a, res in zip(grid, amps, residuals.tolist())]
     header = ["t", "re_c1", "im_c1", "re_c2", "im_c2", "norm2",
               "eigen_residual"]
     _write_table(cfg, "coherent", scenario.case, header, rows)
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
     except ChartSingularity as exc:
         print(f"chart singularity: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

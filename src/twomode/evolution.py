@@ -7,18 +7,23 @@ through a displacement in front of the quadratic part:
     U(t, 0) = D(c1(t), c2(t)) e^{-i P(t)} U0(t, 0),
     dP/ds = Re(conj(F1) c1 + conj(F2) c2) + B,     P(0) = 0,
 
-with U0 the Gauss product of the factors; one Magnus flow (magnus.flow)
-gives S, (c1, c2) and P together.  When the factor chart is singular at t
-the assembly falls back to a globally regular single-exponential form
-obtained by lifting the numeric j=1/2 propagator to the truncated Fock
-space; factors, lift and amplitudes share that one flow.  The quadratic
-part conserves n1 + n2, so the Gauss factors and the lift are
-exponentiated one occupation shell at a time (fock.shell_expm), partial
-shells above n_max included; the displacement is a Kronecker product of
-two single-mode exponentials.
+with U0 the Gauss product e^{lam J+} e^{omega J3} e^{gamma J-} of the
+factors, framed by the diagonal phases of alpha and rho; one Magnus flow
+(magnus.flow) gives S, (c1, c2) and P together.  The displacement is formed
+first, so an amplitude its truncation guard rejects costs no U0.  When the
+factor chart is singular at t the assembly falls back to a globally regular
+single-exponential form obtained by lifting the numeric j=1/2 propagator to
+the truncated Fock space; factors, lift and amplitudes share that one flow.
+Every factor is exact for the truncated operators, partial shells above
+n_max included: the Gauss factors e^{z J+-} are the closed nilpotent-chain
+entries of fock.chain_exponential, the displacement is the spectral
+single-mode form of fock.displacement_operator, and only the lift, whose
+generator is a general su(2) element, is exponentiated one occupation shell
+at a time (fock.shell_expm).
 
 The isotropic families carry coherent data; without drives their coherent
-states follow one law, the closed S block applied to c(0).
+states follow one law, the closed S block applied to c(0), and the ladder
+check of the states on a grid of amplitudes is one array pass.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, _lowering, annihilator, coherent_state,
+from .fock import (FockSpace, annihilator, chain_exponential, coherent_state,
                    displacement_operator, number_diagonals, shell_expm,
                    su2_generator)
 from . import magnus
@@ -109,14 +114,12 @@ def c_coefficients(scenario: Scenario, c0, t, tol: float = 1e-10):
 def _gauss_product(space: FockSpace, alpha: float, rho: float, lam: complex,
                    omega: complex, gamma: complex) -> np.ndarray:
     n1, n2 = number_diagonals(space)
-    jp = su2_generator(space, "J+")
-    jm = su2_generator(space, "J-")
     d_n = np.exp(-0.5j * alpha * (n1 + n2))
     d_rho = np.exp(-0.5j * rho * (n1 - n2))
     d_om = np.exp(0.5 * omega * (n1 - n2))
-    u = shell_expm(space, lam * jp) * d_n[:, None] * d_rho[:, None]
+    u = chain_exponential(space, lam, "J+") * d_n[:, None] * d_rho[:, None]
     u = u * d_om[None, :]
-    return u @ shell_expm(space, gamma * jm)
+    return u @ chain_exponential(space, gamma, "J-")
 
 
 def _su2_lift(space: FockSpace, smat: np.ndarray, alpha: float) -> np.ndarray:
@@ -151,18 +154,20 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
                tol: float = 1e-10) -> np.ndarray:
     """Dense propagator on the truncated space via the factorized form,
     from one flow of (S, c, P).  Falls back to the regular
-    single-exponential lift when the factor chart is singular at t."""
+    single-exponential lift when the factor chart is singular at t.
+    Raises fock.TruncationError, before any work on U0, when the
+    displacement's truncation guard rejects c(t)."""
     grid = np.array([float(t)])
     solved = magnus.flow(scenario, t, tol, grid, drives=True)
-    factors = _read_factors(scenario, solved, grid)
     (c1, c2), p = (v[0] for v in solved.amplitudes(grid, np.zeros(2)))
+    disp = displacement_operator(space, c1, c2)
+    factors = _read_factors(scenario, solved, grid)
     alpha, rho = factors.alpha[0], factors.rho[0]
     if factors.valid[0]:
         u0 = _gauss_product(space, alpha, rho, factors.lam[0],
                             factors.omega[0], factors.gamma[0])
     else:
         u0 = _su2_lift(space, factors.s_dense(t).reshape(2, 2), alpha)
-    disp = displacement_operator(space, c1, c2)
     return cmath.exp(-1j * p) * (disp @ u0)
 
 
@@ -199,29 +204,45 @@ class LadderCheck:
     residual: float
 
 
+def ladder_eigenvalue_checks(space: FockSpace, state: CoherentStateSpec,
+                             c1, c2, coefficients=None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """ladder_eigenvalue_check of the coherent states at each pair of two
+    1-D arrays of amplitudes c1, c2, in one array pass: the eigenvalues
+    and the residuals.  Explicit coefficients (u1, u2) hold for every
+    state."""
+    c1, c2 = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (c1, c2))
+    psi = coherent_state(space, c1, c2).reshape(-1, space.side, space.side)
+    if coefficients is None:
+        if state.z0 == 0:
+            coefficients = (np.conj(state.alpha0), np.conj(state.beta0))
+        else:
+            coefficients = (np.conj(c1) / np.conj(state.z0),
+                            np.conj(c2) / np.conj(state.z0))
+    u1, u2 = (np.broadcast_to(u, c1.shape)[:, None, None]
+              for u in coefficients)
+    # (a1 psi)[n1, n2] = sqrt(n1 + 1) psi[n1 + 1, n2], likewise for a2
+    root = np.sqrt(np.arange(1, space.side, dtype=float))
+    lowered = np.zeros_like(psi)
+    lowered[:, :-1, :] = u1 * (root[:, None] * psi[:, 1:, :])
+    lowered[:, :, :-1] += u2 * (psi[:, :, 1:] * root)
+    norm2 = np.sum(np.abs(psi) ** 2, axis=(1, 2))
+    lam = np.sum(psi.conj() * lowered, axis=(1, 2)) / norm2
+    res = (np.linalg.norm((lowered - lam[:, None, None] * psi)
+                          .reshape(c1.size, -1), axis=1) / np.sqrt(norm2))
+    return lam, res
+
+
 def ladder_eigenvalue_check(space: FockSpace, state: CoherentStateSpec,
                             amplitudes: CoherentAmplitudes,
                             coefficients=None) -> LadderCheck:
     """Verify the evolved state is an eigenstate of a lowering combination
     u1 a1 + u2 a2.  Default coefficients are the generalized ones
     (conj(c1)/conj(z0), conj(c2)/conj(z0)); pass explicit (u1, u2) to test
-    a fixed dressed mode instead."""
-    psi = coherent_state(space, amplitudes.c1, amplitudes.c2)
-    if coefficients is None:
-        if state.z0 == 0:
-            coefficients = (np.conj(state.alpha0), np.conj(state.beta0))
-        else:
-            coefficients = (np.conj(amplitudes.c1) / np.conj(state.z0),
-                            np.conj(amplitudes.c2) / np.conj(state.z0))
-    u1, u2 = coefficients
-    # (a1 psi)[n1, n2] and (a2 psi)[n1, n2] on the (n1, n2) grid of psi
-    grid = psi.reshape(space.side, space.side)
-    lower = _lowering(space)
-    lowered = (u1 * (lower @ grid) + u2 * (grid @ lower.T)).ravel()
-    lam = complex(np.vdot(psi, lowered) / np.vdot(psi, psi))
-    res = float(np.linalg.norm(lowered - lam * psi)
-                / math.sqrt(np.vdot(psi, psi).real))
-    return LadderCheck(eigenvalue=lam, residual=res)
+    a fixed dressed mode instead.  One row of ladder_eigenvalue_checks."""
+    lam, res = ladder_eigenvalue_checks(space, state, amplitudes.c1,
+                                        amplitudes.c2, coefficients)
+    return LadderCheck(eigenvalue=complex(lam[0]), residual=float(res[0]))
 
 
 # ---------------------------------------------------------------------------

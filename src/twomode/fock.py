@@ -6,12 +6,16 @@ Operators are dense complex matrices on that space.  Truncation makes ladder
 products inexact on the outermost shells, so algebraic identities are only
 asserted on interior states (see interior_mask).
 
-Two structures keep the exponentials small.  The two modes' displacement
-generators commute, so a displacement is the Kronecker product of two
-single-mode exponentials.  The u(2) generators conserve the total
-occupation N = n1 + n2, so their exponentials are block-diagonal by shell
-and shell_expm exponentiates one shell block (at most n_max + 1 states) at
-a time.  Both are exact for the truncated operators: the partial shells
+The u(2) generators conserve the total occupation N = n1 + n2, so their
+exponentials are block-diagonal by shell.  On each shell J+ and J- are
+nilpotent chains, so chain_exponential writes e^{z J+} and e^{z J-} entry
+by entry from a cached index and coefficient table; shell_expm
+exponentiates a general generator one shell block (at most n_max + 1
+states) at a time.  The two modes' displacement generators commute, so a
+displacement is the Kronecker product of two single-mode ones, each
+D(c) = P V e^{-i |c| mu} V^dag P^dag from one cached eigendecomposition
+V diag(mu) V^dag of the quadrature i(a^dag - a), with P = diag(e^{i n arg c}).
+All of these are exact for the truncated operators: the partial shells
 N > n_max are kept as the truncation leaves them, not dropped.
 """
 
@@ -123,6 +127,47 @@ def _shells(space: FockSpace) -> tuple[np.ndarray, ...]:
     return tuple(shells)
 
 
+@functools.cache
+def _chain_table(space: FockSpace) -> tuple[np.ndarray, ...]:
+    # every pair (i, j) of one shell with n1_i = n1_j + k, k >= 0: the flat
+    # indices, k and sqrt(n1_i! n2_j! / (n1_j! n2_i!)) / k!, the entry of
+    # J+^k / k! at (i, j); n1 steps by one along a shell; cached, so read-only
+    rows, cols, powers, coefs = [], [], [], []
+    for idx in _shells(space):
+        for a in range(idx.size):
+            n1_i, n2_i = space.occupations(int(idx[a]))
+            for b in range(a + 1):
+                k = a - b
+                rows.append(idx[a])
+                cols.append(idx[b])
+                powers.append(k)
+                ratio = math.perm(n1_i, k) * math.perm(n2_i + k, k)
+                coefs.append(math.sqrt(ratio) / math.factorial(k))
+    table = (np.array(rows), np.array(cols), np.array(powers), np.array(coefs))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def chain_exponential(space: FockSpace, z: complex, which: str) -> np.ndarray:
+    """e^{z J+} or e^{z J-} entry by entry: J+ raises n1 along a shell, so
+
+        e^{z J+}[i, j] = z^k / k! sqrt(n1_i! n2_j! / (n1_j! n2_i!))
+
+    for i and j in one shell with n1_i = n1_j + k, and e^{z J-} is the
+    transposed pattern with z^k.  Exact for the truncated operators,
+    partial shells included: J+^k links two states of the space only
+    through states of the space."""
+    rows, cols, powers, coefs = _chain_table(space)
+    if which == "J-":
+        rows, cols = cols, rows
+    elif which != "J+":
+        raise ValueError(f"unknown chain generator {which!r}")
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[rows, cols] = coefs * complex(z) ** powers
+    return out
+
+
 def shell_expm(space: FockSpace, gen: np.ndarray) -> np.ndarray:
     """exp(gen) for a generator that conserves the total occupation n1 + n2
     (any combination of J+, J-, J3 and N), one shell block at a time.
@@ -150,35 +195,60 @@ def _tail_weight(amplitude: complex, n_max: int) -> float:
     return math.exp(-p + n_max * math.log(p) - math.lgamma(n_max + 1))
 
 
-def _mode_displacements(space: FockSpace, c1: complex, c2: complex,
+@functools.cache
+def _quadrature_spectrum(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    # single-mode i(a^dag - a) = V diag(mu) V^dag; cached, so read-only
+    lower = _lowering(space)
+    mu, vecs = np.linalg.eigh(1j * (lower.T - lower))
+    mu.flags.writeable = False
+    vecs.flags.writeable = False
+    return mu, vecs
+
+
+def _mode_displacements(space: FockSpace, c,
                         tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # the single-mode factors exp(c a^dag - c* a) of a guarded displacement
-    tail = max(_tail_weight(c1, space.n_max), _tail_weight(c2, space.n_max))
+    """P V and e^{-i |c| mu} at each single-mode amplitude of the array c,
+    so that D(c) = exp(c a^dag - c* a) = (P V) diag(e^{-i |c| mu}) (P V)^dag
+    with P = diag(e^{i n arg c}), which turns c a^dag - c* a into
+    |c| (a^dag - a) = -i |c| V diag(mu) V^dag.  Raises TruncationError when
+    any amplitude's discarded Poisson tail exceeds tail_tol."""
+    c = np.asarray(c, dtype=complex)
+    tail = max((_tail_weight(x, space.n_max) for x in c.ravel().tolist()),
+               default=0.0)
     if tail > tail_tol:
         raise TruncationError(
             f"displacement tail weight {tail:.3e} exceeds {tail_tol:.1e} "
             f"at n_max={space.n_max}")
-    lower = _lowering(space)
-    return tuple(expm(c * lower.T - np.conj(c) * lower) for c in (c1, c2))
+    mu, vecs = _quadrature_spectrum(space)
+    phases = np.exp(1j * np.angle(c)[..., None] * np.arange(space.side))
+    return phases[..., :, None] * vecs, np.exp(-1j * np.abs(c)[..., None] * mu)
 
 
 def displacement_operator(space: FockSpace, c1: complex, c2: complex,
                           tail_tol: float = 1e-6) -> np.ndarray:
     """Two-mode displacement exp(c1 a1^dag - c1* a1 + c2 a2^dag - c2* a2),
-    the Kronecker product of the two commuting single-mode exponentials.
+    the Kronecker product of the two commuting single-mode displacements.
 
     Raises TruncationError when either mode's discarded Poisson tail exceeds
     tail_tol, i.e. when the displaced vacuum would press against the cutoff.
     """
-    d1, d2 = _mode_displacements(space, c1, c2, tail_tol)
+    pv, spectral = _mode_displacements(space, (c1, c2), tail_tol)
+    d1, d2 = (pv * spectral[:, None, :]) @ pv.conj().swapaxes(-1, -2)
     return np.kron(d1, d2)
 
 
-def coherent_state(space: FockSpace, c1: complex, c2: complex,
+def coherent_state(space: FockSpace, c1, c2,
                    tail_tol: float = 1e-6) -> np.ndarray:
-    """The displaced vacuum D(c1, c2)|0, 0>, through the same guard."""
-    d1, d2 = _mode_displacements(space, c1, c2, tail_tol)
-    return np.kron(d1[:, 0], d2[:, 0])
+    """The displaced vacuum D(c1, c2)|0, 0>, through the same guard, for
+    amplitudes c1 and c2 or, stacked along the first axis, for each pair
+    of two 1-D arrays of them; every amplitude must pass the guard."""
+    pv, spectral = _mode_displacements(
+        space, np.broadcast_arrays(c1, c2), tail_tol)
+    # column 0 of D(c); P V and V share row 0
+    weights = spectral * pv[..., 0, :].conj()
+    first, second = np.sum(pv * weights[..., None, :], axis=-1)
+    psi = first[..., :, None] * second[..., None, :]
+    return psi.reshape(*psi.shape[:-2], space.dim)
 
 
 def mixing_operator(space: FockSpace, gamma3: float, theta_diff: float,

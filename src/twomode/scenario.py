@@ -650,20 +650,26 @@ class FresnelNormScenario(Scenario):
         """q(t) = gd(psi(t)) = 2 arctan(tanh(psi/2)), at a time or at each
         time of a 1-D array; psi runs across every kink, so q rises
         monotonically towards pi/2."""
-        return 2.0 * np.arctan(np.tanh(0.5 * self.norm_integral(t)))
+        return self._tilt(t)[1]
+
+    def _tilt(self, t):
+        # psi, q = gd(psi) and tan(q) = sinh(psi); tan(q) from q itself
+        # loses relative accuracy as q nears pi/2 (5e-10 at psi = 18)
+        psi = self.norm_integral(t)
+        return psi, 2.0 * np.arctan(np.tanh(0.5 * psi)), np.sinh(psi)
 
     def coupling(self, t):
         offset = self.theta_v0 - self.theta_u0 - math.pi / 2.0
-        q = self.tilt_angle(t)
+        _, q, tanq = self._tilt(t)
         norm = self.w12_0 * np.abs(np.cos(self.nu * t * t))
-        return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - np.tan(q) + offset))
+        return 0.0, 0.0, norm * np.exp(1j * (3.0 * q - tanq + offset))
 
     def diag_integrals(self, t):
         return 0.0, 0.0
 
     def phase_reference(self, t):
-        q = self.tilt_angle(t)
-        return 3.0 * q - np.tan(q) + self.theta_v0 - self.theta_u0 - math.pi
+        _, q, tanq = self._tilt(t)
+        return 3.0 * q - tanq + self.theta_v0 - self.theta_u0 - math.pi
 
     def alt_chart(self, t):
         """Closed at every time, across the kinks of |cos(nu s^2)|: with
@@ -676,12 +682,16 @@ class FresnelNormScenario(Scenario):
             Lambda~ = -tan(q) e^{i (theta_v - theta_u)}
             Omega~  = ln sec^2(q) - 2 i (theta_u - theta_u0)
             Gamma~  =  tan(q) e^{-i (tan(q) + theta_v0 - theta_u0)}.
+
+        tan(q) = sinh(psi) and ln sec^2(q) = 2 ln cosh(psi) are taken from
+        psi, with ln cosh(psi) = log1p(2 sinh^2(psi/2)), so the chart keeps
+        its relative accuracy both near t = 0 and on long horizons.
         """
-        q = self.tilt_angle(np.asarray(t, dtype=float))
-        tanq = np.tan(q)
+        psi, q, tanq = self._tilt(np.asarray(t, dtype=float))
         offset = self.theta_v0 - self.theta_u0
+        log_cosh = np.log1p(2.0 * np.sinh(0.5 * psi) ** 2)
         chart = (-tanq * np.exp(1j * (2.0 * q - tanq + offset)),
-                 -2.0 * (np.log(np.abs(np.cos(q))) + 1j * (tanq - q)),
+                 2.0 * (log_cosh - 1j * (tanq - q)),
                  tanq * np.exp(-1j * (tanq + offset)))
         return tuple(c[()] for c in chart)
 

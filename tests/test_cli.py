@@ -319,6 +319,22 @@ def test_coherent_command(tmp_path):
         assert vals[6] < 1e-7
 
 
+def test_coherent_refuses_an_amplitude_past_the_cutoff(tmp_path, capsys):
+    # |c(t)| = 6 pushes the coherent state past n_max = 8: the truncation
+    # guard's error is reported, not raised, and no table is written
+    ini = write_ini(tmp_path, ISOTROPIC_INI.replace("Z0_re = 0.4",
+                                                    "Z0_re = 6"))
+    out = tmp_path / "run"
+    code = main(["coherent", "--scenario", ini, "--t-end", "2.0",
+                 "--grid", "9", "--nmax", "8", "--out", str(out),
+                 "--format", "both"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: displacement tail weight")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_verify_passes(tmp_path, capsys):
     ini = write_ini(tmp_path, ALL_CONSTANT_INI)
     out = tmp_path / "run"

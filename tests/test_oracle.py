@@ -374,7 +374,10 @@ def test_oracle_imports_no_factorization_code():
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
     read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert "shell_expm" not in read
+    # nor the closed exponentials the assembly is built from
+    closed = {"shell_expm", "chain_exponential", "_chain_table",
+              "_quadrature_spectrum", "_mode_displacements"}
+    assert not read & closed, sorted(read & closed)
 
 
 def test_oracle_reads_no_closed_form_data():

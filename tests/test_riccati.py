@@ -287,15 +287,17 @@ def test_fresnel_alt_chart_past_the_kinks(w12_0, nu, t_end):
 def _series_psi_chart(scenario, t):
     # the first-stretch chart that the closed psi replaced, kept as its
     # reference: psi from one Fresnel C series per point, valid while
-    # nu t^2 <= pi/2
+    # nu t^2 <= pi/2; tan(q) = sinh(psi) and ln|cos q| = -ln cosh(psi)
+    # straight from psi, whose relative accuracy near t = 0 a detour
+    # through q would not keep
     scale = math.sqrt(math.pi / (2.0 * scenario.nu))
     series = np.vectorize(lambda x: fresnel_c(x).value, otypes=[complex])
     psi = scenario.w12_0 * scale * series(t / scale).real
     q = 2.0 * np.arctan(np.tanh(0.5 * psi))
-    tanq = np.tan(q)
+    tanq = np.sinh(psi)
     offset = scenario.theta_v0 - scenario.theta_u0
     return (-tanq * np.exp(1j * (2.0 * q - tanq + offset)),
-            -2.0 * (np.log(np.abs(np.cos(q))) + 1j * (tanq - q)),
+            2.0 * (np.log1p(2.0 * np.sinh(0.5 * psi) ** 2) - 1j * (tanq - q)),
             tanq * np.exp(-1j * (tanq + offset)))
 
 

@@ -535,6 +535,32 @@ def test_fresnel_norm_tilt_angle_on_an_array_matches_scalar_calls():
         assert abs(sc.tilt_angle(float(t)) - want) <= 1e-15
 
 
+@pytest.mark.parametrize("psi_target", [0.01, 5.0, 10.0, 18.0])
+def test_fresnel_norm_chart_keeps_relative_accuracy(psi_target):
+    # tan q = sinh psi and ln|cos q| = -ln cosh psi against mpmath at the
+    # float psi the scenario reads; through q = gd(psi) tan q was 5e-10
+    # off at psi = 18
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.optimize import brentq
+
+    sc = FresnelNormScenario(w12_0=1.0, nu=0.4, theta_v0=0.1, theta_u0=-0.2)
+    t = brentq(lambda s: sc.norm_integral(s) - psi_target, 0.0, 40.0)
+    with mpmath.workdps(40):
+        psi = mpmath.mpf(float(sc.norm_integral(t)))
+        q = 2 * mpmath.atan(mpmath.tanh(psi / 2))
+        tanq = mpmath.sinh(psi)
+        lam, omega, gamma = sc.alt_chart(t)
+        checks = [(abs(lam), tanq), (abs(gamma), tanq),
+                  (omega.real, 2 * mpmath.log(mpmath.cosh(psi)))]
+        if psi_target >= 5.0:
+            # sinh(psi) - gd(psi) cancels near t = 0, so only here
+            checks += [(omega.imag, -2 * (tanq - q)),
+                       (sc.phase_reference(t),
+                        3 * q - tanq + sc.theta_v0 - sc.theta_u0 - mpmath.pi)]
+        for got, want in checks:
+            assert abs(float(got) - want) <= 1e-14 * abs(want)
+
+
 def test_only_fresnel_norm_declares_kinks():
     # |cos(nu s^2)| has corners, while a cubic spline stays C2 at its knots
     fresnel = FresnelNormScenario(w12_0=1.0, nu=2.0)

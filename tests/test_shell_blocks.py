@@ -1,6 +1,6 @@
-"""Shell-block and Kronecker assembly against dense references: each
-operator must match its construction by one `expm` on the full truncated
-space, partial shells included."""
+"""Closed, shell-block and Kronecker assembly against dense references:
+each operator must match its construction by one `expm` on the full
+truncated space, partial shells included."""
 
 import cmath
 import math
@@ -11,15 +11,18 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import twomode.evolution
 from twomode.evolution import (CoherentAmplitudes, CoherentStateSpec,
                                _gauss_product, _su2_lift, assemble_U,
-                               c_coefficients, ladder_eigenvalue_check)
-from twomode.fock import (annihilator, coherent_state, displacement_operator,
-                          make_space, mixing_operator, number_diagonals,
-                          shell_expm, su2_generator, vacuum_state)
+                               c_coefficients, ladder_eigenvalue_check,
+                               ladder_eigenvalue_checks)
+from twomode.fock import (TruncationError, annihilator, chain_exponential,
+                          coherent_state, displacement_operator, make_space,
+                          mixing_operator, number_diagonals, shell_expm,
+                          su2_generator, vacuum_state)
 from twomode.riccati import solve_riccati_numeric
-from twomode.scenario import (AllConstantScenario, ConstantPhaseScenario,
-                              RotatingDrive)
+from twomode.scenario import (AllConstantScenario, ConstantDrive,
+                              ConstantPhaseScenario, RotatingDrive)
 
 N_MAX = [1, 2, 8, 12]
 
@@ -117,6 +120,47 @@ def test_displacement_is_the_dense_exponential(n_max):
         assert_close(psi, dense_displacement(space, c1, c2) @ vacuum_state(space))
 
 
+amplitudes = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                allow_infinity=False)
+
+
+@seed(3)
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(min_value=1, max_value=12), z=amplitudes)
+def test_chain_exponentials_are_the_dense_expm(n_max, z):
+    space = make_space(n_max)
+    for which, gen in zip(("J+", "J-"), dense_jpm(space)):
+        assert_close(chain_exponential(space, z, which), expm(z * gen))
+
+
+@seed(4)
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(min_value=1, max_value=12), c1=amplitudes,
+       c2=amplitudes)
+def test_spectral_displacement_is_the_dense_expm(n_max, c1, c2):
+    space = make_space(n_max)
+    dense = dense_displacement(space, c1, c2)
+    assert_close(displacement_operator(space, c1, c2, tail_tol=1.0), dense)
+    assert_close(coherent_state(space, c1, c2, tail_tol=1.0), dense[:, 0])
+
+
+def test_coherent_states_on_arrays_are_the_one_pair_states():
+    space = make_space(8)
+    c1 = np.array([0.4 - 0.1j, 0.0, -0.7j, 0.5])
+    c2 = np.array([0.2j, 0.7, 0.3 + 0.3j, 0.0])
+    states = coherent_state(space, c1, c2)
+    assert states.shape == (4, space.dim)
+    for psi, a, b in zip(states, c1, c2):
+        assert np.max(np.abs(psi - coherent_state(space, a, b))) <= 1e-15
+
+
+def test_every_amplitude_of_an_array_passes_the_guard():
+    # |c| = 3 leaks 0.13 of the weight past n_max = 8, wherever it sits
+    space = make_space(8)
+    with pytest.raises(TruncationError, match="tail weight 1.3"):
+        coherent_state(space, [0.1, 0.2, 0.3], [0.0, 3.0, 0.1])
+
+
 @pytest.mark.parametrize("n_max", N_MAX)
 def test_su2_generators_are_the_annihilator_products(n_max):
     space = make_space(n_max)
@@ -194,6 +238,19 @@ def test_su2_lift_is_the_dense_lift(n_max):
 DRIVE_AT = {1: 4e-4, 2: 0.01, 8: 0.1, 12: 0.1}
 
 
+def test_assemble_rejects_a_strong_drive_before_any_gauss_product(
+        monkeypatch):
+    # the displacement's guard runs first, so U0 is never formed
+    def forbidden(*args):
+        raise AssertionError("Gauss product formed for a rejected drive")
+
+    monkeypatch.setattr(twomode.evolution, "_gauss_product", forbidden)
+    scenario = AllConstantScenario(w11=0.4, w22=0.2, w12=0.05,
+                                   f1=ConstantDrive(3.0 + 0j))
+    with pytest.raises(TruncationError):
+        assemble_U(make_space(8), scenario, 1.0)
+
+
 @pytest.mark.parametrize("n_max", N_MAX)
 @pytest.mark.parametrize("case", ["driven", "ConstantPhase-past-pole"])
 def test_assemble_U_is_the_dense_assembly(n_max, case):
@@ -214,17 +271,32 @@ def test_assemble_U_is_the_dense_assembly(n_max, case):
 
 
 def test_ladder_check_matches_dense_annihilators():
+    # the array pass, its one-row calls and the dense annihilators agree
     space = make_space(8)
-    spec = CoherentStateSpec(z0=0.6, alpha0=math.sqrt(0.3),
-                             beta0=math.sqrt(0.7) * 1j)
-    amps = CoherentAmplitudes(t=0.5, c1=0.4 - 0.1j, c2=0.2j, global_phase=1.0)
-    for coefficients in (None, (0.8, 0.6j)):
-        got = ladder_eigenvalue_check(space, spec, amps, coefficients)
-        u1, u2 = coefficients or (np.conj(amps.c1) / np.conj(spec.z0),
-                                  np.conj(amps.c2) / np.conj(spec.z0))
-        op = u1 * annihilator(space, 1) + u2 * annihilator(space, 2)
-        psi = coherent_state(space, amps.c1, amps.c2)
-        lam = np.vdot(psi, op @ psi) / np.vdot(psi, psi)
-        assert abs(got.eigenvalue - lam) <= 1e-14
-        res = np.linalg.norm(op @ psi - lam * psi) / np.linalg.norm(psi)
-        assert abs(got.residual - res) <= 1e-14
+    c1 = np.array([0.4 - 0.1j, 0.0, -0.5j, 0.6, 0.1 + 0.2j])
+    c2 = np.array([0.2j, 0.5, 0.3 + 0.3j, 0.0, -0.7])
+    a1, a2 = annihilator(space, 1), annihilator(space, 2)
+    for spec in (CoherentStateSpec(z0=0.6, alpha0=math.sqrt(0.3),
+                                   beta0=math.sqrt(0.7) * 1j),
+                 CoherentStateSpec(z0=0j, alpha0=0.8, beta0=-0.6j)):
+        for coefficients in (None, (0.8, 0.6j)):
+            lams, residuals = ladder_eigenvalue_checks(space, spec, c1, c2,
+                                                       coefficients)
+            for a, b, lam, res in zip(c1, c2, lams, residuals):
+                amps = CoherentAmplitudes(t=0.5, c1=a, c2=b, global_phase=1.0)
+                row = ladder_eigenvalue_check(space, spec, amps, coefficients)
+                assert abs(row.eigenvalue - lam) <= 1e-14
+                assert abs(row.residual - res) <= 1e-14
+                if coefficients is not None:
+                    u1, u2 = coefficients
+                elif spec.z0 == 0:
+                    u1, u2 = np.conj(spec.alpha0), np.conj(spec.beta0)
+                else:
+                    u1, u2 = np.conj((a, b)) / np.conj(spec.z0)
+                op = u1 * a1 + u2 * a2
+                psi = dense_displacement(space, a, b) @ vacuum_state(space)
+                want = np.vdot(psi, op @ psi) / np.vdot(psi, psi)
+                assert abs(lam - want) <= 1e-14
+                want_res = (np.linalg.norm(op @ psi - want * psi)
+                            / np.linalg.norm(psi))
+                assert abs(res - want_res) <= 1e-14
