@@ -18,7 +18,11 @@ midpoint coefficients as arrays, in the calling thread.
   coefficients alone.  A step is taken as ceil(theta_k) equal substeps of
   the same frozen H_k, each the Horner sum of the Taylor series of the
   exponential to the least degree whose remainder bound is 2^-53 (Al-Mohy
-  and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+  and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  H_k is never formed
+  dense: the B_j share one fixed CSR pattern, the union of their nonzeros
+  ((n+1)^2 + 4n(n+1) + 2n^2 of (n+1)^4 entries at cutoff n), and each step
+  fills only its values.  A step whose coefficients are not finite is
+  refused, not skipped.
 
 Agreement between this route and the closed forms is the main evidence the
 factorization is right; the two routes must stay independent.
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .fock import FockSpace, annihilator, interior_mask, number_diagonals
 from .scenario import Scenario
@@ -65,6 +70,12 @@ def hamiltonian_ops(space: FockSpace) -> dict:
 def _basis(ops: dict) -> np.ndarray:
     # (len(_TERMS), dim * dim): H at one time is coefficient row @ basis
     return np.stack([ops[name].ravel() for name in _TERMS])
+
+
+def _support(basis: np.ndarray) -> np.ndarray:
+    """Row-major flat indices of the entries where any operator of basis
+    is nonzero: the pattern of every H, in CSR order."""
+    return np.flatnonzero(basis.any(axis=0))
 
 
 def _coefficients(scenario: Scenario, ts: np.ndarray) -> np.ndarray:
@@ -125,16 +136,28 @@ def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
         raise InsufficientSamples("n_steps must be at least 1")
     ts, h = _midpoints(scenario, t, n_steps)
     coef = _coefficients(scenario, ts)
+    bad = ~np.isfinite(coef).all(axis=1)
+    if bad.any():
+        raise ValueError("H has a coefficient that is not finite at the "
+                         f"midpoint t = {float(ts[np.argmax(bad)])!r}")
     ops = hamiltonian_ops(space)
     norms = np.array([np.abs(ops[name]).sum(axis=0).max() for name in _TERMS])
     theta = h * (np.abs(coef) @ norms)        # >= |h_k H_k|_1
     substeps = np.maximum(np.ceil(theta), 1).astype(int)
     degrees = _taylor_degrees(theta / substeps)
     basis = _basis(ops)
+    support = _support(basis)
+    rows, cols = np.divmod(support, space.dim)
+    # every H_k shares this CSR pattern, so a step writes only a.data
+    a = scipy.sparse.csr_array(
+        (np.zeros(support.size, dtype=complex), cols,
+         np.searchsorted(rows, np.arange(space.dim + 1))),
+        shape=(space.dim, space.dim))
+    basis = basis[:, support]
     out = np.eye(space.dim, dtype=complex) if states is None else \
         np.asarray(states, dtype=complex)
     for row, hk, s, m in zip(coef, h, substeps, degrees):
-        a = ((row * (-1j * hk / s)) @ basis).reshape(space.dim, space.dim)
+        a.data[:] = (row * (-1j * hk / s)) @ basis
         for _ in range(s):
             w = out
             for j in range(m, 0, -1):

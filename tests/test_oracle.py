@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import twomode.oracle
-from twomode.fock import annihilator, coherent_state, make_space, number_diagonals
+from twomode.fock import (annihilator, coherent_state, interior_mask,
+                          make_space, number_diagonals)
 from twomode.oracle import (InsufficientSamples, brute_force_propagator,
                             brute_force_smatrix, compare_operators,
                             hamiltonian_matrix, hamiltonian_ops, ode_residual)
@@ -286,6 +288,63 @@ def test_taylor_action_matches_eigendecomposition_loop(scenario, n_max, t,
     one = brute_force_propagator(space, scenario, t, n_steps, states=psi[:, 1])
     assert one.shape == (space.dim,)
     assert np.max(np.abs(one - u @ psi[:, 1])) <= 1e-12
+
+
+def test_taylor_action_matches_eigendecomposition_loop_at_verify_size():
+    # verify runs the Fock oracle at n_max 8 on three coherent states
+    # masked to the interior shells
+    space = make_space(8)
+    u = brute_force_propagator(space, DRIVEN, 0.9, 64)
+    ref = loop_propagator(space, DRIVEN, 0.9, 64)
+    assert np.max(np.abs(u - ref)) <= 1e-12
+    keep = interior_mask(space, 2)
+    states = []
+    for c1, c2 in ((0.3, 0.0), (0.0, 0.4), (0.25 + 0.2j, -0.3j)):
+        psi = coherent_state(space, c1, c2) * keep
+        states.append(psi / np.linalg.norm(psi))
+    states = np.stack(states, axis=1)
+    got = brute_force_propagator(space, DRIVEN, 0.9, 64, states)
+    assert np.max(np.abs(got - ref @ states)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 8])
+def test_sparse_pattern_covers_hamiltonian(n_max):
+    # the diagonal, four ladders and two hoppings, and nothing else
+    space = make_space(n_max)
+    support = twomode.oracle._support(
+        twomode.oracle._basis(hamiltonian_ops(space)))
+    n = n_max
+    assert support.size == (n + 1) ** 2 + 4 * n * (n + 1) + 2 * n * n
+    assert np.all(np.diff(support) > 0)
+    off = np.ones(space.dim * space.dim, dtype=bool)
+    off[support] = False
+    for t in (0.0, 0.37, 1.2, 2.9):
+        h = hamiltonian_matrix(space, DRIVEN, t)
+        assert not h.ravel()[off].any()
+
+
+@dataclass(frozen=True)
+class _BlowUp(AllConstantScenario):
+    """w11 becomes value after t = 0.5."""
+
+    value: float = np.inf
+
+    def coupling(self, t):
+        w11 = np.where(np.asarray(t) > 0.5, self.value, self.w11)
+        return w11, self.w22, self.w12
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_propagator_refuses_nonfinite_coefficients(value):
+    # a step with no finite substep count must stop the product, not be
+    # dropped from it
+    scenario = _BlowUp(w11=0.7, w22=0.3, w12=0.25 + 0.1j, value=value)
+    space = make_space(2)
+    # the first midpoint past 0.5 of eight steps over [0, 1]
+    with pytest.raises(ValueError, match=r"t = 0\.5625"):
+        brute_force_propagator(space, scenario, 1.0, 8)
+    u = brute_force_propagator(space, scenario, 0.5, 8)
+    assert np.all(np.isfinite(u))
 
 
 def test_propagator_converges_across_kinks():
