@@ -21,8 +21,15 @@ midpoint coefficients as arrays, in the calling thread.
   and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  H_k is never formed
   dense: the B_j share one fixed CSR pattern, the union of their nonzeros
   ((n+1)^2 + 4n(n+1) + 2n^2 of (n+1)^4 entries at cutoff n), and each step
-  fills only its values.  A step whose coefficients are not finite is
-  refused, not skipped.
+  forms only its values, already divided by j for the Horner term
+  out + (A/j) w.  Each term is one call of SciPy's compiled CSR kernel
+  scipy.sparse._sparsetools.csr_matvecs, which adds A w to a copy of out;
+  no sparse container is used in the loop, since the Python dispatch of
+  csr_array @ costs several times the product itself at this size.  The
+  kernel is private and checks no sizes, so the states must have dim rows
+  (tests/test_oracle.py pins its contract).  A step whose coefficients are
+  not finite is refused, not skipped, and so is a negative or non-finite
+  t: both oracles step forward over [0, t].
 
 Agreement between this route and the closed forms is the main evidence the
 factorization is right; the two routes must stay independent.
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .fock import FockSpace, annihilator, interior_mask, number_diagonals
 from .scenario import Scenario
@@ -103,7 +110,10 @@ def _midpoints(scenario: Scenario, t: float,
     uniform steps, save that a step across one of scenario.kinks(t), where
     a midpoint step is only first order, is split there (the steps then
     run between the uniform edges and the kinks).  The steps for 2 n_steps
-    still nest in those for n_steps."""
+    still nest in those for n_steps.  t must be finite and non-negative:
+    the steps run forward from 0."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and non-negative, not {t!r}")
     dt = t / n_steps
     kinks = np.asarray(scenario.kinks(t), dtype=float)
     if kinks.size == 0:
@@ -129,11 +139,16 @@ def _taylor_degrees(tau: np.ndarray) -> np.ndarray:
 def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
                            n_steps: int, states=None) -> np.ndarray:
     """U @ states, U the time-ordered product of the midpoint-frozen step
-    exponentials on the truncated Fock space.  states is a vector or a
-    dim x k block; by default the identity, so that U itself is returned.
-    Second order accurate in t/n_steps."""
+    exponentials on the truncated Fock space over [0, t].  states is a
+    vector or a dim x k block; by default the identity, so that U itself
+    is returned.  Second order accurate in t/n_steps."""
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
+    n = space.dim
+    out = np.eye(n, dtype=complex) if states is None else \
+        np.array(states, dtype=complex, order="C")
+    if out.ndim not in (1, 2) or out.shape[0] != n:
+        raise ValueError(f"states must have {n} rows, not shape {out.shape}")
     ts, h = _midpoints(scenario, t, n_steps)
     coef = _coefficients(scenario, ts)
     bad = ~np.isfinite(coef).all(axis=1)
@@ -147,23 +162,25 @@ def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
     degrees = _taylor_degrees(theta / substeps)
     basis = _basis(ops)
     support = _support(basis)
-    rows, cols = np.divmod(support, space.dim)
-    # every H_k shares this CSR pattern, so a step writes only a.data
-    a = scipy.sparse.csr_array(
-        (np.zeros(support.size, dtype=complex), cols,
-         np.searchsorted(rows, np.arange(space.dim + 1))),
-        shape=(space.dim, space.dim))
+    rows, cols = np.divmod(support, n)
+    # every H_k shares this CSR pattern, so a step forms only its values
+    indices = cols.astype(np.int32)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
     basis = basis[:, support]
-    out = np.eye(space.dim, dtype=complex) if states is None else \
-        np.asarray(states, dtype=complex)
+    inverses = 1.0 / np.arange(1, degrees.max() + 1)
+    shape, k = out.shape, out.size // n
+    out = out.ravel()
     for row, hk, s, m in zip(coef, h, substeps, degrees):
-        a.data[:] = (row * (-1j * hk / s)) @ basis
+        # row j - 1 holds the values of -i h_k H_k / s divided by j
+        scaled = np.outer(inverses[:m], (row * (-1j * hk / s)) @ basis)
         for _ in range(s):
             w = out
             for j in range(m, 0, -1):
-                w = out + (a @ w) / j
+                y = out.copy()
+                csr_matvecs(n, n, k, indptr, indices, scaled[j - 1], w, y)
+                w = y
             out = w
-    return out
+    return out.reshape(shape)
 
 
 def _su2_steps(w11, w22, w12, n: int, dt) -> np.ndarray:
@@ -202,7 +219,7 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 
 def brute_force_smatrix(scenario: Scenario, t: float, n_steps: int) -> np.ndarray:
     """Same midpoint product for the 2x2 coefficient matrix W(s) over the
-    steps of _midpoints, taken _BLOCK steps at a time."""
+    steps of _midpoints on [0, t], taken _BLOCK steps at a time."""
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
     ts, h = _midpoints(scenario, t, n_steps)

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,8 @@ from twomode.oracle import (InsufficientSamples, brute_force_propagator,
                             hamiltonian_matrix, hamiltonian_ops, ode_residual)
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
-                              FresnelNormScenario, LinearPhaseScenario,
+                              FresnelNormScenario, GeneralPhaseScenario,
+                              LinearPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
                               TabulatedScenario)
 from twomode.smatrix import smatrix_closed
@@ -56,6 +59,37 @@ def loop_propagator(space, scenario, t, n_steps):
         h = _loop_hamiltonian(space, scenario, (k + 0.5) * dt)
         u = _loop_step_unitary(h, dt) @ u
     return u
+
+
+def csr_loop_propagator(space, scenario, t, n_steps, states):
+    # the same steps and Taylor degrees, with a scipy.sparse.csr_array whose
+    # values each step overwrites and w = out + (a @ w) / j per term
+    oracle = twomode.oracle
+    ts, h = oracle._midpoints(scenario, t, n_steps)
+    coef = oracle._coefficients(scenario, ts)
+    ops = hamiltonian_ops(space)
+    norms = np.array([np.abs(ops[name]).sum(axis=0).max()
+                      for name in oracle._TERMS])
+    theta = h * (np.abs(coef) @ norms)
+    substeps = np.maximum(np.ceil(theta), 1).astype(int)
+    degrees = oracle._taylor_degrees(theta / substeps)
+    basis = oracle._basis(ops)
+    support = oracle._support(basis)
+    rows, cols = np.divmod(support, space.dim)
+    a = scipy.sparse.csr_array(
+        (np.zeros(support.size, dtype=complex), cols,
+         np.searchsorted(rows, np.arange(space.dim + 1))),
+        shape=(space.dim, space.dim))
+    basis = basis[:, support]
+    out = np.asarray(states, dtype=complex)
+    for row, hk, s, m in zip(coef, h, substeps, degrees):
+        a.data[:] = (row * (-1j * hk / s)) @ basis
+        for _ in range(s):
+            w = out
+            for j in range(m, 0, -1):
+                w = out + (a @ w) / j
+            out = w
+    return out
 
 
 def loop_smatrix(scenario, t, n_steps):
@@ -290,21 +324,76 @@ def test_taylor_action_matches_eigendecomposition_loop(scenario, n_max, t,
     assert np.max(np.abs(one - u @ psi[:, 1])) <= 1e-12
 
 
-def test_taylor_action_matches_eigendecomposition_loop_at_verify_size():
-    # verify runs the Fock oracle at n_max 8 on three coherent states
-    # masked to the interior shells
-    space = make_space(8)
-    u = brute_force_propagator(space, DRIVEN, 0.9, 64)
-    ref = loop_propagator(space, DRIVEN, 0.9, 64)
-    assert np.max(np.abs(u - ref)) <= 1e-12
+def _verify_states(space):
+    # verify's three coherent test states, masked to the interior shells
     keep = interior_mask(space, 2)
     states = []
     for c1, c2 in ((0.3, 0.0), (0.0, 0.4), (0.25 + 0.2j, -0.3j)):
         psi = coherent_state(space, c1, c2) * keep
         states.append(psi / np.linalg.norm(psi))
-    states = np.stack(states, axis=1)
+    return np.stack(states, axis=1)
+
+
+def test_taylor_action_matches_eigendecomposition_loop_at_verify_size():
+    # verify runs the Fock oracle at n_max 8 on three coherent states
+    space = make_space(8)
+    u = brute_force_propagator(space, DRIVEN, 0.9, 64)
+    ref = loop_propagator(space, DRIVEN, 0.9, 64)
+    assert np.max(np.abs(u - ref)) <= 1e-12
+    states = _verify_states(space)
     got = brute_force_propagator(space, DRIVEN, 0.9, 64, states)
     assert np.max(np.abs(got - ref @ states)) <= 1e-12
+
+
+PRINTED_FAMILIES = [
+    ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05),
+    LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, w11=0.15, w22=0.05),
+    GeneralPhaseScenario(eta0=0.8, w0=1.2, phi0=0.2, theta0=1.0, nu=0.2),
+    AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j),
+    RhoConstantScenario(rho0=math.pi / 6.0, eta0=0.8, w0=1.0,
+                        theta_alpha0=0.3, theta_beta0=-0.2),
+]
+
+
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("family", PRINTED_FAMILIES,
+                         ids=lambda scenario: scenario.case)
+def test_kernel_oracle_matches_csr_container_loop(family, driven):
+    # each Taylor term as one compiled kernel call on values already
+    # divided by j gives the numbers of the csr_array loop it replaced
+    if driven:
+        family = dataclasses.replace(family, f1=DRIVEN.f1, f2=DRIVEN.f2,
+                                     b=DRIVEN.b)
+    space = make_space(8)
+    states = _verify_states(space)
+    got = brute_force_propagator(space, family, 1.1, 256, states)
+    ref = csr_loop_propagator(space, family, 1.1, 256, states)
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+@pytest.mark.parametrize("k", [1, 3, 81])
+def test_csr_kernel_adds_product_to_output(n_max, k):
+    # the private SciPy kernel the Fock oracle calls: y += A @ X for a
+    # row-major X of k columns, in the oracle's own pattern
+    from scipy.sparse._sparsetools import csr_matvecs
+    space = make_space(n_max)
+    n = space.dim
+    support = twomode.oracle._support(
+        twomode.oracle._basis(hamiltonian_ops(space)))
+    rows, cols = np.divmod(support, n)
+    indices = cols.astype(np.int32)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    rng = np.random.default_rng(100 * n_max + k)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    data, x, y0 = draw(support.size), draw(n, k), draw(n, k)
+    y = y0.copy()
+    csr_matvecs(n, n, k, indptr, indices, data, x.ravel(), y.ravel())
+    a = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+    assert np.max(np.abs(y - (y0 + a @ x))) <= 1e-13
 
 
 @pytest.mark.parametrize("n_max", [1, 3, 8])
@@ -345,6 +434,51 @@ def test_propagator_refuses_nonfinite_coefficients(value):
         brute_force_propagator(space, scenario, 1.0, 8)
     u = brute_force_propagator(space, scenario, 0.5, 8)
     assert np.all(np.isfinite(u))
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, np.inf, -np.inf, np.nan])
+def test_oracles_refuse_negative_or_nonfinite_time(t):
+    # the steps run forward over [0, t]; at t < 0 the Fock oracle's Taylor
+    # degree was 0 and it returned the states unchanged
+    scenario = AllConstantScenario(w11=0.7, w22=0.1, w12=0.3 + 0.1j)
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        brute_force_propagator(make_space(3), scenario, t, 64)
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        brute_force_smatrix(scenario, t, 64)
+
+
+def test_oracles_at_time_zero_return_states_unchanged():
+    scenario = AllConstantScenario(w11=0.7, w22=0.1, w12=0.3 + 0.1j,
+                                   f1=ConstantDrive(0.2))
+    space = make_space(3)
+    psi = np.arange(2 * space.dim).reshape(space.dim, 2) * (1 + 0.5j)
+    assert np.array_equal(
+        brute_force_propagator(space, scenario, 0.0, 64, psi), psi)
+    assert np.array_equal(brute_force_propagator(space, scenario, 0.0, 64),
+                          np.eye(space.dim))
+    assert np.array_equal(brute_force_smatrix(scenario, 0.0, 64), np.eye(2))
+
+
+@pytest.mark.parametrize("shape", [(27, 9), (82,), (3, 81), (81, 3, 1)])
+def test_propagator_refuses_states_of_another_size(shape):
+    # the kernel checks no sizes: 27 x 9 holds the 243 entries of 81 x 3
+    with pytest.raises(ValueError, match="81 rows"):
+        brute_force_propagator(make_space(8), DRIVEN, 0.9, 4,
+                               np.ones(shape, dtype=complex))
+
+
+def test_propagator_takes_states_in_any_layout_and_keeps_them():
+    space = make_space(8)
+    u = brute_force_propagator(space, DRIVEN, 0.9, 64)
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(space.dim, 6)) + 1j * rng.normal(size=(space.dim, 6))
+    block /= np.linalg.norm(block, axis=0)
+    for states in (block[:, 0], np.asfortranarray(block), block[:, ::2]):
+        before = states.copy()
+        got = brute_force_propagator(space, DRIVEN, 0.9, 64, states)
+        assert got.shape == states.shape
+        assert np.max(np.abs(got - u @ states)) <= 1e-14
+        assert np.array_equal(states, before)
 
 
 def test_propagator_converges_across_kinks():
