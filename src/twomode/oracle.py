@@ -20,8 +20,10 @@ midpoint coefficients as arrays, in the calling thread.
   exponential to the least degree whose remainder bound is 2^-53 (Al-Mohy
   and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  H_k is never formed
   dense: the B_j share one fixed CSR pattern, the union of their nonzeros
-  ((n+1)^2 + 4n(n+1) + 2n^2 of (n+1)^4 entries at cutoff n), and each step
-  forms only its values, already divided by j for the Horner term
+  ((n+1)^2 + 4n(n+1) + 2n^2 of (n+1)^4 entries at cutoff n), built once
+  per space with the B_j's values on it and their norms.  The values of
+  -i h_k H_k / s_k are formed for a block of consecutive steps in one
+  product, and each step divides its own row by j for the Horner term
   out + (A/j) w.  Each term is one call of SciPy's compiled CSR kernel
   scipy.sparse._sparsetools.csr_matvecs, which adds A w to a copy of out;
   no sparse container is used in the loop, since the Python dispatch of
@@ -37,6 +39,7 @@ factorization is right; the two routes must stay independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,10 @@ from .fock import FockSpace, annihilator, interior_mask, number_diagonals
 from .scenario import Scenario
 
 # midpoints the 2x2 oracle samples and multiplies at once; bounds its memory
-_BLOCK = 1024
+_BLOCK = 4096
+
+# steps whose CSR values the Fock oracle forms in one product
+_VALUE_BLOCK = 64
 
 # truncation bound of each Taylor sum in the Fock oracle, relative to the
 # vector it acts on: the unit roundoff of a double
@@ -83,6 +89,24 @@ def _support(basis: np.ndarray) -> np.ndarray:
     """Row-major flat indices of the entries where any operator of basis
     is nonzero: the pattern of every H, in CSR order."""
     return np.flatnonzero(basis.any(axis=0))
+
+
+@functools.cache
+def _csr_pattern(space: FockSpace) -> tuple[np.ndarray, ...]:
+    """The 1-norms of the operators of _TERMS, their values on the shared
+    CSR pattern (one row each) and the pattern's int32 indices and indptr;
+    cached per space, so read-only."""
+    ops = hamiltonian_ops(space)
+    norms = np.array([np.abs(ops[name]).sum(axis=0).max() for name in _TERMS])
+    basis = _basis(ops)
+    support = _support(basis)
+    rows, cols = np.divmod(support, space.dim)
+    indptr = np.searchsorted(rows, np.arange(space.dim + 1))
+    pattern = (norms, basis[:, support], cols.astype(np.int32),
+               indptr.astype(np.int32))
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
 
 
 def _coefficients(scenario: Scenario, ts: np.ndarray) -> np.ndarray:
@@ -155,31 +179,28 @@ def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
     if bad.any():
         raise ValueError("H has a coefficient that is not finite at the "
                          f"midpoint t = {float(ts[np.argmax(bad)])!r}")
-    ops = hamiltonian_ops(space)
-    norms = np.array([np.abs(ops[name]).sum(axis=0).max() for name in _TERMS])
+    # every H_k shares this CSR pattern, so a step forms only its values
+    norms, basis, indices, indptr = _csr_pattern(space)
     theta = h * (np.abs(coef) @ norms)        # >= |h_k H_k|_1
     substeps = np.maximum(np.ceil(theta), 1).astype(int)
     degrees = _taylor_degrees(theta / substeps)
-    basis = _basis(ops)
-    support = _support(basis)
-    rows, cols = np.divmod(support, n)
-    # every H_k shares this CSR pattern, so a step forms only its values
-    indices = cols.astype(np.int32)
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-    basis = basis[:, support]
     inverses = 1.0 / np.arange(1, degrees.max() + 1)
     shape, k = out.shape, out.size // n
     out = out.ravel()
-    for row, hk, s, m in zip(coef, h, substeps, degrees):
-        # row j - 1 holds the values of -i h_k H_k / s divided by j
-        scaled = np.outer(inverses[:m], (row * (-1j * hk / s)) @ basis)
-        for _ in range(s):
-            w = out
-            for j in range(m, 0, -1):
-                y = out.copy()
-                csr_matvecs(n, n, k, indptr, indices, scaled[j - 1], w, y)
-                w = y
-            out = w
+    for start in range(0, ts.size, _VALUE_BLOCK):
+        blk = slice(start, start + _VALUE_BLOCK)
+        # row i holds the values of -i h_k H_k / s_k for step k = start + i
+        values = (coef[blk] * (-1j * h[blk] / substeps[blk])[:, None]) @ basis
+        for val, s, m in zip(values, substeps[blk], degrees[blk]):
+            # row j - 1 holds those values divided by j
+            scaled = inverses[:m, None] * val
+            for _ in range(s):
+                w = out
+                for j in range(m, 0, -1):
+                    y = out.copy()
+                    csr_matvecs(n, n, k, indptr, indices, scaled[j - 1], w, y)
+                    w = y
+                out = w
     return out.reshape(shape)
 
 

@@ -764,7 +764,8 @@ class TabulatedScenario(Scenario):
         return (v[..., 0] + v[..., 1])[()], (v[..., 0] - v[..., 1])[()]
 
     def breakpoints(self, t):
-        return self.grid[1:-1]
+        knots = self.grid[1:-1]
+        return knots[(knots > 0.0) & (knots < t)]
 
     def phase_reference(self, t):
         t0 = float(self.grid[0])

@@ -102,6 +102,17 @@ def loop_smatrix(scenario, t, n_steps):
     return s
 
 
+def midpoint_loop_smatrix(scenario, t, n_steps):
+    # loop_smatrix over the steps of _midpoints, split at the kinks
+    ts, h = twomode.oracle._midpoints(scenario, t, n_steps)
+    s = np.eye(2, dtype=complex)
+    for tk, hk in zip(ts, h):
+        w11, w22, w12 = scenario.coupling(tk)
+        w = np.array([[w11, w12], [np.conj(w12), w22]], dtype=complex)
+        s = _loop_step_unitary(w, hk) @ s
+    return s
+
+
 DRIVEN = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j,
                              f1=RotatingDrive(0.1, 1.0, 0.0),
                              f2=ConstantDrive(-0.05 + 0.08j),
@@ -258,6 +269,30 @@ def test_propagator_matches_sequential_loop():
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("n_steps", [4095, 4096, 4097, 9000])
+def test_smatrix_oracle_matches_sequential_loop_across_blocks(n_steps):
+    # the steps are multiplied _BLOCK at a time, and the blocks in order;
+    # the loop's roundoff grows with its steps (1.3e-12 at 9000, as much
+    # with blocks of 1024), so the bound is 2.5e-16 per step
+    scenario = LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, w11=0.15,
+                                   w22=0.05)
+    got = brute_force_smatrix(scenario, 1.3, n_steps)
+    ref = loop_smatrix(scenario, 1.3, n_steps)
+    assert np.max(np.abs(got - ref)) <= 2.5e-16 * n_steps
+
+
+def test_smatrix_oracle_matches_sequential_loop_across_kinks_and_blocks():
+    # steps split at the kinks of |cos(nu s^2)| shift the block edges off
+    # the uniform grid; the run spans more than two blocks
+    scenario = FresnelNormScenario(w12_0=0.7, nu=2.0)
+    ts, _ = twomode.oracle._midpoints(scenario, 3.0, 9000)
+    assert ts.size > 2 * twomode.oracle._BLOCK
+    assert ts.size > 9000
+    got = brute_force_smatrix(scenario, 3.0, 9000)
+    ref = midpoint_loop_smatrix(scenario, 3.0, 9000)
+    assert np.max(np.abs(got - ref)) <= 2.5e-16 * ts.size
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
 def test_oracles_match_loops_for_few_steps(n_steps):
     # odd tree sizes of the pairwise 2x2 product
@@ -371,25 +406,88 @@ def test_kernel_oracle_matches_csr_container_loop(family, driven):
     assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 200])
+def test_kernel_oracle_values_across_step_blocks(n_steps):
+    # the CSR values are formed for a block of steps at once; steps on
+    # both sides of a block edge get the numbers of the per-step loop
+    space = make_space(8)
+    states = _verify_states(space)
+    got = brute_force_propagator(space, DRIVEN, 0.9, n_steps, states)
+    ref = csr_loop_propagator(space, DRIVEN, 0.9, n_steps, states)
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def test_kernel_oracle_values_across_step_blocks_with_kinks():
+    # the kinks of |cos(nu s^2)| add steps, so the step edges leave the
+    # uniform grid and the blocks hold steps of different lengths
+    scenario = dataclasses.replace(FresnelNormScenario(w12_0=0.7, nu=2.0),
+                                   f1=DRIVEN.f1, f2=DRIVEN.f2, b=DRIVEN.b)
+    space = make_space(8)
+    ts, _ = twomode.oracle._midpoints(scenario, 3.0, 128)
+    assert ts.size > 128 + 4
+    states = _verify_states(space)
+    got = brute_force_propagator(space, scenario, 3.0, 128, states)
+    ref = csr_loop_propagator(space, scenario, 3.0, 128, states)
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def test_kernel_oracle_substeps_in_a_later_value_block():
+    # long steps at n_max 8 have |A|_1 above 1, and a strong B moves it,
+    # so the steps of the second block of values are split into different
+    # numbers of substeps, each dividing its own values by its own count
+    scenario = dataclasses.replace(DRIVEN, b=CosineDrive(8.0, 0.5, 0.3))
+    space = make_space(8)
+    oracle = twomode.oracle
+    ts, h = oracle._midpoints(scenario, 20.0, 70)
+    norms = oracle._csr_pattern(space)[0]
+    theta = h * (np.abs(oracle._coefficients(scenario, ts)) @ norms)
+    later = np.ceil(theta[oracle._VALUE_BLOCK:])
+    assert 1 < later.min() < later.max()
+    states = _verify_states(space)
+    got = brute_force_propagator(space, scenario, 20.0, 70, states)
+    ref = csr_loop_propagator(space, scenario, 20.0, 70, states)
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 8])
+def test_csr_pattern_is_cached_read_only_and_fresh(n_max):
+    # built once per space: the norms, the operators' values on the shared
+    # pattern and its int32 indices and indptr, as a fresh build gives them
+    oracle = twomode.oracle
+    space = make_space(n_max)
+    pattern = oracle._csr_pattern(space)
+    assert oracle._csr_pattern(make_space(n_max)) is pattern
+    ops = hamiltonian_ops(space)
+    basis = oracle._basis(ops)
+    support = oracle._support(basis)
+    rows, cols = np.divmod(support, space.dim)
+    fresh = (np.array([np.abs(ops[name]).sum(axis=0).max()
+                       for name in oracle._TERMS]),
+             basis[:, support], cols,
+             np.searchsorted(rows, np.arange(space.dim + 1)))
+    for arr, want in zip(pattern, fresh):
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, want)
+    assert pattern[2].dtype == pattern[3].dtype == np.int32
+    with pytest.raises(ValueError, match="read-only"):
+        pattern[1][0, 0] = 1.0
+
+
 @pytest.mark.parametrize("n_max", [3, 8])
 @pytest.mark.parametrize("k", [1, 3, 81])
 def test_csr_kernel_adds_product_to_output(n_max, k):
     # the private SciPy kernel the Fock oracle calls: y += A @ X for a
-    # row-major X of k columns, in the oracle's own pattern
+    # row-major X of k columns, in the oracle's own cached pattern
     from scipy.sparse._sparsetools import csr_matvecs
     space = make_space(n_max)
     n = space.dim
-    support = twomode.oracle._support(
-        twomode.oracle._basis(hamiltonian_ops(space)))
-    rows, cols = np.divmod(support, n)
-    indices = cols.astype(np.int32)
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    _, _, indices, indptr = twomode.oracle._csr_pattern(space)
     rng = np.random.default_rng(100 * n_max + k)
 
     def draw(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    data, x, y0 = draw(support.size), draw(n, k), draw(n, k)
+    data, x, y0 = draw(indices.size), draw(n, k), draw(n, k)
     y = y0.copy()
     csr_matvecs(n, n, k, indptr, indices, data, x.ravel(), y.ravel())
     a = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))

@@ -570,3 +570,18 @@ def test_only_fresnel_norm_declares_kinks():
                                          0.3 * ts + 0.1j)
     assert len(tab.breakpoints(2.0)) == 7
     assert len(tab.kinks(2.0)) == 0
+
+
+def test_tabulated_breakpoints_lie_in_the_span():
+    # the knots in (0, t) only, as the base class declares: not those at
+    # or past t, nor the knots of a table that starts before 0
+    ts = np.linspace(0.0, 2.0, 9)
+    tab = TabulatedScenario.from_samples(ts, 0.5 + 0.1 * ts, 0.2 + 0 * ts,
+                                         0.3 * ts + 0.1j)
+    assert np.array_equal(tab.breakpoints(1.0), [0.25, 0.5, 0.75])
+    assert len(tab.breakpoints(0.25)) == 0
+    assert len(tab.breakpoints(2.0)) == 7
+    early = np.linspace(-0.5, 2.0, 11)
+    tab = TabulatedScenario.from_samples(early, 0.5 + 0.1 * early,
+                                         0.2 + 0 * early, 0.3 * early + 0.1j)
+    assert np.array_equal(tab.breakpoints(1.0), [0.25, 0.5, 0.75])
