@@ -19,10 +19,11 @@ import configparser
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,33 +37,6 @@ from .scenario import (CASES, ConstantDrive, CosineDrive, RotatingDrive,
                        TabulatedScenario)
 from .smatrix import (_sampled, smatrix_from_factors, smatrix_numeric_grid,
                       unitarity_defects)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario_path: str
-    t_end: float = 1.0
-    grid: int = 101
-    tol: float = 1e-10
-    n_max: int = 8
-    steps: int = 1024
-    out_dir: str = "."
-    fmt: str = "csv"
-    corrupt: str | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-2):
-            raise ValueError("tol must lie in (0, 1e-2]")
-        if self.grid < 2:
-            raise ValueError("grid must have at least 2 points")
-        if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
-            raise ValueError("t-end must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if self.n_max < 1:
-            raise ValueError("nmax must be at least 1")
-        if self.fmt not in ("csv", "json", "both"):
-            raise ValueError("format must be csv, json or both")
 
 
 def _fmt(x: float) -> str:
@@ -84,14 +58,14 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(cfg: RunConfig, name: str, case: str, header: list[str],
+def _write_table(args, name: str, case: str, header: list[str],
                  rows: list[list], **extra) -> None:
     """<name>.csv and/or <name>.json in the output directory, as the run's
     format asks; the JSON holds case, columns, rows and any extra keys."""
-    if cfg.fmt in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, name + ".csv"), header, rows)
-    if cfg.fmt in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, name + ".json"),
+    if args.format in ("csv", "both"):
+        _write_csv(os.path.join(args.out, name + ".csv"), header, rows)
+    if args.format in ("json", "both"):
+        _write_json(os.path.join(args.out, name + ".json"),
                     {"case": case, "columns": header, "rows": rows, **extra})
 
 
@@ -111,78 +85,82 @@ class _Section(dict):
 
 
 def _sec_float(sec, key, default=inspect.Parameter.empty):
-    if key in sec:
-        return float(sec.pop(key))
-    if default is inspect.Parameter.empty:
+    if key not in sec and default is inspect.Parameter.empty:
         raise ValueError(f"scenario section [{sec.name}] missing key {key!r}")
-    return default
+    if key not in sec:
+        return default
+    text = sec.pop(key)
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(
+        f"[{sec.name}] {key} must be a finite number, not {text!r}")
 
 
-def _parse_drive(sec, allow_complex=True):
-    kind = sec.pop("kind", "constant")
-    if kind == "constant":
-        if allow_complex:
-            return ConstantDrive(complex(_sec_float(sec, "re", 0.0),
-                                         _sec_float(sec, "im", 0.0)))
-        return ConstantDrive(complex(_sec_float(sec, "value", 0.0), 0.0))
-    if kind == "rotating" and allow_complex:
-        return RotatingDrive(
-            amplitude=complex(_sec_float(sec, "amp_re", 0.0),
-                              _sec_float(sec, "amp_im", 0.0)),
-            omega=_sec_float(sec, "omega"),
-            phase=_sec_float(sec, "phase", 0.0))
-    if kind == "cosine" and not allow_complex:
-        return CosineDrive(amplitude=_sec_float(sec, "amp"),
-                           omega=_sec_float(sec, "omega"),
-                           phase=_sec_float(sec, "phase", 0.0))
-    raise ValueError(f"unsupported drive kind {kind!r} in [{sec.name}]")
+# the kinds a drive section accepts; their keys are constructor parameters
+_COMPLEX_KINDS = {
+    "constant": lambda re=0.0, im=0.0: ConstantDrive(complex(re, im)),
+    "rotating": RotatingDrive}
+_REAL_KINDS = {
+    "constant": lambda value=0.0: ConstantDrive(complex(value, 0.0)),
+    "cosine": CosineDrive}
+_DRIVE_KINDS = {"F1": _COMPLEX_KINDS, "F2": _COMPLEX_KINDS, "B": _REAL_KINDS}
 
 
-def _case_arguments(cls, sec) -> dict:
-    """Constructor arguments of a case read from its INI section.  A
-    parameter's key is its name (or the case's alias for it) and its default
-    the constructor's; a complex parameter reads <key>_re and <key>_im, each
-    0 by default.  Keyword-only parameters are the drives.  Any other key
-    is an error."""
+@functools.cache
+def _parameters(constructor) -> tuple:
+    """(name, default, is complex) of each parameter an INI section sets;
+    keyword-only parameters are the drives.  scenario.py postpones
+    annotations, so they arrive as strings."""
+    params = inspect.signature(constructor).parameters.values()
+    return tuple((p.name, p.default, p.annotation in (complex, "complex"))
+                 for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
+
+
+def _arguments(constructor, sec, aliases) -> dict:
+    """Constructor arguments read from an INI section.  A parameter's key is
+    its name or alias and its default the constructor's; a complex one reads
+    <key>_re and <key>_im, each 0 by default.  Other keys are an error."""
     args = {}
-    signature = inspect.signature(cls.ini_constructor())
-    for name, param in signature.parameters.items():
-        if param.kind is not param.POSITIONAL_OR_KEYWORD:
-            continue
-        key = cls.ini_aliases.get(name, name)
-        # scenario.py postpones annotations, so they arrive as strings
-        if param.annotation in (complex, "complex"):
+    for name, default, is_complex in _parameters(constructor):
+        key = aliases.get(name, name)
+        if is_complex:
             args[name] = complex(_sec_float(sec, key + "_re", 0.0),
                                  _sec_float(sec, key + "_im", 0.0))
         else:
-            args[name] = _sec_float(sec, key, param.default)
+            args[name] = _sec_float(sec, key, default)
     sec.check()
     return args
+
+
+def _drive(sec):
+    kind = sec.pop("kind", "constant")
+    if kind not in _DRIVE_KINDS[sec.name]:
+        raise ValueError(f"unsupported drive kind {kind!r} in [{sec.name}]")
+    drive = _DRIVE_KINDS[sec.name][kind]
+    return drive(**_arguments(drive, sec, getattr(drive, "ini_aliases", {})))
 
 
 def parse_scenario(path: str):
     """Read an INI scenario file: one section named by the case tag plus
     optional [F1], [F2], [B] drive sections."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"cannot read scenario file {path}")
     tags = [s for s in cp.sections() if s in CASES]
     if len(tags) != 1:
         raise ValueError(f"scenario file must contain exactly one case "
                          f"section from {tuple(CASES)}, found {tags}")
     tag = tags[0]
-    unknown = [s for s in cp.sections() if s not in (tag, "F1", "F2", "B")]
+    unknown = [s for s in cp.sections() if s != tag and s not in _DRIVE_KINDS]
     if unknown:
         raise ValueError(f"unknown sections {unknown} beside [{tag}]; drive "
                          "sections are [F1], [F2] and [B]")
     sec = _Section(cp[tag])
-    drives = {}
-    for name, allow_complex in (("F1", True), ("F2", True), ("B", False)):
-        if cp.has_section(name):
-            drive_sec = _Section(cp[name])
-            drives[name.lower()] = _parse_drive(drive_sec, allow_complex)
-            drive_sec.check()
+    drives = {name.lower(): _drive(_Section(cp[name]))
+              for name in _DRIVE_KINDS if cp.has_section(name)}
 
     cls = CASES[tag]
     if cls is TabulatedScenario:
@@ -195,16 +173,17 @@ def parse_scenario(path: str):
             data = os.path.join(os.path.dirname(os.path.abspath(path)), data)
         tab = TabulatedScenario.from_csv(data)
         return replace(tab, **drives) if drives else tab
-    return cls.ini_constructor()(**_case_arguments(cls, sec), **drives)
+    constructor = cls.ini_constructor()
+    return constructor(**_arguments(constructor, sec, cls.ini_aliases),
+                       **drives)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_factors(cfg: RunConfig) -> int:
-    scenario = parse_scenario(cfg.scenario_path)
-    grid = np.linspace(0.0, cfg.t_end, cfg.grid)
-    factors = solve_riccati_numeric(scenario, cfg.t_end, cfg.tol, grid)
+def cmd_factors(args, scenario) -> int:
+    grid = np.linspace(0.0, args.t_end, args.grid)
+    factors = solve_riccati_numeric(scenario, args.t_end, args.tol, grid)
     rows = []
     for i, t in enumerate(grid):
         ok = bool(factors.valid[i])
@@ -214,7 +193,7 @@ def cmd_factors(cfg: RunConfig) -> int:
                      float(gam.real), float(gam.imag), int(ok)])
     header = ["t", "re_Lambda", "im_Lambda", "re_Omega", "im_Omega",
               "re_Gamma", "im_Gamma", "chart_valid"]
-    _write_table(cfg, "factors", scenario.case, header, rows,
+    _write_table(args, "factors", scenario.case, header, rows,
                  singular_time=factors.singular_time)
     if factors.singular_time is not None:
         print(f"chart singularity at t = {factors.singular_time:.6g}; "
@@ -223,46 +202,43 @@ def cmd_factors(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_smatrix(cfg: RunConfig) -> int:
-    scenario = parse_scenario(cfg.scenario_path)
-    grid = np.linspace(0.0, cfg.t_end, cfg.grid)
+def cmd_smatrix(args, scenario) -> int:
+    grid = np.linspace(0.0, args.t_end, args.grid)
     mats = np.array([sm.mat for sm in
-                     smatrix_numeric_grid(scenario, grid, cfg.tol)])
+                     smatrix_numeric_grid(scenario, grid, args.tol)])
     # each row of S11 ... S22 read as floats is re_S11, im_S11, ... im_S22
     rows = np.column_stack([grid, mats.reshape(-1, 4).view(float),
                             unitarity_defects(mats)]).tolist()
     header = ["t", "re_S11", "im_S11", "re_S12", "im_S12",
               "re_S21", "im_S21", "re_S22", "im_S22", "unitarity_defect"]
-    _write_table(cfg, "smatrix", scenario.case, header, rows)
+    _write_table(args, "smatrix", scenario.case, header, rows)
     return 0
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    scenario = parse_scenario(cfg.scenario_path)
+def cmd_evolve(args, scenario) -> int:
     try:
         c0 = coherent_spec(scenario).c_initial
     except ValueError:
         c0 = (0j, 0j)
-    grid = np.linspace(0.0, cfg.t_end, cfg.grid)
+    grid = np.linspace(0.0, args.t_end, args.grid)
     samples = [{"t": amps.t,
                 "c1": [amps.c1.real, amps.c1.imag],
                 "c2": [amps.c2.real, amps.c2.imag],
                 "phase": [amps.global_phase.real, amps.global_phase.imag],
                 "norm2": amps.norm2}
-               for amps in c_coefficients(scenario, c0, grid, cfg.tol)]
-    _write_json(os.path.join(cfg.out_dir, "evolve.json"), {
+               for amps in c_coefficients(scenario, c0, grid, args.tol)]
+    _write_json(os.path.join(args.out, "evolve.json"), {
         "case": scenario.case,
         "c0": [c0[0].real, c0[0].imag, c0[1].real, c0[1].imag],
-        "t_end": cfg.t_end,
+        "t_end": args.t_end,
         "samples": samples})
     return 0
 
 
-def cmd_coherent(cfg: RunConfig) -> int:
-    scenario = parse_scenario(cfg.scenario_path)
+def cmd_coherent(args, scenario) -> int:
     state = coherent_spec(scenario)
-    space = make_space(cfg.n_max)
-    grid = np.linspace(0.0, cfg.t_end, cfg.grid)
+    space = make_space(args.nmax)
+    grid = np.linspace(0.0, args.t_end, args.grid)
     amps = [coherent_evolution_closed(scenario, state, float(t))
             for t in grid]
     _, residuals = ladder_eigenvalue_checks(
@@ -271,13 +247,12 @@ def cmd_coherent(cfg: RunConfig) -> int:
              res] for t, a, res in zip(grid, amps, residuals.tolist())]
     header = ["t", "re_c1", "im_c1", "re_c2", "im_c2", "norm2",
               "eigen_residual"]
-    _write_table(cfg, "coherent", scenario.case, header, rows)
+    _write_table(args, "coherent", scenario.case, header, rows)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    scenario = parse_scenario(cfg.scenario_path)
-    t = cfg.t_end
+def cmd_verify(args, scenario) -> int:
+    t = args.t_end
     checks = []
     exit_code = 0
     start = time.perf_counter()
@@ -293,7 +268,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     # oracle self-convergence under step doubling; the reference run is
     # 16x finer so its own error barely perturbs the measured ratio
-    n = cfg.steps
+    n = args.steps
     ref = brute_force_smatrix(scenario, t, 16 * n)
     d1 = float(np.max(np.abs(brute_force_smatrix(scenario, t, n) - ref)))
     d2 = float(np.max(np.abs(brute_force_smatrix(scenario, t, 2 * n) - ref)))
@@ -312,16 +287,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     record("oracle_unitarity", defect < 1e-9, defect, 1e-9)
 
     # the check grid ends at t: the factors' S serves both checks
-    grid = np.linspace(0.0, t, min(cfg.grid, 9))
-    factors = solve_riccati_numeric(scenario, t, cfg.tol, grid)
-    mats = _sampled(factors.s_dense, grid, cfg.tol)
+    grid = np.linspace(0.0, t, min(args.grid, 9))
+    factors = solve_riccati_numeric(scenario, t, args.tol, grid)
+    mats = _sampled(factors.s_dense, grid, args.tol)
     dev = float(np.max(np.abs(mats[-1].mat - ref)))
     record("smatrix_vs_oracle", dev < 1e-6, dev, 1e-6)
 
-    if cfg.corrupt == "factor-sign":
-        original = factors._eval
-        factors = replace(factors, gamma=-factors.gamma,
-                          _eval=lambda s: _flip_gamma(original(s)))
+    if args.corrupt == "factor-sign":
+        factors = replace(factors, gamma=-factors.gamma)
     if factors.singular_time is not None:
         record("factor_chart", False, factors.singular_time, "regular chart")
         exit_code = 2
@@ -332,7 +305,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             worst = max(worst, float(np.max(np.abs(rec.mat - mats[i].mat))))
         record("factor_reconstruction", worst < 1e-7, worst, 1e-7)
 
-    space = make_space(cfg.n_max)
+    space = make_space(args.nmax)
     # restrict test states to complete total-occupation shells; amplitude
     # left in the cut shells hits blocks the truncation has mutilated and
     # the comparison would measure that artifact, not the factorization
@@ -342,31 +315,37 @@ def cmd_verify(cfg: RunConfig) -> int:
         psi = coherent_state(space, c1, c2) * keep
         states.append(psi / np.linalg.norm(psi))
     states = np.stack(states, axis=1)
-    u_fact = assemble_U(space, scenario, t, cfg.tol)
-    ref = brute_force_propagator(space, scenario, t, cfg.steps, states)
+    u_fact = assemble_U(space, scenario, t, args.tol)
+    ref = brute_force_propagator(space, scenario, t, args.steps, states)
     fid = float(np.min(state_fidelities(u_fact @ states, ref)))
     record("operator_fidelity", fid >= 1.0 - 1e-6, fid, "1 - 1e-6")
 
     passed = all(c["passed"] for c in checks)
-    _write_json(os.path.join(cfg.out_dir, "verify.json"), {
+    _write_json(os.path.join(args.out, "verify.json"), {
         "case": scenario.case,
         "passed": passed,
         "checks": checks})
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"{status}  {c['name']}: {c['value']} (tol {c['tolerance']})")
-    if exit_code:
-        return exit_code
-    return 0 if passed else 1
-
-
-def _flip_gamma(triple):
-    lam, omega, gamma = triple
-    return lam, omega, -gamma
+    return exit_code or (0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _check_options(args) -> None:
+    if not (0.0 < args.tol <= 1e-2):
+        raise ValueError("tol must lie in (0, 1e-2]")
+    if args.grid < 2:
+        raise ValueError("grid must have at least 2 points")
+    if not (args.t_end > 0.0 and math.isfinite(args.t_end)):
+        raise ValueError("t-end must be positive and finite")
+    if args.steps < 1:
+        raise ValueError("steps must be positive")
+    if args.nmax < 1:
+        raise ValueError("nmax must be at least 1")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -389,33 +368,29 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="twomode",
         description="factorized evolution of two coupled driven modes")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("factors", parents=[common],
-                   help="factor coefficients on a grid")
-    sub.add_parser("smatrix", parents=[common],
-                   help="coefficient propagator on a grid")
-    sub.add_parser("evolve", parents=[common],
-                   help="drive amplitudes and global phase")
-    sub.add_parser("coherent", parents=[common],
-                   help="closed coherent evolution with eigenvalue checks")
-    vp = sub.add_parser("verify", parents=[common],
-                        help="cross-check against brute-force oracles")
-    vp.add_argument("--corrupt", choices=("factor-sign",),
-                    help="deliberately corrupt a factor (negative control)")
+    commands = {}
+    for name, handler, text in (
+            ("factors", cmd_factors, "factor coefficients on a grid"),
+            ("smatrix", cmd_smatrix, "coefficient propagator on a grid"),
+            ("evolve", cmd_evolve, "drive amplitudes and global phase"),
+            ("coherent", cmd_coherent,
+             "closed coherent evolution with eigenvalue checks"),
+            ("verify", cmd_verify, "cross-check against brute-force oracles")):
+        commands[name] = sub.add_parser(name, parents=[common], help=text)
+        commands[name].set_defaults(handler=handler)
+    commands["verify"].add_argument(
+        "--corrupt", choices=("factor-sign",),
+        help="deliberately corrupt a factor (negative control)")
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(scenario_path=args.scenario, t_end=args.t_end,
-                        grid=args.grid, tol=args.tol, n_max=args.nmax,
-                        steps=args.steps, out_dir=args.out, fmt=args.format,
-                        corrupt=getattr(args, "corrupt", None))
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        handler = {"factors": cmd_factors, "smatrix": cmd_smatrix,
-                   "evolve": cmd_evolve, "coherent": cmd_coherent,
-                   "verify": cmd_verify}[args.command]
-        return handler(cfg)
+        _check_options(args)
+        scenario = parse_scenario(args.scenario)
+        os.makedirs(args.out, exist_ok=True)
+        return args.handler(args, scenario)
     except ChartSingularity as exc:
         print(f"chart singularity: {exc}", file=sys.stderr)
         return 2

@@ -69,9 +69,9 @@ class CoherentStateSpec:
             raise ValueError("|alpha0|^2 + |beta0|^2 must equal 1")
 
     @property
-    def c_initial(self) -> tuple[complex, complex]:
+    def c_initial(self) -> np.ndarray:
         # a_sigma expectation values of the initial coherent state
-        return (self.z0 * np.conj(self.alpha0), self.z0 * np.conj(self.beta0))
+        return self.z0 * np.conj((self.alpha0, self.beta0))
 
 
 def coherent_spec(scenario: Scenario) -> CoherentStateSpec:
@@ -190,10 +190,7 @@ def coherent_evolution_closed(scenario: Scenario, state: CoherentStateSpec,
     if not (drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2)
             and drive_is_zero(scenario.b)):
         raise ValueError("closed coherent laws hold for the undriven case")
-    # c(0) as one array product, whose last bits can differ from those of
-    # c_initial's two scalar products
-    c0 = state.z0 * np.conj((state.alpha0, state.beta0))
-    c = smatrix_closed(scenario, t).mat @ c0
+    c = smatrix_closed(scenario, t).mat @ state.c_initial
     return CoherentAmplitudes(t=float(t), c1=complex(c[0]), c2=complex(c[1]),
                               global_phase=1.0 + 0j)
 

@@ -62,6 +62,8 @@ class RotatingDrive:
     omega: float
     phase: float = 0.0
 
+    ini_aliases = {"amplitude": "amp"}
+
     def __call__(self, t):
         return self.amplitude * np.exp(1j * (self.omega * t + self.phase))
 
@@ -73,6 +75,8 @@ class CosineDrive:
     amplitude: float
     omega: float
     phase: float = 0.0
+
+    ini_aliases = {"amplitude": "amp"}
 
     def __call__(self, t):
         return self.amplitude * np.cos(self.omega * t + self.phase)

@@ -546,6 +546,82 @@ def test_non_finite_t_end_is_rejected(tmp_path, capsys, command, t_end):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--tol", "0", "tol must lie in (0, 1e-2]"),
+    ("--tol", "0.1", "tol must lie in (0, 1e-2]"),
+    ("--grid", "1", "grid must have at least 2 points"),
+    ("--steps", "0", "steps must be positive"),
+    ("--nmax", "0", "nmax must be at least 1"),
+])
+def test_run_option_is_rejected(tmp_path, capsys, option, value, message):
+    ini = write_ini(tmp_path, ISOTROPIC_INI)
+    out = tmp_path / "run"
+    assert main(["verify", "--scenario", ini, option, value,
+                 "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[ConstantPhase]\neta0 = nan\n",
+     "[ConstantPhase] eta0 must be a finite number, not 'nan'"),
+    ("[ConstantPhase]\neta0 = abc\n",
+     "[ConstantPhase] eta0 must be a finite number, not 'abc'"),
+    (ALL_CONSTANT_INI + "[F1]\nkind = rotating\namp_re = inf\nomega = 1\n",
+     "[F1] amp_re must be a finite number, not 'inf'"),
+], ids=["nan", "not-a-number", "inf-drive"])
+def test_non_finite_scenario_value_is_rejected(tmp_path, capsys, text,
+                                               message):
+    # refused when the file is read, before any flow runs or file is written
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", write_ini(tmp_path, text),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,message", [
+    ("[F1]\nkind = cosine\namp = 0.3\nomega = 0.9\n",
+     "unsupported drive kind 'cosine' in [F1]"),
+    ("[B]\nkind = rotating\namp_re = 0.1\nomega = 1.0\n",
+     "unsupported drive kind 'rotating' in [B]"),
+    ("[F2]\nkind = spline\n", "unsupported drive kind 'spline' in [F2]"),
+    ("[F1]\nkind = rotating\namp_re = 0.1\n",
+     "scenario section [F1] missing key 'omega'"),
+    ("[B]\nkind = cosine\nomega = 0.9\n",
+     "scenario section [B] missing key 'amp'"),
+], ids=["F1-cosine", "B-rotating", "F2-spline", "F1-rotating-no-omega",
+        "B-cosine-no-amp"])
+def test_bad_drive_section_is_rejected(tmp_path, capsys, section, message):
+    ini = write_ini(tmp_path, ALL_CONSTANT_INI + "\n" + section)
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", ini, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_drive_kind_defaults(tmp_path):
+    got = parse_scenario(write_ini(
+        tmp_path, ALL_CONSTANT_INI + "\n[F1]\nkind = rotating\nomega = 0.7\n"
+        "\n[B]\n"))
+    assert got.f1 == RotatingDrive(0j, 0.7, 0.0)
+    assert got.b == ConstantDrive(0j)
+    assert got.f2 == ConstantDrive(0j)
+
+
+def test_evolve_and_coherent_start_from_the_same_amplitudes(tmp_path):
+    # both commands start the state from CoherentStateSpec.c_initial, to
+    # the last bit
+    ini = write_ini(tmp_path, ROUND_TRIP[4][0])
+    out = tmp_path / "run"
+    for command in ("evolve", "coherent"):
+        assert main([command, "--scenario", ini, "--grid", "3",
+                     "--out", str(out)]) == 0
+    c0 = json.loads((out / "evolve.json").read_text())["c0"]
+    first = (out / "coherent.csv").read_text().splitlines()[1].split(",")
+    assert [float(v) for v in first[1:5]] == c0
+
+
 def test_console_entry_point(tmp_path):
     # The suite runs from source, so no installer has put `twomode` on PATH.
     # Build the launcher an installer would generate from the project's own

@@ -128,6 +128,18 @@ def test_mixing_family_closed_law(scenario):
         assert abs(closed.norm2 - 0.16) < 1e-9
 
 
+@pytest.mark.parametrize("scenario", [
+    IsotropicConstantScenario.from_polar(0.5, 0.3, -0.4, z0=0.4 - 0.2j),
+    RhoConstantScenario(rho0=0.6, eta0=0.8, w0=1.1, theta_alpha0=0.7,
+                        theta_beta0=-0.3, z0=-0.3 + 0.5j),
+], ids=["IsotropicConstant", "RhoConstant"])
+def test_closed_law_starts_at_c_initial(scenario):
+    # one formula for c(0): the closed law at t = 0 is c_initial, bit for bit
+    spec = coherent_spec(scenario)
+    at0 = coherent_evolution_closed(scenario, spec, 0.0)
+    assert np.array([at0.c1, at0.c2]).tobytes() == spec.c_initial.tobytes()
+
+
 def test_closed_law_follows_the_given_state():
     # c(0) comes from the state passed in, not from the case's dressed mode
     scenario = IsotropicConstantScenario.from_polar(0.4, 0.3, -0.2, z0=0.8)
