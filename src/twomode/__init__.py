@@ -18,11 +18,11 @@ from .riccati import (ChartSingularity, DisentangledFactors, alt_factors,
                       factors_on_grid, gamma_conjugacy_check,
                       solve_riccati_numeric)
 from .smatrix import (SMatrix2, smatrix_closed, smatrix_from_factors,
-                      smatrix_numeric, smatrix_numeric_grid)
+                      smatrix_numeric_grid)
 from .evolution import (CoherentAmplitudes, CoherentStateSpec, assemble_U,
                         c_coefficients, coherent_evolution_closed,
                         coherent_spec, habeta_spectrum_check,
-                        ladder_eigenvalue_check)
+                        ladder_eigenvalue_checks)
 from .oracle import (InsufficientSamples, brute_force_propagator,
                      brute_force_smatrix, compare_operators, ode_residual)
 

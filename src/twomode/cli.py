@@ -204,8 +204,7 @@ def cmd_factors(args, scenario) -> int:
 
 def cmd_smatrix(args, scenario) -> int:
     grid = np.linspace(0.0, args.t_end, args.grid)
-    mats = np.array([sm.mat for sm in
-                     smatrix_numeric_grid(scenario, grid, args.tol)])
+    mats = smatrix_numeric_grid(scenario, grid, args.tol).mat
     # each row of S11 ... S22 read as floats is re_S11, im_S11, ... im_S22
     rows = np.column_stack([grid, mats.reshape(-1, 4).view(float),
                             unitarity_defects(mats)]).tolist()
@@ -221,12 +220,12 @@ def cmd_evolve(args, scenario) -> int:
     except ValueError:
         c0 = (0j, 0j)
     grid = np.linspace(0.0, args.t_end, args.grid)
-    samples = [{"t": amps.t,
-                "c1": [amps.c1.real, amps.c1.imag],
-                "c2": [amps.c2.real, amps.c2.imag],
-                "phase": [amps.global_phase.real, amps.global_phase.imag],
-                "norm2": amps.norm2}
-               for amps in c_coefficients(scenario, c0, grid, args.tol)]
+    amps = c_coefficients(scenario, c0, grid, args.tol)
+    samples = [{"t": t, "c1": [c1.real, c1.imag], "c2": [c2.real, c2.imag],
+                "phase": [phase.real, phase.imag], "norm2": norm2}
+               for t, c1, c2, phase, norm2 in zip(
+                   grid.tolist(), amps.c1.tolist(), amps.c2.tolist(),
+                   amps.global_phase.tolist(), amps.norm2.tolist())]
     _write_json(os.path.join(args.out, "evolve.json"), {
         "case": scenario.case,
         "c0": [c0[0].real, c0[0].imag, c0[1].real, c0[1].imag],
@@ -239,12 +238,10 @@ def cmd_coherent(args, scenario) -> int:
     state = coherent_spec(scenario)
     space = make_space(args.nmax)
     grid = np.linspace(0.0, args.t_end, args.grid)
-    amps = [coherent_evolution_closed(scenario, state, float(t))
-            for t in grid]
-    _, residuals = ladder_eigenvalue_checks(
-        space, state, [a.c1 for a in amps], [a.c2 for a in amps])
-    rows = [[float(t), a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm2,
-             res] for t, a, res in zip(grid, amps, residuals.tolist())]
+    amps = coherent_evolution_closed(scenario, state, grid)
+    _, residuals = ladder_eigenvalue_checks(space, state, amps.c1, amps.c2)
+    rows = np.column_stack([grid, amps.c1.real, amps.c1.imag, amps.c2.real,
+                            amps.c2.imag, amps.norm2, residuals]).tolist()
     header = ["t", "re_c1", "im_c1", "re_c2", "im_c2", "norm2",
               "eigen_residual"]
     _write_table(args, "coherent", scenario.case, header, rows)
@@ -289,8 +286,8 @@ def cmd_verify(args, scenario) -> int:
     # the check grid ends at t: the factors' S serves both checks
     grid = np.linspace(0.0, t, min(args.grid, 9))
     factors = solve_riccati_numeric(scenario, t, args.tol, grid)
-    mats = _sampled(factors.s_dense, grid, args.tol)
-    dev = float(np.max(np.abs(mats[-1].mat - ref)))
+    mats = _sampled(factors.s_dense(grid), grid, args.tol).mat
+    dev = float(np.max(np.abs(mats[-1] - ref)))
     record("smatrix_vs_oracle", dev < 1e-6, dev, 1e-6)
 
     if args.corrupt == "factor-sign":
@@ -302,7 +299,7 @@ def cmd_verify(args, scenario) -> int:
         worst = 0.0
         for i, tt in enumerate(grid):
             rec = smatrix_from_factors(factors, float(tt))
-            worst = max(worst, float(np.max(np.abs(rec.mat - mats[i].mat))))
+            worst = max(worst, float(np.max(np.abs(rec.mat - mats[i]))))
         record("factor_reconstruction", worst < 1e-7, worst, 1e-7)
 
     space = make_space(args.nmax)

@@ -45,14 +45,26 @@ from .smatrix import smatrix_closed
 
 @dataclass(frozen=True)
 class CoherentAmplitudes:
-    t: float
-    c1: complex
-    c2: complex
-    global_phase: complex
+    """Amplitudes at a time, with numpy scalar fields, or at a 1-D array of
+    times, with every field an array of that shape."""
+
+    t: float | np.ndarray
+    c1: complex | np.ndarray
+    c2: complex | np.ndarray
+    global_phase: complex | np.ndarray
 
     @property
-    def norm2(self) -> float:
+    def norm2(self):
         return abs(self.c1) ** 2 + abs(self.c2) ** 2
+
+
+def _amplitudes(t, c: np.ndarray, phase) -> CoherentAmplitudes:
+    """The fields from c, of shape t.shape + (2,), and a phase that
+    broadcasts to t; [()] turns 0-d fields into scalars."""
+    t = np.asarray(t, dtype=float)
+    return CoherentAmplitudes(
+        t=t[()], c1=c[..., 0][()], c2=c[..., 1][()],
+        global_phase=np.broadcast_to(phase, t.shape)[()])
 
 
 @dataclass(frozen=True)
@@ -86,26 +98,17 @@ def coherent_spec(scenario: Scenario) -> CoherentStateSpec:
 # ---------------------------------------------------------------------------
 # drive coefficients and global phase
 
-def c_coefficients(scenario: Scenario, c0, t, tol: float = 1e-10):
+def c_coefficients(scenario: Scenario, c0, t,
+                   tol: float = 1e-10) -> CoherentAmplitudes:
     """Propagate the drive amplitudes from c(0) = c0 and accumulate the
-    scalar phase P(t), at one time t or, as a list, at each of a 1-D array
-    of ascending times, all from one flow of (S, c, P) with the times as
-    step edges."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.diff(times) < 0):
+    scalar phase P(t), at a time t or at a 1-D array of ascending times,
+    all from one flow of (S, c, P) with the times as step edges."""
+    times = np.asarray(t, dtype=float)
+    if np.any(np.diff(np.atleast_1d(times)) < 0):
         raise ValueError("times must be ascending")
-    c0 = np.asarray(c0, dtype=complex)
-    c = np.tile(c0, (times.size, 1))
-    p = np.zeros(times.size)
-    positive = times > 0
-    if np.any(positive):
-        c[positive], p[positive] = magnus.flow(
-            scenario, float(times[-1]), tol, times[positive],
-            drives=True).amplitudes(times[positive], c0)
-    amps = [CoherentAmplitudes(t=float(t), c1=complex(c1), c2=complex(c2),
-                               global_phase=cmath.exp(-1j * p))
-            for t, (c1, c2), p in zip(times, c, p)]
-    return amps if np.ndim(t) else amps[0]
+    c, p = magnus.flow(scenario, times.max(), tol, times,
+                       drives=True).amplitudes(times, np.asarray(c0, complex))
+    return _amplitudes(times, c, np.exp(-1j * p))
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +160,16 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
     single-exponential lift when the factor chart is singular at t.
     Raises fock.TruncationError, before any work on U0, when the
     displacement's truncation guard rejects c(t)."""
-    grid = np.array([float(t)])
-    solved = magnus.flow(scenario, t, tol, grid, drives=True)
-    (c1, c2), p = (v[0] for v in solved.amplitudes(grid, np.zeros(2)))
+    solved = magnus.flow(scenario, t, tol, drives=True)
+    (c1, c2), p = solved.amplitudes(t, np.zeros(2))
     disp = displacement_operator(space, c1, c2)
-    factors = _read_factors(scenario, solved, grid)
+    factors = _read_factors(scenario, solved, np.array([float(t)]))
     alpha, rho = factors.alpha[0], factors.rho[0]
     if factors.valid[0]:
         u0 = _gauss_product(space, alpha, rho, factors.lam[0],
                             factors.omega[0], factors.gamma[0])
     else:
-        u0 = _su2_lift(space, factors.s_dense(t).reshape(2, 2), alpha)
+        u0 = _su2_lift(space, factors.s_dense(t), alpha)
     return cmath.exp(-1j * p) * (disp @ u0)
 
 
@@ -175,9 +177,10 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
 # coherent-state laws
 
 def coherent_evolution_closed(scenario: Scenario, state: CoherentStateSpec,
-                              t: float) -> CoherentAmplitudes:
-    """Printed amplitude evolution without drives: the coherent state stays
-    coherent, |c1|^2 + |c2|^2 = |z0|^2 for all t.
+                              t) -> CoherentAmplitudes:
+    """Printed amplitude evolution without drives, at a time or a 1-D array
+    of times: the coherent state stays coherent, |c1|^2 + |c2|^2 = |z0|^2
+    for all t.
 
     c(t) = S(t) c(0) with the closed S block of any case with a phase
     family and c(0) = z0 conj(alpha0, beta0) from the given state.  For an
@@ -190,24 +193,19 @@ def coherent_evolution_closed(scenario: Scenario, state: CoherentStateSpec,
     if not (drive_is_zero(scenario.f1) and drive_is_zero(scenario.f2)
             and drive_is_zero(scenario.b)):
         raise ValueError("closed coherent laws hold for the undriven case")
-    c = smatrix_closed(scenario, t).mat @ state.c_initial
-    return CoherentAmplitudes(t=float(t), c1=complex(c[0]), c2=complex(c[1]),
-                              global_phase=1.0 + 0j)
-
-
-@dataclass(frozen=True)
-class LadderCheck:
-    eigenvalue: complex
-    residual: float
+    closed = smatrix_closed(scenario, t)
+    return _amplitudes(closed.t, closed.mat @ state.c_initial, 1.0 + 0j)
 
 
 def ladder_eigenvalue_checks(space: FockSpace, state: CoherentStateSpec,
                              c1, c2, coefficients=None
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """ladder_eigenvalue_check of the coherent states at each pair of two
-    1-D arrays of amplitudes c1, c2, in one array pass: the eigenvalues
-    and the residuals.  Explicit coefficients (u1, u2) hold for every
-    state."""
+    """Verify that the coherent state at each pair of amplitudes c1, c2
+    (two 1-D arrays, or two scalars) is an eigenstate of a lowering
+    combination u1 a1 + u2 a2, in one array pass: the eigenvalues and the
+    residuals.  Default coefficients are the generalized ones
+    (conj(c1)/conj(z0), conj(c2)/conj(z0)); pass explicit (u1, u2) to test
+    a fixed dressed mode in every state instead."""
     c1, c2 = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (c1, c2))
     psi = coherent_state(space, c1, c2).reshape(-1, space.side, space.side)
     if coefficients is None:
@@ -228,18 +226,6 @@ def ladder_eigenvalue_checks(space: FockSpace, state: CoherentStateSpec,
     res = (np.linalg.norm((lowered - lam[:, None, None] * psi)
                           .reshape(c1.size, -1), axis=1) / np.sqrt(norm2))
     return lam, res
-
-
-def ladder_eigenvalue_check(space: FockSpace, state: CoherentStateSpec,
-                            amplitudes: CoherentAmplitudes,
-                            coefficients=None) -> LadderCheck:
-    """Verify the evolved state is an eigenstate of a lowering combination
-    u1 a1 + u2 a2.  Default coefficients are the generalized ones
-    (conj(c1)/conj(z0), conj(c2)/conj(z0)); pass explicit (u1, u2) to test
-    a fixed dressed mode instead.  One row of ladder_eigenvalue_checks."""
-    lam, res = ladder_eigenvalue_checks(space, state, amplitudes.c1,
-                                        amplitudes.c2, coefficients)
-    return LadderCheck(eigenvalue=complex(lam[0]), residual=float(res[0]))
 
 
 # ---------------------------------------------------------------------------

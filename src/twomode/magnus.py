@@ -220,46 +220,48 @@ class Flow:
         self.values = values
 
     def __call__(self, times, s_only=False):
-        """The propagator blocks at a 1-D array of times; s_only keeps only
-        S, and its partial steps sample no drive."""
+        """The propagator blocks at a time or an array of times, as an
+        (..., dim, dim) stack with the shape of times in front; s_only
+        keeps only S, and its partial steps sample no drive."""
         times = np.asarray(times, dtype=float)
-        j = np.clip(np.searchsorted(self.ts, times, side="right") - 1,
+        flat = times.ravel()
+        j = np.clip(np.searchsorted(self.ts, flat, side="right") - 1,
                     0, self.ts.size - 1)
         out = self.values[j]
         if s_only:
             out = out[:, :2, :2].copy()
-        theta = times - self.ts[j]
+        theta = flat - self.ts[j]
         off = np.nonzero(theta)[0]
         if off.size:
             gen, _ = _generator(
                 self.scenario, _nodes(self.ts[j[off]], theta[off]),
                 out.shape[-1] == 3)
             out[off] = _after(_exp(_omega6(gen, theta[off])), out[off])
-        return out
+        return out.reshape(times.shape + out.shape[1:])
 
     def amplitudes(self, times, c0):
-        """c = S c0 + g and P = Re(a . c0 + q) at a 1-D array of times, from
-        c(0) = c0 and P(0) = 0; a drive flow only."""
+        """c = S c0 + g, with a last axis of two, and P = Re(a . c0 + q) at
+        a time or an array of times, from c(0) = c0 and P(0) = 0; a drive
+        flow only."""
         blocks = self(times)
-        return (blocks[:, :2, :2] @ c0 + blocks[:, :2, 2],
-                np.real(blocks[:, 2, :2] @ c0 + blocks[:, 2, 2]))
-
-    def s_rows(self, times):
-        """Rows S11, S12, S21, S22 of S at a time (shape (4,)) or at each of
-        a 1-D array of times (shape (4, n))."""
-        times = np.asarray(times, dtype=float)
-        rows = self(np.atleast_1d(times), s_only=True).reshape(-1, 4).T
-        return rows[:, 0] if times.ndim == 0 else rows
+        return (blocks[..., :2, :2] @ c0 + blocks[..., :2, 2],
+                np.real(blocks[..., 2, :2] @ c0 + blocks[..., 2, 2]))
 
 
 def flow(scenario, t: float, tol: float, samples=(),
          drives: bool = False) -> Flow:
     """The flow of S, or with drives=True of (S, c, P), on [0, t], with
     every sample time a step edge, refined by step doubling until
-    max |Y_2n - Y_n| <= tol at every step edge of Y_n."""
+    max |Y_2n - Y_n| <= tol at every step edge of Y_n.  A negative or
+    non-finite t or sample time is refused before any step."""
     t = float(t)
     samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size and (samples.min() < 0.0 or samples.max() > t):
+    times = np.append(t, samples)
+    bad = times[~(np.isfinite(times) & (times >= 0.0))]
+    if bad.size:
+        raise ValueError(f"Magnus flow time {bad[0]} is negative or not "
+                         "finite")
+    if samples.size and samples.max() > t:
         raise ValueError(f"sample times leave the span [0, {t}]")
     inner = np.asarray(scenario.breakpoints(t), dtype=float)
     edges = np.unique(np.concatenate(

@@ -42,6 +42,7 @@ validity flags and the first singular time rather than hidden.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,8 +82,8 @@ class FactorSample:
 class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator _eval,
     t -> (Lambda, Omega, Gamma), for any time (dense flow output or closed
-    form).  Numeric factors carry s_dense, s -> rows S11, S12, S21, S22 of
-    their S.
+    form).  Numeric factors carry s_dense, which gives their S at a time or
+    an array of times as an (..., 2, 2) stack.
 
     at(t) reads the stored sample i when t is exactly the grid time t[i],
     valid[i] is set and t lies before singular_time (or there is none).
@@ -173,16 +174,17 @@ def _chart_end(scenario: Scenario, dense, ts):
     to the root of d|S22|^2/ds = 2 Im(conj(w12 S22) S12) around it."""
     def slope(s):
         y = dense(s)
-        return np.imag(np.conj(scenario.coupling(s)[2] * y[3]) * y[1])
+        return np.imag(np.conj(scenario.coupling(s)[2] * y[..., 1, 1])
+                       * y[..., 0, 1])
 
-    mag = np.abs(dense(ts)[3])
+    mag = np.abs(dense(ts)[..., 1, 1])
     right = np.append(mag[2:], np.inf)
     near = []
     for i in np.nonzero((mag[1:] < mag[:-1]) & (mag[1:] <= right))[0] + 1:
         lo, hi = ts[i - 1], ts[min(i + 1, ts.size - 1)]
         t = brentq(slope, lo, hi) if slope(lo) < 0.0 < slope(hi) else ts[i]
         y = dense(t)
-        if abs(y[1]) >= LAM_LIMIT * abs(y[3]):
+        if abs(y[..., 0, 1]) >= LAM_LIMIT * abs(y[..., 1, 1]):
             return float(t), np.array(near)
         near.append(t)
     return None, np.array(near)
@@ -197,10 +199,11 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
     chart ends at the first local minimum of |S22| where |Lambda| reaches
     LAM_LIMIT; samples from that singular time on are NaN and invalid."""
     if grid is None:
-        grid = np.linspace(0.0, t_end, 201)
+        # a t_end that is not finite gives NaN samples, which magnus.flow
+        # refuses together with t_end
+        with np.errstate(invalid="ignore"):
+            grid = np.linspace(0.0, t_end, 201)
     grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid.min() < 0.0 or grid.max() > t_end):
-        raise ValueError(f"grid leaves the span [0, {t_end}]")
     return _read_factors(scenario, magnus.flow(scenario, t_end, tol, grid),
                          grid)
 
@@ -211,7 +214,7 @@ def _read_factors(scenario: Scenario, flow: magnus.Flow,
     step edges hold the grid."""
     t_end = float(flow.ts[-1])
     alpha, rho = _diag(scenario, grid)
-    dense = flow.s_rows
+    dense = functools.partial(flow, s_only=True)
     singular_time, near = _chart_end(scenario, dense, flow.ts)
     stop = math.inf if singular_time is None else singular_time
     # near-zeros of |S22| join the unwrapping samples: each splits the
@@ -220,8 +223,9 @@ def _read_factors(scenario: Scenario, flow: magnus.Flow,
 
     def gauss(times):
         alpha, rho = _diag(scenario, times)
-        s = np.exp(0.5j * (alpha - rho)) * dense(times)
-        return np.exp(1j * rho) * s[1], s[2], s[3]     # G12, G21, G22
+        s = np.exp(0.5j * (alpha - rho))[..., None, None] * dense(times)
+        # G12, G21, G22
+        return np.exp(1j * rho) * s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
 
     arg_ts = np.unwrap(np.angle(gauss(ts)[2]))
 

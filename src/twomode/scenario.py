@@ -720,14 +720,22 @@ class TabulatedScenario(Scenario):
         t = np.asarray(t, dtype=float)
         if t.size < 4:
             raise ValueError("need at least 4 samples for cubic interpolation")
+        columns = {name: np.asarray(v) for name, v in (
+            ("t", t), ("w11", w11), ("w22", w22), ("w12", w12), ("F1", f1),
+            ("F2", f2), ("B", b)) if v is not None}
+        for name, v in columns.items():
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError(f"column {name} is not finite in data row "
+                                 f"{bad[0] + 1} ({v[bad[0]]})")
         if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+            raise ValueError("sample times in column t must be strictly "
+                             "increasing")
         w12 = np.asarray(w12, dtype=complex)
         coeffs = CubicSpline(t, np.array([w11, w22, w12.real, w12.imag],
                                          dtype=float).T)
-        drives = {name: _SplineDrive(t, np.asarray(v, dtype=complex))
-                  for name, v in (("f1", f1), ("f2", f2), ("b", b))
-                  if v is not None}
+        drives = {name.lower(): _SplineDrive(t, columns[name].astype(complex))
+                  for name in ("F1", "F2", "B") if name in columns}
         integrals = coeffs.antiderivative()
         # alpha and rho vanish at t = 0, where every flow starts with S = I
         integrals.c[-1] -= integrals(0.0)
@@ -735,18 +743,24 @@ class TabulatedScenario(Scenario):
 
     @classmethod
     def from_csv(cls, path):
+        """from_samples on a CSV file; a refused file is named in the
+        error.  An empty cell or text that is not a number reads as NaN,
+        which from_samples refuses."""
         data = np.genfromtxt(path, delimiter=",", names=True)
         cols = ("t", "w11", "w22", "re_w12", "im_w12",
                 "re_F1", "im_F1", "re_F2", "im_F2", "B")
         missing = [c for c in cols if c not in (data.dtype.names or ())]
-        if missing:
-            raise ValueError(f"tabulated file missing columns {missing}")
-        return cls.from_samples(
-            data["t"], data["w11"], data["w22"],
-            data["re_w12"] + 1j * data["im_w12"],
-            f1=data["re_F1"] + 1j * data["im_F1"],
-            f2=data["re_F2"] + 1j * data["im_F2"],
-            b=data["B"])
+        try:
+            if missing:
+                raise ValueError(f"missing columns {missing}")
+            return cls.from_samples(
+                data["t"], data["w11"], data["w22"],
+                data["re_w12"] + 1j * data["im_w12"],
+                f1=data["re_F1"] + 1j * data["im_F1"],
+                f2=data["re_F2"] + 1j * data["im_F2"],
+                b=data["B"])
+        except ValueError as exc:
+            raise ValueError(f"tabulated file {path}: {exc}") from None
 
     def _check_domain(self, t):
         lo, hi = self.grid[0], self.grid[-1]

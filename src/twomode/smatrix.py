@@ -26,16 +26,16 @@ from .scenario import Scenario
 
 @dataclass(frozen=True)
 class SMatrix2:
-    t: float
+    """S at a time t, mat 2x2, or at a 1-D array of times t, mat an
+    (n, 2, 2) stack; projected flags the samples polar-projected."""
+
+    t: float | np.ndarray
     mat: np.ndarray
-    projected: bool = False
+    projected: bool | np.ndarray = False
 
     @property
-    def unitarity_defect(self) -> float:
-        return float(unitarity_defects(self.mat))
-
-    def __getitem__(self, idx):
-        return self.mat[idx]
+    def unitarity_defect(self):
+        return unitarity_defects(self.mat)[()]
 
 
 def unitarity_defects(mats) -> np.ndarray:
@@ -46,60 +46,48 @@ def unitarity_defects(mats) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
 
 
-def _polar_project(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
-def smatrix_numeric(scenario: Scenario, t: float,
-                    tol: float = 1e-10) -> SMatrix2:
-    """S(t) alone: smatrix_numeric_grid at [t]."""
-    return smatrix_numeric_grid(scenario, [t], tol)[0]
-
-
 def smatrix_numeric_grid(scenario: Scenario, grid,
-                         tol: float = 1e-10) -> list[SMatrix2]:
-    """One Magnus flow with the grid times (ascending, from 0) as step
-    edges.  A sample is re-unitarized by polar projection only if its
-    drift exceeds 10x the requested tolerance, and that is flagged."""
+                         tol: float = 1e-10) -> SMatrix2:
+    """S on a 1-D grid of times (ascending, from 0), from one Magnus flow
+    with the grid times as step edges.  A sample is re-unitarized by polar
+    projection only if its drift exceeds 10x the requested tolerance, and
+    that is flagged."""
     grid = np.asarray(grid, dtype=float)
-    dense = (magnus.flow(scenario, float(grid[-1]), tol, grid).s_rows
-             if np.any(grid > 0) else None)
-    return _sampled(dense, grid, tol)
+    solved = magnus.flow(scenario, float(grid[-1]), tol, grid)
+    return _sampled(solved(grid, s_only=True), grid, tol)
 
 
-def _sampled(dense, grid, tol: float) -> list[SMatrix2]:
-    """smatrix_numeric_grid's samples from dense, s -> rows S11 ... S22.
-    The unitarity defects of all samples come from one unitarity_defects
-    pass; only the samples whose defect exceeds 10 tol are polar-projected,
-    and those are flagged."""
-    mats = np.tile(np.eye(2, dtype=complex), (grid.size, 1, 1))
-    positive = grid > 0
-    if np.any(positive):
-        mats[positive] = dense(grid[positive]).T.reshape(-1, 2, 2)
+def _sampled(mats: np.ndarray, grid, tol: float) -> SMatrix2:
+    """smatrix_numeric_grid's result from the (n, 2, 2) stack mats of S on
+    the grid, which it may change in place.  The unitarity defects of all
+    samples come from one unitarity_defects pass; only the samples whose
+    defect exceeds 10 tol are polar-projected, u vh from their SVDs, and
+    those are flagged."""
     projected = unitarity_defects(mats) > 10.0 * tol
-    for i in np.nonzero(projected)[0]:
-        mats[i] = _polar_project(mats[i])
-    return [SMatrix2(t=t, mat=m, projected=p)
-            for t, m, p in zip(grid.tolist(), mats, projected.tolist())]
+    u, _, vh = np.linalg.svd(mats[projected])
+    mats[projected] = u @ vh
+    return SMatrix2(t=grid, mat=mats, projected=projected)
 
 
 # ---------------------------------------------------------------------------
 # closed element block
 
-def smatrix_closed(scenario: Scenario, t: float) -> SMatrix2:
-    """Printed closed-form S(t) for every case with a phase family: the
-    family's closed Gauss-frame block G (riccati._closed_block) unframed,
+def smatrix_closed(scenario: Scenario, t) -> SMatrix2:
+    """Printed closed-form S for every case with a phase family, at a time
+    or a 1-D array of times: the family's closed Gauss-frame block G
+    (riccati._closed_block) unframed,
     S = e^{-i alpha/2} diag(e^{-i rho/2}, e^{i rho/2}) G."""
     fam = scenario.phase_family()
     if fam is None:
         raise ValueError(f"no printed closed S block for case {scenario.case}")
     alpha, rho = scenario.diag_integrals(t)
     (g11, g12, g21, g22), _ = _closed_block(fam, t)
-    e1 = cmath.exp(-0.5j * (alpha + rho))
-    e2 = cmath.exp(-0.5j * (alpha - rho))
-    m = np.array([[e1 * g11, e1 * g12], [e2 * g21, e2 * g22]], dtype=complex)
-    return SMatrix2(t=float(t), mat=m)
+    e1 = np.exp(-0.5j * (alpha + rho))
+    e2 = np.exp(-0.5j * (alpha - rho))
+    # built with the matrix axes first and transposed: .T reverses every
+    # axis, which puts the times in front and swaps rows and columns back
+    m = np.array([[e1 * g11, e2 * g21], [e1 * g12, e2 * g22]], dtype=complex)
+    return SMatrix2(t=t, mat=m.T)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
                                coherent_evolution_closed, coherent_spec,
-                               habeta_spectrum_check, ladder_eigenvalue_check)
+                               habeta_spectrum_check, ladder_eigenvalue_checks)
 from twomode.fock import (annihilator, coherent_state, interior_mask,
                           make_space, mixing_operator)
 from twomode.oracle import (brute_force_propagator, brute_force_smatrix,
@@ -27,7 +27,8 @@ from twomode.scenario import (AllConstantScenario, ConstantPhaseScenario,
                               LogRhoScenario, QuadraticPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
                               TabulatedScenario)
-from twomode.smatrix import smatrix_closed, smatrix_from_factors, smatrix_numeric
+from twomode.smatrix import (smatrix_closed, smatrix_from_factors,
+                             smatrix_numeric_grid)
 from twomode.special import fresnel_c, kummer_1f1
 
 ROOT_HALF = math.sqrt(0.5)
@@ -145,19 +146,21 @@ def test_criterion_04_factor_reconstruction():
     worst = 0.0
     for scenario, t_max in cases:
         factors = solve_riccati_numeric(scenario, t_max, tol=1e-12)
-        for t in np.linspace(0.2, t_max, 5):
+        times = np.linspace(0.2, t_max, 5)
+        direct = smatrix_numeric_grid(scenario, times, tol=1e-12)
+        for t, want in zip(times, direct.mat):
             rebuilt = smatrix_from_factors(factors, float(t))
-            direct = smatrix_numeric(scenario, float(t), tol=1e-12)
-            worst = max(worst, float(np.max(np.abs(rebuilt.mat - direct.mat))))
+            worst = max(worst, float(np.max(np.abs(rebuilt.mat - want))))
 
     # alternative ordering for the quadratic-phase showcase on [0, 1]
     qp = QuadraticPhaseScenario(eta0=1.0, theta0=0.5)
     alt = factors_on_grid(qp, np.linspace(0.0, 1.0, 6),
                           ordering="alternative")
-    for t in np.linspace(0.2, 1.0, 5):
+    times = np.linspace(0.2, 1.0, 5)
+    direct = smatrix_numeric_grid(qp, times, tol=1e-12)
+    for t, want in zip(times, direct.mat):
         rebuilt = smatrix_from_factors(alt, float(t))
-        direct = smatrix_numeric(qp, float(t), tol=1e-12)
-        worst = max(worst, float(np.max(np.abs(rebuilt.mat - direct.mat))))
+        worst = max(worst, float(np.max(np.abs(rebuilt.mat - want))))
     report(4, worst < 1e-7,
            f"factor route vs direct integration over all scenario cases "
            f"plus the alternative quadratic-phase chart: "
@@ -187,11 +190,11 @@ def test_criterion_06_isotropic_coherent_law():
     scenario = IsotropicConstantScenario(alpha=ROOT_HALF, beta=ROOT_HALF,
                                          z0=1.0)
     spec = coherent_spec(scenario)
-    worst = 0.0
-    for t in np.linspace(0.1, 2.0, 20):
-        amps = c_coefficients(scenario, spec.c_initial, float(t), tol=1e-12)
-        want = ROOT_HALF * cmath.exp(-1j * float(t))
-        worst = max(worst, abs(amps.c1 - want), abs(amps.c2 - want))
+    times = np.linspace(0.1, 2.0, 20)
+    amps = c_coefficients(scenario, spec.c_initial, times, tol=1e-12)
+    want = ROOT_HALF * np.exp(-1j * times)
+    worst = float(max(np.max(np.abs(amps.c1 - want)),
+                      np.max(np.abs(amps.c2 - want))))
     report(6, worst < 1e-9,
            f"c_sigma(t) = Z conj(alpha) e^(-it) from the generic pipeline "
            f"at 20 times: max dev {worst:.3e} (tol 1e-9)")
@@ -209,12 +212,13 @@ def test_criterion_07_conservation_and_eigenvalue():
     worst_res = 0.0
     for scenario in cases:
         spec = coherent_spec(scenario)
-        for t in np.linspace(0.0, 2.0, 9):
-            amps = coherent_evolution_closed(scenario, spec, float(t))
-            worst_norm = max(worst_norm, abs(amps.norm2 - 0.25))
-            check = ladder_eigenvalue_check(space, spec, amps)
-            worst_eig = max(worst_eig, abs(check.eigenvalue - spec.z0))
-            worst_res = max(worst_res, check.residual)
+        amps = coherent_evolution_closed(scenario, spec,
+                                         np.linspace(0.0, 2.0, 9))
+        eigenvalues, residuals = ladder_eigenvalue_checks(space, spec,
+                                                          amps.c1, amps.c2)
+        worst_norm = max(worst_norm, np.max(np.abs(amps.norm2 - 0.25)))
+        worst_eig = max(worst_eig, np.max(np.abs(eigenvalues - spec.z0)))
+        worst_res = max(worst_res, np.max(residuals))
     ok = worst_norm < 1e-9 and worst_eig < 1e-7 and worst_res < 1e-7
     report(7, ok,
            f"|c1|^2 + |c2|^2 drift {worst_norm:.3e} (tol 1e-9); lowering "

@@ -205,6 +205,27 @@ def test_unknown_case_key_is_rejected(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("row,column", [
+    ("0.5,nan,0.2,0.3,0.1,0,0,0,0,0", "w11"),
+    ("0.5,,0.2,0.3,0.1,0,0,0,0,0", "w11"),
+    ("0.5,0.5,0.2,0.3,0.1,inf,0,0,0,0", "F1"),
+    ("0.25,0.5,0.2,0.3,0.1,0,0,0,0,0", "t"),
+], ids=["nan", "empty", "inf-drive", "repeated-time"])
+def test_refused_table_names_its_file_and_column(tmp_path, capsys, row,
+                                                 column):
+    rows = [f"{t},0.5,0.2,0.3,0.1,0,0,0,0,0" for t in (0.0, 0.25, 0.75, 1.0)]
+    rows.insert(2, row)
+    table = tmp_path / "samples.csv"
+    table.write_text("t,w11,w22,re_w12,im_w12,re_F1,im_F1,re_F2,im_F2,B\n"
+                     + "\n".join(rows) + "\n")
+    ini = write_ini(tmp_path, "[Tabulated]\ndata = samples.csv\n")
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", ini, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"tabulated file {table}:" in err and f"column {column} " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key", [
     ("[F1]\nkind = rotating\namp_re = 0.1\nomega = 1.0\nre = 0.1\n", "re"),
     ("[F2]\nre = 0.1\nvalue = 0.2\n", "value"),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from twomode import magnus
-from twomode.evolution import c_coefficients
+from twomode.evolution import assemble_U, c_coefficients
+from twomode.fock import make_space
 from twomode.riccati import solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               LinearPhaseScenario, RhoConstantScenario,
                               RotatingDrive, TabulatedScenario)
+from twomode.smatrix import smatrix_numeric_grid
 
 TOL = 1e-10
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -79,7 +82,8 @@ def _reference(scenario, t, c0):
 def _flow_values(flow, times, c0):
     """Rows S11, S12, S21, S22, c1, c2, P of a drive flow at the times."""
     c, p = flow.amplitudes(times, c0)
-    return np.concatenate([flow.s_rows(times), c.T, p[None]])
+    return np.concatenate([flow(times, s_only=True).reshape(-1, 4).T, c.T,
+                           p[None]])
 
 
 @seed(1)
@@ -160,6 +164,28 @@ def test_flow_at_time_zero_is_the_identity():
         magnus.flow(scenario, 1.0, TOL, samples=[0.5, 1.5])
 
 
+_DRIVEN = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j,
+                              f1=RotatingDrive(0.1, 1.0, 0.0))
+_TIME_ROUTES = {
+    "c_coefficients": lambda t: c_coefficients(_DRIVEN, (0.1, 0.2j), t),
+    "smatrix_numeric_grid": lambda t: smatrix_numeric_grid(_DRIVEN, [0.0, t]),
+    "assemble_U": lambda t: assemble_U(make_space(3), _DRIVEN, t),
+    "solve_riccati_numeric": lambda t: solve_riccati_numeric(_DRIVEN, t),
+    "flow-sample": lambda t: magnus.flow(_DRIVEN, 1.0, TOL, samples=[0.5, t]),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("route", list(_TIME_ROUTES))
+def test_a_time_the_flows_cannot_reach_is_refused(route, t):
+    # the flow refuses a negative or non-finite time up front, naming it,
+    # before numpy warns about anything
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"Magnus flow time {t} is"):
+            _TIME_ROUTES[route](t)
+
+
 # Every knot of a table is a step edge, one array element each: the number
 # of coupling calls in a flow must not grow with the table's density.
 
@@ -210,7 +236,7 @@ def test_dense_table_matches_knot_by_knot_reference():
     for lo, hi in zip(knots[:-1], knots[1:]):
         y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13,
                       atol=1e-13).y[:, -1]
-    (amps,) = c_coefficients(tab, c0, np.array([knots[-1]]))
+    amps = c_coefficients(tab, c0, knots[-1])
     s = magnus.flow(tab, knots[-1], TOL).values[-1]
     assert np.max(np.abs(s.ravel() - y[:4])) <= 1e-12
     assert abs(amps.c1 - y[4]) <= 1e-12

@@ -19,8 +19,8 @@ from twomode.scenario import (
     RhoConstantScenario,
 )
 from twomode.smatrix import (SMatrix2, _sampled, smatrix_closed,
-                             smatrix_from_factors, smatrix_numeric,
-                             smatrix_numeric_grid, unitarity_defects)
+                             smatrix_from_factors, smatrix_numeric_grid,
+                             unitarity_defects)
 
 PRINTED_CASES = [
     ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05),
@@ -33,19 +33,19 @@ PRINTED_CASES = [
 
 
 def test_identity_at_time_zero():
-    got = smatrix_numeric(PRINTED_CASES[0], 0.0)
-    assert np.array_equal(got.mat, np.eye(2))
-    assert not got.projected
+    got = smatrix_numeric_grid(PRINTED_CASES[0], [0.0])
+    assert np.array_equal(got.mat[0], np.eye(2))
+    assert not got.projected[0]
 
 
 @pytest.mark.parametrize("scenario", PRINTED_CASES,
                          ids=[s.case for s in PRINTED_CASES])
 def test_printed_blocks_match_numeric(scenario):
-    for t in (0.3, 0.9, 1.7):
-        closed = smatrix_closed(scenario, t)
-        numeric = smatrix_numeric(scenario, t, tol=1e-12)
-        assert np.max(np.abs(closed.mat - numeric.mat)) < 1e-8
-        assert closed.unitarity_defect < 1e-9
+    times = np.array([0.3, 0.9, 1.7])
+    closed = smatrix_closed(scenario, times)
+    numeric = smatrix_numeric_grid(scenario, times, tol=1e-12)
+    assert np.max(np.abs(closed.mat - numeric.mat)) < 1e-8
+    assert np.all(closed.unitarity_defect < 1e-9)
 
 
 def test_printed_blocks_match_brute_force():
@@ -86,10 +86,11 @@ def test_isotropic_frozen_swap():
 def test_reconstruction_from_factors():
     for scenario in PRINTED_CASES:
         factors = factors_on_grid(scenario, np.linspace(0.0, 1.5, 16))
-        for t in (0.0, 0.5, 1.3):
-            rebuilt = smatrix_from_factors(factors, t)
-            direct = smatrix_numeric(scenario, t, tol=1e-12)
-            assert np.max(np.abs(rebuilt.mat - direct.mat)) < 1e-7
+        times = np.array([0.0, 0.5, 1.3])
+        direct = smatrix_numeric_grid(scenario, times, tol=1e-12)
+        for t, want in zip(times, direct.mat):
+            rebuilt = smatrix_from_factors(factors, float(t))
+            assert np.max(np.abs(rebuilt.mat - want)) < 1e-7
 
 
 def test_both_orderings_rebuild_the_same_matrix():
@@ -107,8 +108,8 @@ def test_reconstruction_from_numeric_factors():
     scenario = QuadraticPhaseScenario(eta0=1.0, theta0=0.5)
     factors = solve_riccati_numeric(scenario, 1.0, tol=1e-12)
     rebuilt = smatrix_from_factors(factors, 1.0)
-    direct = smatrix_numeric(scenario, 1.0, tol=1e-12)
-    assert np.max(np.abs(rebuilt.mat - direct.mat)) < 1e-8
+    direct = smatrix_numeric_grid(scenario, [1.0], tol=1e-12)
+    assert np.max(np.abs(rebuilt.mat - direct.mat[0])) < 1e-8
 
 
 def test_reconstruction_raises_past_singularity():
@@ -122,50 +123,57 @@ def test_grid_evaluation_matches_single_shots():
     scenario = PRINTED_CASES[1]
     grid = np.array([0.0, 0.25, 0.8, 1.6])
     batch = smatrix_numeric_grid(scenario, grid, tol=1e-12)
-    assert np.array_equal(batch[0].mat, np.eye(2))
-    for sm, t in zip(batch[1:], grid[1:]):
-        single = smatrix_numeric(scenario, float(t), tol=1e-12)
-        assert np.max(np.abs(sm.mat - single.mat)) < 1e-9
-        assert not sm.projected
+    assert np.array_equal(batch.t, grid)
+    assert np.array_equal(batch.mat[0], np.eye(2))
+    for t, mat, projected in zip(grid[1:], batch.mat[1:],
+                                 batch.projected[1:]):
+        single = smatrix_numeric_grid(scenario, [t], tol=1e-12)
+        assert np.max(np.abs(mat - single.mat[0])) < 1e-9
+        assert not projected
+    # the closed block on an array is its per-time calls stacked; a scalar
+    # time keeps a 2x2 mat
+    for scenario in PRINTED_CASES:
+        closed = smatrix_closed(scenario, grid)
+        assert closed.mat.shape == (grid.size, 2, 2)
+        for t, mat in zip(grid, closed.mat):
+            single = smatrix_closed(scenario, float(t))
+            assert single.mat.shape == (2, 2)
+            assert np.max(np.abs(mat - single.mat)) <= 1e-15
 
 
 def test_unitarity_defect_property():
     tilted = SMatrix2(t=0.0, mat=np.eye(2, dtype=complex) * (1.0 + 1e-6))
     assert abs(tilted.unitarity_defect - 2e-6) < 1e-9
-    assert tilted[0, 0] == 1.0 + 1e-6
 
 
-def _drifting_rows(s):
-    # rows S11 ... S22 of a rotation by s, scaled by 1 + 1e-6 from s = 0.7
-    # on, so those samples drift off unitarity by about 2e-6
+def _drifting(s):
+    # rotations by each s, scaled by 1 + 1e-6 from s = 0.7 on, so those
+    # samples drift off unitarity by about 2e-6
     c, n = np.cos(s), np.sin(s)
     scale = np.where(s >= 0.7, 1.0 + 1e-6, 1.0)
-    return scale * np.array([c, -n, n, c], dtype=complex)
+    return (scale * np.array([c, -n, n, c], dtype=complex)).T.reshape(-1, 2, 2)
 
 
 def test_sampled_projects_only_drifted_samples():
     grid = np.array([0.0, 0.5, 1.0])
-    strict = _sampled(_drifting_rows, grid, 1e-10)
-    assert [sm.projected for sm in strict] == [False, False, True]
-    assert [sm.t for sm in strict] == grid.tolist()
-    assert np.array_equal(strict[1].mat,
-                          _drifting_rows(np.array([0.5])).T.reshape(2, 2))
+    strict = _sampled(_drifting(grid), grid, 1e-10)
+    assert strict.projected.tolist() == [False, False, True]
+    assert strict.t.tolist() == grid.tolist()
+    assert np.array_equal(strict.mat[1], _drifting(np.array([0.5]))[0])
     # the reported defect is the projected matrix's
-    assert strict[2].unitarity_defect <= 1e-12
-    assert unitarity_defects(np.array([sm.mat for sm in strict]))[2] <= 1e-12
+    assert strict.unitarity_defect[2] <= 1e-12
     rotation = np.array([[np.cos(1.0), -np.sin(1.0)],
                          [np.sin(1.0), np.cos(1.0)]])
-    assert np.max(np.abs(strict[2].mat - rotation)) < 1e-12
+    assert np.max(np.abs(strict.mat[2] - rotation)) < 1e-12
 
-    loose = _sampled(_drifting_rows, grid, 1e-3)
-    assert not any(sm.projected for sm in loose)
-    drifted = _drifting_rows(np.array([1.0])).T.reshape(2, 2)
-    assert np.array_equal(loose[2].mat, drifted)
-    assert abs(loose[2].unitarity_defect - 2e-6) < 1e-9
+    loose = _sampled(_drifting(grid), grid, 1e-3)
+    assert not loose.projected.any()
+    assert np.array_equal(loose.mat[2], _drifting(np.array([1.0]))[0])
+    assert abs(loose.unitarity_defect[2] - 2e-6) < 1e-9
 
 
 def test_batched_defects_match_per_matrix_defects():
-    mats = _drifting_rows(np.linspace(0.0, 1.4, 15)).T.reshape(-1, 2, 2)
+    mats = _drifting(np.linspace(0.0, 1.4, 15))
     mats = mats * np.exp(0.3j * np.arange(15))[:, None, None]
     batched = unitarity_defects(mats)
     assert batched.shape == (15,)
@@ -287,6 +295,5 @@ def test_isotropic_quarter_angle_matches_numeric_route():
     assert numeric.valid.all()
     for got, want in zip(closed, (numeric.lam, numeric.omega, numeric.gamma)):
         assert np.max(np.abs(got - want)) < 1e-8
-    mats = smatrix_numeric_grid(scenario, grid, 1e-12)
-    for t, sm in zip(grid, mats):
-        assert np.max(np.abs(smatrix_closed(scenario, t).mat - sm.mat)) < 1e-8
+    mats = smatrix_numeric_grid(scenario, grid, 1e-12).mat
+    assert np.max(np.abs(smatrix_closed(scenario, grid).mat - mats)) < 1e-8
