@@ -3,7 +3,7 @@ with brute-force verification on a truncated Fock space."""
 
 from .fock import (FockSpace, TruncationError, annihilator, basis_state,
                    coherent_state, displacement_operator, expectation,
-                   interior_mask, make_space, mixing_operator, su2_generator,
+                   interior_mask, make_space, mixing_operator, schwinger_lift,
                    vacuum_state)
 from .scenario import (AllConstantScenario, ConstantDrive,
                        ConstantPhaseScenario, CosineDrive,

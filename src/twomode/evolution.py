@@ -12,14 +12,15 @@ factors, framed by the diagonal phases of alpha and rho; one Magnus flow
 (magnus.flow) gives S, (c1, c2) and P together.  The displacement is formed
 first, so an amplitude its truncation guard rejects costs no U0.  When the
 factor chart is singular at t the assembly falls back to a globally regular
-single-exponential form obtained by lifting the numeric j=1/2 propagator to
-the truncated Fock space; factors, lift and amplitudes share that one flow.
-Every factor is exact for the truncated operators, partial shells above
-n_max included: the Gauss factors e^{z J+-} are the closed nilpotent-chain
-entries of fock.chain_exponential, the displacement is the spectral
-single-mode form of fock.displacement_operator, and only the lift, whose
-generator is a general su(2) element, is exponentiated one occupation shell
-at a time (fock.shell_expm).
+form, the Schwinger lift Sym^N(S) of the numeric j=1/2 propagator on every
+occupation shell (fock.schwinger_lift); factors, lift and amplitudes share
+that one flow.  The Gauss factors e^{z J+-} are the closed nilpotent-chain
+entries of fock.chain_exponential and the displacement is the spectral
+single-mode form of fock.displacement_operator, both exact for the
+truncated operators.  The lift is the compression P Sym^N(S) P of the
+untruncated operator: equal to the Gauss product on the complete shells
+N <= n_max, not unitary on the partial ones above.  No step forms a
+general matrix exponential.
 
 The isotropic families carry coherent data; without drives their coherent
 states follow one law, the closed S block applied to c(0), and the ladder
@@ -29,14 +30,12 @@ check of the states on a grid of amplitudes is one array pass.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (FockSpace, annihilator, chain_exponential, coherent_state,
-                   displacement_operator, number_diagonals, shell_expm,
-                   su2_generator)
+                   displacement_operator, number_diagonals, schwinger_lift)
 from . import magnus
 from .riccati import _read_factors
 from .scenario import Scenario, drive_is_zero
@@ -106,7 +105,7 @@ def c_coefficients(scenario: Scenario, c0, t,
     times = np.asarray(t, dtype=float)
     if np.any(np.diff(np.atleast_1d(times)) < 0):
         raise ValueError("times must be ascending")
-    c, p = magnus.flow(scenario, times.max(), tol, times,
+    c, p = magnus.flow(scenario, times.max(initial=0.0), tol, times,
                        drives=True).amplitudes(times, np.asarray(c0, complex))
     return _amplitudes(times, c, np.exp(-1j * p))
 
@@ -125,32 +124,11 @@ def _gauss_product(space: FockSpace, alpha: float, rho: float, lam: complex,
     return u @ chain_exponential(space, gamma, "J-")
 
 
-def _su2_lift(space: FockSpace, smat: np.ndarray, alpha: float) -> np.ndarray:
-    """Globally regular form: write e^{i alpha/2} S as an SU(2) rotation
-    cos(theta) I - i sin(theta) n.sigma and lift the generator to the
-    Schwinger representation.  Exact for any log branch because the group
-    is simply connected."""
-    su = cmath.exp(0.5j * alpha) * smat
-    cos_t = 0.5 * (su[0, 0] + su[1, 1]).real
-    m = (su - cos_t * np.eye(2)) / (-1j)
-    # m = sin(theta) n.sigma, Hermitian
-    v = np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
-    sin_t = float(np.linalg.norm(v))
-    n1d, n2d = number_diagonals(space)
-    dn = np.diag(np.exp(-0.5j * alpha * (n1d + n2d)))
-    if sin_t < 1e-12:
-        if cos_t > 0:
-            return dn
-        # rotation by pi about any axis; z gives a diagonal lift
-        return dn @ np.diag(np.exp(-1j * math.pi * (n1d - n2d)))
-    theta = math.atan2(sin_t, min(1.0, max(-1.0, cos_t)))
-    n_hat = v / sin_t
-    jp = su2_generator(space, "J+")
-    jm = su2_generator(space, "J-")
-    j3 = np.diag(0.5 * (n1d - n2d)).astype(complex)
-    gen = (n_hat[0] * (jp + jm) - 1j * n_hat[1] * (jp - jm)
-           + 2.0 * n_hat[2] * j3)
-    return dn @ shell_expm(space, -1j * theta * gen)
+def _su2_lift(space: FockSpace, smat: np.ndarray) -> np.ndarray:
+    """Globally regular form: the Schwinger lift Sym^N(S) of S on every
+    shell, with no chart and no log branch.  alpha needs no argument:
+    det S = e^{-i alpha}, and Sym^N carries it as e^{-i alpha N/2}."""
+    return schwinger_lift(space, smat)
 
 
 def assemble_U(space: FockSpace, scenario: Scenario, t: float,
@@ -169,7 +147,7 @@ def assemble_U(space: FockSpace, scenario: Scenario, t: float,
         u0 = _gauss_product(space, alpha, rho, factors.lam[0],
                             factors.omega[0], factors.gamma[0])
     else:
-        u0 = _su2_lift(space, factors.s_dense(t), alpha)
+        u0 = _su2_lift(space, factors.s_dense(t))
     return cmath.exp(-1j * p) * (disp @ u0)
 
 

@@ -6,27 +6,32 @@ Operators are dense complex matrices on that space.  Truncation makes ladder
 products inexact on the outermost shells, so algebraic identities are only
 asserted on interior states (see interior_mask).
 
-The u(2) generators conserve the total occupation N = n1 + n2, so their
-exponentials are block-diagonal by shell.  On each shell J+ and J- are
-nilpotent chains, so chain_exponential writes e^{z J+} and e^{z J-} entry
-by entry from a cached index and coefficient table; shell_expm
-exponentiates a general generator one shell block (at most n_max + 1
-states) at a time.  The two modes' displacement generators commute, so a
+The u(2) part of a propagator conserves the total occupation N = n1 + n2
+and maps a_j^dag to sum_i S_ij a_i^dag for a 2x2 matrix S, so on shell N
+it is the N-th symmetric power Sym^N(S): schwinger_lift writes it entry by
+entry from one cached table of closed terms, and chain_exponential reads
+e^{z J+} and e^{z J-} off that table's terms without a power of S21.  On
+the partial shells N > n_max the lift is the compression P U P of the
+untruncated operator; for the nilpotent chains that is also the exponential
+of the truncated generator, for a general S it is not, and it is not
+unitary there.  The two modes' displacement generators commute, so a
 displacement is the Kronecker product of two single-mode ones, each
 D(c) = P V e^{-i |c| mu} V^dag P^dag from one cached eigendecomposition
-V diag(mu) V^dag of the quadrature i(a^dag - a), with P = diag(e^{i n arg c}).
-All of these are exact for the truncated operators: the partial shells
-N > n_max are kept as the truncation leaves them, not dropped.
+V diag(mu) V^dag of the quadrature i(a^dag - a), with P = diag(e^{i n arg c}),
+exact for the truncated operators.  Nothing here forms a general matrix
+exponential.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class TruncationError(Exception):
@@ -97,56 +102,70 @@ def number_diagonals(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
-def su2_generator(space: FockSpace, which: str) -> np.ndarray:
-    """Schwinger generators: J+ = a1^dag a2, J- = a1 a2^dag,
-    J3 = (n1 - n2)/2, and the half total number N = (n1 + n2)/2."""
-    n1, n2 = number_diagonals(space)
-    if which == "J3":
-        return np.diag((n1 - n2) / 2.0).astype(complex)
-    if which == "N":
-        return np.diag((n1 + n2) / 2.0).astype(complex)
-    lower = _lowering(space)
-    if which == "J+":
-        return np.kron(lower.T, lower).astype(complex)
-    if which == "J-":
-        return np.kron(lower, lower.T).astype(complex)
-    raise ValueError(f"unknown generator {which!r}")
-
-
 @functools.cache
-def _shells(space: FockSpace) -> tuple[np.ndarray, ...]:
-    # flat indices of each shell n1 + n2 = N, N = 0..2 n_max, n1 ascending;
-    # cached, so read-only
+def _schwinger_table(space: FockSpace) -> tuple[np.ndarray, ...]:
+    # every term of <m1,m2|Sym^N(S)|n1,n2> for m and n of one shell (see
+    # schwinger_lift): the flat index row * dim + col, the powers of S11,
+    # S21, S12 and S22 as four rows, and the coefficient
+    # sqrt(m1! m2! / (n1! n2!)) C(n1, j) C(n2, k); cached, so read-only
     n = space.n_max
-    shells = []
+    flat, powers, coefs = [], [], []
     for total in range(2 * n + 1):
-        n1 = np.arange(max(0, total - n), min(total, n) + 1)
-        idx = n1 * space.side + (total - n1)
-        idx.flags.writeable = False
-        shells.append(idx)
-    return tuple(shells)
-
-
-@functools.cache
-def _chain_table(space: FockSpace) -> tuple[np.ndarray, ...]:
-    # every pair (i, j) of one shell with n1_i = n1_j + k, k >= 0: the flat
-    # indices, k and sqrt(n1_i! n2_j! / (n1_j! n2_i!)) / k!, the entry of
-    # J+^k / k! at (i, j); n1 steps by one along a shell; cached, so read-only
-    rows, cols, powers, coefs = [], [], [], []
-    for idx in _shells(space):
-        for a in range(idx.size):
-            n1_i, n2_i = space.occupations(int(idx[a]))
-            for b in range(a + 1):
-                k = a - b
-                rows.append(idx[a])
-                cols.append(idx[b])
-                powers.append(k)
-                ratio = math.perm(n1_i, k) * math.perm(n2_i + k, k)
-                coefs.append(math.sqrt(ratio) / math.factorial(k))
-    table = (np.array(rows), np.array(cols), np.array(powers), np.array(coefs))
+        shell = range(max(0, total - n), min(total, n) + 1)
+        for m1, n1 in itertools.product(shell, shell):
+            m2, n2 = total - m1, total - n1
+            at = space.index(m1, m2) * space.dim + space.index(n1, n2)
+            scale = math.sqrt(Fraction(
+                math.factorial(m1) * math.factorial(m2),
+                math.factorial(n1) * math.factorial(n2)))
+            for j in range(max(0, m1 - n2), min(n1, m1) + 1):
+                k = m1 - j
+                flat.append(at)
+                powers.append((j, n1 - j, k, n2 - k))
+                coefs.append(math.comb(n1, j) * math.comb(n2, k) * scale)
+    table = (np.array(flat), np.array(powers).T.copy(), np.array(coefs))
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+@functools.cache
+def _chain_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
+    # the terms of _schwinger_table with no power of S21, one per entry
+    # (i, j) with n1_i >= n1_j: row, column, the power of S12 and the
+    # coefficient; cached, so read-only
+    flat, powers, coefs = _schwinger_table(space)
+    keep = powers[1] == 0
+    rows, cols = np.divmod(flat[keep], space.dim)
+    table = (rows, cols, powers[2, keep], coefs[keep])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def schwinger_lift(space: FockSpace, s) -> np.ndarray:
+    """Sym^N(S) on every shell N: the operator that maps a_j^dag to
+    sum_i S_ij a_i^dag, for a 2x2 matrix S,
+
+        <m1,m2|U|n1,n2> = sqrt(m1! m2! / (n1! n2!))
+            sum_{j+k=m1} C(n1,j) C(n2,k) S11^j S21^(n1-j) S12^k S22^(n2-k),
+
+    the Wigner D-matrix in the Schwinger representation.  On the partial
+    shells N > n_max it is the compression P U P of the untruncated
+    operator, entry by entry, which is not unitary there."""
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (2, 2):
+        raise ValueError(f"schwinger_lift takes one 2x2 matrix, not {s.shape}")
+    flat, powers, coefs = _schwinger_table(space)
+    # row r of pw holds the powers 0..n_max of S11, S21, S12, S22
+    pw = np.ones((4, space.side), dtype=complex)
+    pw[:, 1:] = s.T.reshape(4, 1)
+    pw = np.cumprod(pw, axis=1)
+    terms = coefs * math.prod(row[p] for row, p in zip(pw, powers))
+    size = space.dim ** 2
+    out = (np.bincount(flat, terms.real, size)
+           + 1j * np.bincount(flat, terms.imag, size))
+    return out.reshape(space.dim, space.dim)
 
 
 def chain_exponential(space: FockSpace, z: complex, which: str) -> np.ndarray:
@@ -154,36 +173,17 @@ def chain_exponential(space: FockSpace, z: complex, which: str) -> np.ndarray:
 
         e^{z J+}[i, j] = z^k / k! sqrt(n1_i! n2_j! / (n1_j! n2_i!))
 
-    for i and j in one shell with n1_i = n1_j + k, and e^{z J-} is the
-    transposed pattern with z^k.  Exact for the truncated operators,
-    partial shells included: J+^k links two states of the space only
-    through states of the space."""
-    rows, cols, powers, coefs = _chain_table(space)
+    for i and j in one shell with n1_i = n1_j + k, the Schwinger lift of
+    [[1, z], [0, 1]], and e^{z J-} is the transposed pattern with z^k.
+    Exact for the truncated operators, partial shells included: J+^k links
+    two states of the space only through states of the space."""
+    rows, cols, powers, coefs = _chain_entries(space)
     if which == "J-":
         rows, cols = cols, rows
     elif which != "J+":
         raise ValueError(f"unknown chain generator {which!r}")
     out = np.zeros((space.dim, space.dim), dtype=complex)
     out[rows, cols] = coefs * complex(z) ** powers
-    return out
-
-
-def shell_expm(space: FockSpace, gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for a generator that conserves the total occupation n1 + n2
-    (any combination of J+, J-, J3 and N), one shell block at a time.
-
-    The result equals the dense exponential of the truncated generator,
-    partial shells N > n_max included.  Raises ValueError when gen couples
-    two different shells.
-    """
-    n1, n2 = number_diagonals(space)
-    total = n1 + n2
-    if np.any(gen[total[:, None] != total[None, :]]):
-        raise ValueError("generator couples different occupation shells")
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for idx in _shells(space):
-        block = np.ix_(idx, idx)
-        out[block] = expm(gen[block])
     return out
 
 
@@ -255,26 +255,21 @@ def mixing_operator(space: FockSpace, gamma3: float, theta_diff: float,
                     eps: int = 1) -> np.ndarray:
     """Beam-splitter style rotation taking the dressed mode onto bare mode 1.
 
-    T = exp[-chi (e^{-i theta_diff} J+ - e^{i theta_diff} J-)] with
-    chi = arctan(eps sqrt((1 - eps gamma3)/(1 + eps gamma3))).  The endpoint
-    limits are continuous: eps*gamma3 -> +1 gives the identity, -> -1 gives
-    the quarter rotation chi = eps pi/2 (mode swap up to phases).
+    T = exp[-chi (e^{-i theta_diff} J+ - e^{i theta_diff} J-)], the
+    Schwinger lift of [[c, -eps e^{-i theta_diff} s],
+    [eps e^{i theta_diff} s, c]] with c = sqrt((1 + eps gamma3)/2) =
+    cos(chi) and s = sqrt((1 - eps gamma3)/2) = eps sin(chi).  So
+    eps*gamma3 = +1 gives the identity and -1 the quarter rotation (mode
+    swap up to phases).
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     if not -1.0 <= gamma3 <= 1.0:
         raise ValueError("gamma3 must lie in [-1, 1]")
-    s = eps * gamma3
-    if s == 1.0:
-        return np.eye(space.dim, dtype=complex)
-    if s == -1.0:
-        chi = eps * (math.pi / 2.0)
-    else:
-        chi = math.atan2(eps * math.sqrt((1.0 - s) / (1.0 + s)), 1.0)
-    jp = su2_generator(space, "J+")
-    jm = su2_generator(space, "J-")
-    gen = -chi * (np.exp(-1j * theta_diff) * jp - np.exp(1j * theta_diff) * jm)
-    return shell_expm(space, gen)
+    c = math.sqrt((1.0 + eps * gamma3) / 2.0)
+    s = math.sqrt((1.0 - eps * gamma3) / 2.0)
+    e = eps * cmath.exp(1j * theta_diff)
+    return schwinger_lift(space, [[c, -s * e.conjugate()], [s * e, c]])
 
 
 def expectation(op: np.ndarray, state: np.ndarray) -> complex:

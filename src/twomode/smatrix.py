@@ -53,7 +53,7 @@ def smatrix_numeric_grid(scenario: Scenario, grid,
     projection only if its drift exceeds 10x the requested tolerance, and
     that is flagged."""
     grid = np.asarray(grid, dtype=float)
-    solved = magnus.flow(scenario, float(grid[-1]), tol, grid)
+    solved = magnus.flow(scenario, grid.max(initial=0.0), tol, grid)
     return _sampled(solved(grid, s_only=True), grid, tol)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import OdeSolution, quad, solve_ivp
 
+from dense_references import assert_close, dense_assemble_U
 from twomode import magnus
 from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
                                coherent_evolution_closed, coherent_spec,
@@ -13,6 +14,7 @@ from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
 from twomode.fock import (annihilator, coherent_state, expectation,
                           interior_mask, make_space)
 from twomode.oracle import brute_force_propagator, compare_operators
+from twomode.riccati import factors_on_grid, solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, IsotropicConstantScenario,
@@ -220,13 +222,35 @@ def test_assemble_survives_chart_singularity():
     scenario = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
     t = math.pi / 2.0 + 0.2
     u = assemble_U(space, scenario, t)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(space.dim))) < 1e-8
+    # the lift is unitary on the complete shells and, on every entry, the
+    # compression of the untruncated operator
+    complete = interior_mask(space, 0)
+    block = u[np.ix_(complete, complete)]
+    assert np.max(np.abs(block.conj().T @ block
+                         - np.eye(block.shape[0]))) < 1e-8
+    assert_close(u, dense_assemble_U(space, scenario, t))
     ref = brute_force_propagator(space, scenario, t, 2048)
     keep = interior_mask(space, 2)
     psi = coherent_state(space, 0.3, 0.2j) * keep
     psi /= np.linalg.norm(psi)
     report = compare_operators(u, ref, [psi], space=space)
     assert np.min(report.fidelities) > 1.0 - 1e-6
+
+
+def test_empty_time_arrays_give_empty_results():
+    driven = AllConstantScenario(w11=0.4, w22=0.2, w12=0.15,
+                                 f1=RotatingDrive(0.1, 1.0, 0.0))
+    closed = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
+    empty = np.array([])
+    amps = c_coefficients(driven, (0.3, -0.1j), empty)
+    for field in (amps.t, amps.c1, amps.c2, amps.global_phase):
+        assert field.shape == (0,)
+    for smat in (smatrix_numeric_grid(driven, empty),
+                 smatrix_closed(closed, empty)):
+        assert smat.mat.shape == (0, 2, 2)
+    for factors in (solve_riccati_numeric(driven, 1.0, grid=empty),
+                    factors_on_grid(closed, empty)):
+        assert factors.lam.shape == factors.valid.shape == (0,)
 
 
 def test_c_coefficients_on_a_time_array():

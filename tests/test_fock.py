@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dense_references import assert_close, dense_mixing
 from twomode.fock import (FockSpace, TruncationError, annihilator,
                           basis_state, coherent_state, displacement_operator,
                           expectation, interior_mask, make_space,
-                          mixing_operator, number_diagonals, su2_generator,
+                          mixing_operator, number_diagonals, schwinger_lift,
                           vacuum_state)
 
 
@@ -58,32 +59,38 @@ def test_commutators_on_interior():
             assert np.max(np.abs(comm[sub] - want)) < 1e-12
 
 
-def test_su2_algebra_on_interior():
+def test_schwinger_lift_is_a_representation():
+    # Sym^N(A) Sym^N(B) = Sym^N(AB) on the complete shells, where the lift
+    # is the whole shell block; diagonal and swap matrices lift to phases
+    # e^{i (a n1 + b n2)} and to the mode swap
     space = make_space(6)
-    jp = su2_generator(space, "J+")
-    jm = su2_generator(space, "J-")
-    j3 = su2_generator(space, "J3")
-    nhalf = su2_generator(space, "N")
-    mask = interior_mask(space, margin=1)
-    sub = np.ix_(mask, mask)
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    complete = interior_mask(space, 0)
+    sub = np.ix_(complete, complete)
+    product = schwinger_lift(space, a) @ schwinger_lift(space, b)
+    want = schwinger_lift(space, a @ b)
+    bound = 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs((product - want)[sub])) < bound
+    n1, n2 = number_diagonals(space)
+    phases = schwinger_lift(space, np.diag(np.exp([0.3j, -1.1j])))
+    want = np.diag(np.exp(0.3j * n1 - 1.1j * n2))
+    assert np.max(np.abs(phases - want)) < 1e-14
+    swap = schwinger_lift(space, [[0, 1], [1, 0]])
+    for n in range(space.side):
+        for m in range(space.side):
+            assert swap[space.index(m, n), space.index(n, m)] == 1.0
 
-    assert np.max(np.abs((j3 @ jp - jp @ j3 - jp)[sub])) < 1e-12
-    assert np.max(np.abs((j3 @ jm - jm @ j3 + jm)[sub])) < 1e-12
-    assert np.max(np.abs((jp @ jm - jm @ jp - 2 * j3)[sub])) < 1e-12
-    for gen in (jp, jm, j3):
-        assert np.max(np.abs((nhalf @ gen - gen @ nhalf)[sub])) < 1e-12
-    with pytest.raises(ValueError):
-        su2_generator(space, "J5")
 
-
-def test_su2_generators_preserve_total_occupation():
+def test_schwinger_lift_preserves_total_occupation():
+    # block-diagonal by shell on the full space, partial shells included
     space = make_space(5)
     n1, n2 = number_diagonals(space)
     total = n1 + n2
-    for which in ("J+", "J-", "J3", "N"):
-        gen = su2_generator(space, which)
-        rows, cols = np.nonzero(np.abs(gen) > 1e-14)
-        assert np.all(total[rows] == total[cols])
+    lift = schwinger_lift(space, [[0.6, 0.8j], [0.8j, 0.6]])
+    rows, cols = np.nonzero(lift)
+    assert np.all(total[rows] == total[cols])
+    assert np.all(lift[total[:, None] == total[None, :]] != 0)
 
 
 def test_interior_mask_is_total_occupation():
@@ -137,7 +144,13 @@ def test_expectation_rejects_zero_vector():
 def test_mixing_operator_unitary_and_endpoints():
     space = make_space(5)
     t = mixing_operator(space, 0.3, 0.7)
-    assert np.max(np.abs(t @ t.conj().T - np.eye(space.dim))) < 1e-10
+    # unitary on the complete shells; on every entry the compression of the
+    # untruncated rotation
+    complete = interior_mask(space, 0)
+    block = t[np.ix_(complete, complete)]
+    assert np.max(np.abs(block @ block.conj().T
+                         - np.eye(block.shape[0]))) < 1e-10
+    assert_close(t, dense_mixing(space, 0.3, 0.7))
     assert np.array_equal(mixing_operator(space, 1.0, 0.4), np.eye(space.dim))
     assert np.array_equal(mixing_operator(space, -1.0, 0.4, eps=-1),
                           np.eye(space.dim))

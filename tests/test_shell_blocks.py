@@ -1,6 +1,7 @@
 """Closed, shell-block and Kronecker assembly against dense references:
-each operator must match its construction by one `expm` on the full
-truncated space, partial shells included."""
+each operator must match its construction by one `expm` on a full
+truncated space, partial shells included; a Schwinger lift matches the
+compression of the untruncated operator (see dense_references)."""
 
 import cmath
 import math
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import twomode.evolution
+from dense_references import (assert_close, compression, dense_assemble_U,
+                              dense_displacement, dense_gauss_product,
+                              dense_jpm, dense_mixing, dense_su2_lift)
 from twomode.evolution import (CoherentStateSpec, _gauss_product, _su2_lift,
-                               assemble_U, c_coefficients,
-                               ladder_eigenvalue_checks)
+                               assemble_U, ladder_eigenvalue_checks)
 from twomode.fock import (TruncationError, annihilator, chain_exponential,
                           coherent_state, displacement_operator, make_space,
-                          mixing_operator, number_diagonals, shell_expm,
-                          su2_generator, vacuum_state)
+                          mixing_operator, number_diagonals, schwinger_lift,
+                          vacuum_state)
 from twomode.riccati import solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, RotatingDrive)
@@ -26,84 +29,11 @@ from twomode.scenario import (AllConstantScenario, ConstantDrive,
 N_MAX = [1, 2, 8, 12]
 
 
-# ---------------------------------------------------------------------------
-# dense references: one expm on the full space per factor
-
-def dense_jpm(space):
-    a1 = annihilator(space, 1)
-    a2 = annihilator(space, 2)
-    return a1.conj().T @ a2, a1 @ a2.conj().T
-
-
-def dense_displacement(space, c1, c2):
-    a1 = annihilator(space, 1)
-    a2 = annihilator(space, 2)
-    gen = (c1 * a1.conj().T - np.conj(c1) * a1
-           + c2 * a2.conj().T - np.conj(c2) * a2)
-    return expm(gen)
-
-
-def dense_mixing(space, gamma3, theta_diff, eps=1):
-    s = eps * gamma3
-    if s == 1.0:
-        return np.eye(space.dim, dtype=complex)
-    if s == -1.0:
-        chi = eps * (math.pi / 2.0)
-    else:
-        chi = math.atan2(eps * math.sqrt((1.0 - s) / (1.0 + s)), 1.0)
-    jp, jm = dense_jpm(space)
-    gen = -chi * (np.exp(-1j * theta_diff) * jp - np.exp(1j * theta_diff) * jm)
-    return expm(gen)
-
-
-def dense_gauss_product(space, alpha, rho, lam, omega, gamma):
-    n1, n2 = number_diagonals(space)
-    jp, jm = dense_jpm(space)
-    d_n = np.exp(-0.5j * alpha * (n1 + n2))
-    d_rho = np.exp(-0.5j * rho * (n1 - n2))
-    d_om = np.exp(0.5 * omega * (n1 - n2))
-    u = expm(lam * jp) * d_n[:, None] * d_rho[:, None]
-    u = u * d_om[None, :]
-    return u @ expm(gamma * jm)
-
-
-def dense_su2_lift(space, smat, alpha):
-    su = cmath.exp(0.5j * alpha) * smat
-    cos_t = 0.5 * (su[0, 0] + su[1, 1]).real
-    m = (su - cos_t * np.eye(2)) / (-1j)
-    v = np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
-    sin_t = float(np.linalg.norm(v))
-    n1d, n2d = number_diagonals(space)
-    dn = np.diag(np.exp(-0.5j * alpha * (n1d + n2d)))
-    if sin_t < 1e-12:
-        if cos_t > 0:
-            return dn
-        return dn @ np.diag(np.exp(-1j * math.pi * (n1d - n2d)))
-    theta = math.atan2(sin_t, min(1.0, max(-1.0, cos_t)))
-    n_hat = v / sin_t
-    jp, jm = dense_jpm(space)
-    j3 = np.diag(0.5 * (n1d - n2d)).astype(complex)
-    gen = (n_hat[0] * (jp + jm) - 1j * n_hat[1] * (jp - jm)
-           + 2.0 * n_hat[2] * j3)
-    return dn @ expm(-1j * theta * gen)
-
-
-def dense_assemble_U(space, scenario, t, tol=1e-10):
-    factors = solve_riccati_numeric(scenario, t, tol, grid=np.array([t]))
-    amps = c_coefficients(scenario, (0j, 0j), t, tol)
-    alpha, rho = factors.alpha[0], factors.rho[0]
-    if factors.valid[0]:
-        u0 = dense_gauss_product(space, alpha, rho, factors.lam[0],
-                                 factors.omega[0], factors.gamma[0])
-    else:
-        u0 = dense_su2_lift(space, factors.s_dense(t), alpha)
-    disp = dense_displacement(space, amps.c1, amps.c2)
-    return amps.global_phase * (disp @ u0)
-
-
-def assert_close(got, ref, bound=1e-12):
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian matrix, with the
+    phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +91,13 @@ def test_every_amplitude_of_an_array_passes_the_guard():
 
 
 @pytest.mark.parametrize("n_max", N_MAX)
-def test_su2_generators_are_the_annihilator_products(n_max):
+def test_schwinger_lift_is_the_dense_compression(n_max):
+    # every entry, partial shells included
     space = make_space(n_max)
-    jp, jm = dense_jpm(space)
-    assert np.array_equal(su2_generator(space, "J+"), jp)
-    assert np.array_equal(su2_generator(space, "J-"), jm)
+    rng = np.random.default_rng(n_max)
+    for _ in range(4):
+        smat = haar_unitary(rng)
+        assert_close(schwinger_lift(space, smat), dense_su2_lift(space, smat))
 
 
 @pytest.mark.parametrize("n_max", N_MAX)
@@ -177,10 +109,11 @@ def test_mixing_operator_is_the_dense_exponential(n_max):
                      dense_mixing(space, gamma3, theta, eps))
 
 
-def test_shell_expm_rejects_a_generator_that_mixes_shells():
+def test_schwinger_lift_takes_one_2x2():
     space = make_space(3)
-    with pytest.raises(ValueError, match="shells"):
-        shell_expm(space, annihilator(space, 1))
+    for bad in (np.eye(3), np.stack([np.eye(2)] * 3)):
+        with pytest.raises(ValueError, match="2x2"):
+            schwinger_lift(space, bad)
 
 
 @seed(2)
@@ -192,11 +125,20 @@ def test_shell_expm_rejects_a_generator_that_mixes_shells():
                            allow_infinity=False),
         min_size=4, max_size=4),
 )
-def test_shell_expm_is_the_dense_expm(n_max, coefficients):
+def test_schwinger_lift_is_the_dense_expm(n_max, coefficients):
+    # a general, not anti-Hermitian, combination of J+, J-, J3 and N/2: the
+    # lift of its 2x2 exponential is the compression of its exponential
+    cp, cm, c3, cn = coefficients
+    small = np.array([[0.5 * (c3 + cn), cp], [cm, 0.5 * (cn - c3)]])
+
+    def build(big):
+        jp, jm = dense_jpm(big)
+        n1, n2 = number_diagonals(big)
+        return expm(cp * jp + cm * jm
+                    + np.diag(0.5 * c3 * (n1 - n2) + 0.5 * cn * (n1 + n2)))
+
     space = make_space(n_max)
-    gen = sum(c * su2_generator(space, which)
-              for c, which in zip(coefficients, ("J+", "J-", "J3", "N")))
-    assert_close(shell_expm(space, gen), expm(gen))
+    assert_close(schwinger_lift(space, expm(small)), compression(space, build))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +165,12 @@ def _rotation(theta, axis, phase=0.0):
 @pytest.mark.parametrize("n_max", N_MAX)
 def test_su2_lift_is_the_dense_lift(n_max):
     space = make_space(n_max)
-    for smat, alpha in ((_rotation(0.8, (0.3, -0.5, 0.8), 0.2), 0.4),
-                        (_rotation(2.9, (1.0, 1.0, 0.0), -0.7), -1.4),
-                        (_rotation(0.0, (0.0, 0.0, 1.0), 0.3), -0.6),
-                        (_rotation(math.pi / 2, (0.0, 0.0, 1.0)), 0.0),
-                        (-np.eye(2), 0.0)):
-        assert_close(_su2_lift(space, smat, alpha),
-                     dense_su2_lift(space, smat, alpha))
+    for smat in (_rotation(0.8, (0.3, -0.5, 0.8), 0.2),
+                 _rotation(2.9, (1.0, 1.0, 0.0), -0.7),
+                 _rotation(0.0, (0.0, 0.0, 1.0), 0.3),
+                 _rotation(math.pi / 2, (0.0, 0.0, 1.0)),
+                 -np.eye(2)):
+        assert_close(_su2_lift(space, smat), dense_su2_lift(space, smat))
 
 
 # the drive amplitude grows with the cutoff so that the truncation guard
