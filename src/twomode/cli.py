@@ -39,17 +39,16 @@ from .smatrix import (_sampled, smatrix_from_factors, smatrix_numeric_grid,
                       unitarity_defects)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Floats as %.17g (round-trip exact), anything else as str; every row
+    of a table holds the types of its first row, so one format string,
+    built from that row, writes them all."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _fmt(v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        if rows:
+            line = ",".join("%.17g" if isinstance(v, float) else "%s"
+                            for v in rows[0]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -506,6 +506,19 @@ def test_table_formats_keep_their_bytes(tmp_path, monkeypatch, command,
     assert sorted(os.listdir(out)) == [command + ".csv", command + ".json"]
 
 
+def test_csv_writer_matches_the_per_value_reference(tmp_path):
+    # one prebuilt format string per table writes what formatting each
+    # value on its own wrote, the edge values of a double included
+    edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+            1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    header = ["x", "minus_x", "k"]
+    for rows in ([[v, -v, k] for k, v in enumerate(edge)], []):
+        twomode.cli._write_csv(tmp_path / "got.csv", header, rows)
+        _reference_csv(tmp_path / "want.csv", header, rows)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+
 FRESNEL_INI = """\
 [FresnelNorm]
 eta0 = 0.7

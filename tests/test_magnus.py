@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from twomode import magnus
 from twomode.evolution import assemble_U, c_coefficients
 from twomode.fock import make_space
 from twomode.riccati import solve_riccati_numeric
-from twomode.scenario import (AllConstantScenario, ConstantDrive,
+from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
-                              LinearPhaseScenario, RhoConstantScenario,
-                              RotatingDrive, TabulatedScenario)
+                              FresnelNormScenario, GeneralPhaseScenario,
+                              IsotropicConstantScenario, LinearPhaseScenario,
+                              LogRhoScenario, QuadraticPhaseScenario,
+                              RhoConstantScenario, RotatingDrive,
+                              TabulatedScenario)
 from twomode.smatrix import smatrix_numeric_grid
 
 TOL = 1e-10
@@ -143,10 +148,10 @@ def test_magnus_flow_is_sixth_order():
     want = _reference(scenario, 2.0, c0)(2.0)
     errors = []
     for n in (4, 8, 16):
-        left, h = magnus._mesh(np.array([0.0, 2.0]), np.array([n]))
-        gen, _ = magnus._generator(scenario, magnus._nodes(left, h), True)
-        fixed = magnus.Flow(scenario, np.append(left, 2.0),
-                            magnus._march(gen, h))
+        # the finer mesh of a pair has n steps
+        ts, _, fine = magnus._march_pair(scenario, np.array([0.0, 2.0]),
+                                         np.array([n // 2]), True)
+        fixed = magnus.Flow(scenario, ts, magnus._values(fine))
         got = _flow_values(fixed, np.array([2.0]), c0)[:, 0]
         errors.append(np.max(np.abs(got - want)))
     for coarse, fine in zip(errors, errors[1:]):
@@ -242,3 +247,129 @@ def test_dense_table_matches_knot_by_knot_reference():
     assert abs(amps.c1 - y[4]) <= 1e-12
     assert abs(amps.c2 - y[5]) <= 1e-12
     assert abs(amps.global_phase - cmath.exp(-1j * y[6].real)) <= 1e-12
+
+
+@pytest.mark.parametrize("time", [1.5, 4.0, -0.5, math.nan, math.inf,
+                                  -math.inf], ids=str)
+def test_a_built_flow_refuses_times_outside_its_span(time):
+    # a partial Magnus step past t or before 0 would extrapolate silently:
+    # 2.6e-6 off at 1.5, 0.40 at 4 and 0.52 at -0.5 on this case
+    scenario = LinearPhaseScenario(eta0=1.1, w0=-0.6, phi0=0.2, w22=0.4)
+    factors = solve_riccati_numeric(scenario, 1.0)
+    flow = magnus.flow(scenario, 1.0, TOL)
+    message = re.escape(f"Magnus flow time {time} is outside")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dense in (factors.s_dense, flow,
+                      lambda x: flow(np.array([0.5, x]), s_only=True)):
+            with pytest.raises(ValueError, match=message):
+                dense(time)
+    # inside the span, both ends included, the values stand
+    longer = magnus.flow(scenario, 4.0, 1e-12)
+    inside = np.array([0.0, 0.37, 1.0])
+    assert np.max(np.abs(factors.s_dense(inside)
+                         - longer(inside, s_only=True))) <= 1e-9
+
+
+# The fused march against the march it replaced: the mesh and its doubling
+# each sampled, exponentiated and scanned on its own, one after the other.
+
+def _sequential_flow(scenario, t, tol, samples=(), drives=False):
+    """The step edges, values and number of doubling levels of a flow whose
+    meshes are marched one at a time, each finer one reused as the next
+    coarse one."""
+    samples = np.asarray(samples, dtype=float)
+    inner = np.asarray(scenario.breakpoints(t), dtype=float)
+    edges = np.unique(np.concatenate(
+        ([0.0, t], inner[(inner > 0.0) & (inner < t)], samples)))
+    left, h = magnus._mesh(edges, np.ones(edges.size - 1, dtype=int))
+    norm = magnus._norm(scenario, magnus._nodes(left, h))
+    cap = min(magnus.STEP_CAP, 2.0 * tol ** (1.0 / 6.0))
+    counts = np.maximum(
+        np.ceil(np.diff(edges) * norm.max(axis=0) / cap).astype(int), 1)
+
+    def march(counts):
+        left, h = magnus._mesh(edges, counts)
+        gen = magnus._generator(scenario, magnus._nodes(left, h), drives)
+        steps = magnus._exp(magnus._omega6(gen, h))
+        return np.append(left, t), magnus._scan(steps)
+
+    _, coarse = march(counts)
+    levels = 0
+    while True:
+        counts = 2 * counts
+        ts, fine = march(counts)
+        levels += 1
+        if np.max(np.abs(fine[..., 1::2] - coarse)) <= tol:
+            return ts, magnus._values(fine), levels
+        coarse = fine
+
+
+class _Counted:
+    """A scenario that counts its coupling calls."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.calls = 0
+
+    def coupling(self, t):
+        self.calls += 1
+        return self.scenario.coupling(t)
+
+    def __getattr__(self, name):
+        return getattr(self.scenario, name)
+
+
+_DRIVES = {"f1": RotatingDrive(0.1 - 0.05j, 1.3, 0.2),
+           "f2": ConstantDrive(0.02 + 0.01j), "b": CosineDrive(0.3, 0.9)}
+_EVERY_CASE = [
+    ConstantPhaseScenario(eta0=0.9, phi0=-0.4, w11=0.3, w22=0.1),
+    LinearPhaseScenario(eta0=1.1, w0=-0.6, phi0=0.2, w22=0.4),
+    GeneralPhaseScenario(eta0=0.8, w0=1.2, phi0=0.2, theta0=1.0, nu=0.2,
+                         w11=0.05),
+    AllConstantScenario(w11=0.6, w22=0.2, w12=0.3 - 0.2j),
+    IsotropicConstantScenario.from_polar(0.5, 0.3, -0.4, z0=0.4 - 0.2j),
+    RhoConstantScenario(rho0=0.6, eta0=0.8, w0=1.1, theta_beta0=-0.3),
+    LogRhoScenario(t0=1.0, eta0=0.9, w0=0.7, theta_alpha0=0.2),
+    QuadraticPhaseScenario(eta0=1.0, theta0=-0.5),
+    FresnelNormScenario(w12_0=0.7, nu=2.0),
+]
+_FUSED = {
+    **{sc.case + "-S": (sc, 2.0, TOL, np.linspace(0.0, 2.0, 5), False)
+       for sc in _EVERY_CASE},
+    **{sc.case + "-drive": (replace(sc, **_DRIVES), 2.0, TOL, (), True)
+       for sc in _EVERY_CASE},
+    "Tabulated-S": (_table(41), 1.6, TOL, (0.4, 1.1), False),
+    "Tabulated-drive": (_table(41), 1.6, TOL, (), True),
+    # 1164 coarse and 2328 fine steps: chunks of the fused pass straddle
+    # the two meshes
+    "longer-than-a-chunk": (AllConstantScenario(
+        w11=0.7, w22=0.3, w12=0.25 + 0.1j, **_DRIVES), 60.0, TOL, (), True),
+    # a fast drive the coupling-only pre-pass cannot see
+    "three-levels": (AllConstantScenario(
+        w11=0.7, w22=0.3, w12=0.25 + 0.1j,
+        f1=RotatingDrive(0.1, 40.0, 0.0)), 2.0, 1e-12, (), True),
+    "dense-table-samples": (_table(2001), 1.6, TOL,
+                            np.linspace(0.0, 1.6, 33), True),
+}
+
+
+def test_fused_march_matches_the_sequential_march():
+    assert {sc.case for sc, *_ in _FUSED.values()} == set(CASES)
+    worst, where = 0.0, None
+    for name, (scenario, t, tol, samples, drives) in _FUSED.items():
+        ts, values, levels = _sequential_flow(scenario, t, tol, samples,
+                                              drives)
+        counted = _Counted(scenario)
+        got = magnus.flow(counted, t, tol, samples, drives)
+        assert np.array_equal(got.ts, ts), name
+        dev = float(np.max(np.abs(got.values - values)))
+        if dev >= worst:
+            worst, where = dev, name
+        # one pre-pass, then one call per doubling level
+        assert counted.calls == 1 + levels, name
+        if name == "longer-than-a-chunk":
+            assert 3 * (ts.size - 1) // 2 > magnus._CHUNK
+        if name == "three-levels":
+            assert levels >= 3
+    assert worst <= 1e-15, f"largest deviation {worst:.3g} on {where}"
