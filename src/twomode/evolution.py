@@ -7,20 +7,20 @@ through a displacement in front of the quadratic part:
     U(t, 0) = D(c1(t), c2(t)) e^{-i P(t)} U0(t, 0),
     dP/ds = Re(conj(F1) c1 + conj(F2) c2) + B,     P(0) = 0,
 
-with U0 the Gauss product e^{lam J+} e^{omega J3} e^{gamma J-} of the
-factors, framed by the diagonal phases of alpha and rho; one Magnus flow
-(magnus.flow) gives S, (c1, c2) and P together.  The displacement is formed
-first, so an amplitude its truncation guard rejects costs no U0.  When the
-factor chart is singular at t the assembly falls back to a globally regular
-form, the Schwinger lift Sym^N(S) of the numeric j=1/2 propagator on every
-occupation shell (fock.schwinger_lift); factors, lift and amplitudes share
-that one flow.  The Gauss factors e^{z J+-} are the closed nilpotent-chain
-entries of fock.chain_exponential and the displacement is the spectral
-single-mode form of fock.displacement_operator, both exact for the
-truncated operators.  The lift is the compression P Sym^N(S) P of the
-untruncated operator: equal to the Gauss product on the complete shells
-N <= n_max, not unitary on the partial ones above.  No step forms a
-general matrix exponential.
+with U0 = Sym^N(S) the Schwinger lift of the j=1/2 propagator S on every
+occupation shell N = n1 + n2 (fock.schwinger_lift).  The disentangled
+product e^{-i alpha N/2} e^{-i rho J3} e^{lam J+} e^{omega J3}
+e^{gamma J-} is an identity of the 2x2 group, and Sym^N is a
+homomorphism, so the lift of S is the Fock image of the factorized
+product at every time: on the factor chart and past its poles alike,
+with no chart and no log branch.  One Magnus flow (magnus.flow) gives S,
+(c1, c2) and P together, from one read of its block at t.  The
+displacement is formed first, so an amplitude its truncation guard
+rejects costs no U0; it is the spectral single-mode form of
+fock.displacement_operator, exact for the truncated operators.  The lift
+is the compression P Sym^N(S) P of the untruncated operator: unitary on
+the complete shells N <= n_max, not unitary on the partial ones above.
+No step forms a general matrix exponential.
 
 The isotropic families carry coherent data; without drives their coherent
 states follow one law, the closed S block applied to c(0), and the ladder
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, annihilator, chain_exponential, coherent_state,
+from .fock import (FockSpace, annihilator, coherent_state,
                    displacement_operator, number_diagonals, schwinger_lift)
 from . import magnus
-from .riccati import _read_factors
 from .scenario import Scenario, drive_is_zero
 from .smatrix import smatrix_closed
 
@@ -113,42 +112,26 @@ def c_coefficients(scenario: Scenario, c0, t,
 # ---------------------------------------------------------------------------
 # operator assembly
 
-def _gauss_product(space: FockSpace, alpha: float, rho: float, lam: complex,
-                   omega: complex, gamma: complex) -> np.ndarray:
-    n1, n2 = number_diagonals(space)
-    d_n = np.exp(-0.5j * alpha * (n1 + n2))
-    d_rho = np.exp(-0.5j * rho * (n1 - n2))
-    d_om = np.exp(0.5 * omega * (n1 - n2))
-    u = chain_exponential(space, lam, "J+") * d_n[:, None] * d_rho[:, None]
-    u = u * d_om[None, :]
-    return u @ chain_exponential(space, gamma, "J-")
-
-
 def _su2_lift(space: FockSpace, smat: np.ndarray) -> np.ndarray:
-    """Globally regular form: the Schwinger lift Sym^N(S) of S on every
-    shell, with no chart and no log branch.  alpha needs no argument:
-    det S = e^{-i alpha}, and Sym^N carries it as e^{-i alpha N/2}."""
+    """U0 = Sym^N(S) on every shell.  alpha needs no argument: det S =
+    e^{-i alpha}, and Sym^N carries it as e^{-i alpha N/2}.  The
+    assembly's one call of the lift; bench/tracer.py patches it by name to
+    count the lifts, so it stays a function of its own."""
     return schwinger_lift(space, smat)
 
 
 def assemble_U(space: FockSpace, scenario: Scenario, t: float,
                tol: float = 1e-10) -> np.ndarray:
-    """Dense propagator on the truncated space via the factorized form,
-    from one flow of (S, c, P).  Falls back to the regular
-    single-exponential lift when the factor chart is singular at t.
-    Raises fock.TruncationError, before any work on U0, when the
-    displacement's truncation guard rejects c(t)."""
-    solved = magnus.flow(scenario, t, tol, drives=True)
-    (c1, c2), p = solved.amplitudes(t, np.zeros(2))
-    disp = displacement_operator(space, c1, c2)
-    factors = _read_factors(scenario, solved, np.array([float(t)]))
-    alpha, rho = factors.alpha[0], factors.rho[0]
-    if factors.valid[0]:
-        u0 = _gauss_product(space, alpha, rho, factors.lam[0],
-                            factors.omega[0], factors.gamma[0])
-    else:
-        u0 = _su2_lift(space, factors.s_dense(t))
-    return cmath.exp(-1j * p) * (disp @ u0)
+    """Dense propagator e^{-i P} D(c) Sym^N(S) on the truncated space, with
+    S, c and P from one read of one drive flow's block [[S, g], [a, q]] at
+    t: c = g and P = Re q from c(0) = 0.  On the partial shells N > n_max
+    the result is a compression and is not unitary.  Raises
+    fock.TruncationError, before any work on U0, when the displacement's
+    truncation guard rejects c(t)."""
+    block = magnus.flow(scenario, t, tol, drives=True)(t)
+    disp = displacement_operator(space, block[0, 2], block[1, 2])
+    u0 = _su2_lift(space, block[:2, :2])
+    return cmath.exp(-1j * block[2, 2].real) * (disp @ u0)
 
 
 # ---------------------------------------------------------------------------

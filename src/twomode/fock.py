@@ -9,17 +9,16 @@ asserted on interior states (see interior_mask).
 The u(2) part of a propagator conserves the total occupation N = n1 + n2
 and maps a_j^dag to sum_i S_ij a_i^dag for a 2x2 matrix S, so on shell N
 it is the N-th symmetric power Sym^N(S): schwinger_lift writes it entry by
-entry from one cached table of closed terms, and chain_exponential reads
-e^{z J+} and e^{z J-} off that table's terms without a power of S21.  On
-the partial shells N > n_max the lift is the compression P U P of the
-untruncated operator; for the nilpotent chains that is also the exponential
-of the truncated generator, for a general S it is not, and it is not
-unitary there.  The two modes' displacement generators commute, so a
-displacement is the Kronecker product of two single-mode ones, each
-D(c) = P V e^{-i |c| mu} V^dag P^dag from one cached eigendecomposition
-V diag(mu) V^dag of the quadrature i(a^dag - a), with P = diag(e^{i n arg c}),
-exact for the truncated operators.  Nothing here forms a general matrix
-exponential.
+entry from one cached table of closed terms.  Sym^N is a homomorphism, so
+the lift of a product of 2x2 factors is the product of their lifts, and
+the lift of S is the Fock image of any factorization of S.  On the partial
+shells N > n_max the lift is the compression P U P of the untruncated
+operator, which is not unitary there.  The two modes' displacement
+generators commute, so a displacement is the Kronecker product of two
+single-mode ones, each D(c) = P V e^{-i |c| mu} V^dag P^dag from one
+cached eigendecomposition V diag(mu) V^dag of the quadrature
+i(a^dag - a), with P = diag(e^{i n arg c}), exact for the truncated
+operators.  Nothing here forms a general matrix exponential.
 """
 
 from __future__ import annotations
@@ -129,20 +128,6 @@ def _schwinger_table(space: FockSpace) -> tuple[np.ndarray, ...]:
     return table
 
 
-@functools.cache
-def _chain_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
-    # the terms of _schwinger_table with no power of S21, one per entry
-    # (i, j) with n1_i >= n1_j: row, column, the power of S12 and the
-    # coefficient; cached, so read-only
-    flat, powers, coefs = _schwinger_table(space)
-    keep = powers[1] == 0
-    rows, cols = np.divmod(flat[keep], space.dim)
-    table = (rows, cols, powers[2, keep], coefs[keep])
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
 def schwinger_lift(space: FockSpace, s) -> np.ndarray:
     """Sym^N(S) on every shell N: the operator that maps a_j^dag to
     sum_i S_ij a_i^dag, for a 2x2 matrix S,
@@ -166,25 +151,6 @@ def schwinger_lift(space: FockSpace, s) -> np.ndarray:
     out = (np.bincount(flat, terms.real, size)
            + 1j * np.bincount(flat, terms.imag, size))
     return out.reshape(space.dim, space.dim)
-
-
-def chain_exponential(space: FockSpace, z: complex, which: str) -> np.ndarray:
-    """e^{z J+} or e^{z J-} entry by entry: J+ raises n1 along a shell, so
-
-        e^{z J+}[i, j] = z^k / k! sqrt(n1_i! n2_j! / (n1_j! n2_i!))
-
-    for i and j in one shell with n1_i = n1_j + k, the Schwinger lift of
-    [[1, z], [0, 1]], and e^{z J-} is the transposed pattern with z^k.
-    Exact for the truncated operators, partial shells included: J+^k links
-    two states of the space only through states of the space."""
-    rows, cols, powers, coefs = _chain_entries(space)
-    if which == "J-":
-        rows, cols = cols, rows
-    elif which != "J+":
-        raise ValueError(f"unknown chain generator {which!r}")
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[rows, cols] = coefs * complex(z) ** powers
-    return out
 
 
 def _tail_weight(amplitude: complex, n_max: int) -> float:

@@ -89,8 +89,9 @@ class DisentangledFactors:
     valid[i] is set and t lies before singular_time (or there is none).
     Any other time (off the grid, an invalid sample, or a grid time at or
     past the singular time) goes through diag_integrals and _eval, so a
-    numeric chart still raises ChartSingularity past its end and a closed
-    chart reads invalid from its first invalid sample on."""
+    numeric chart still raises ChartSingularity past its end, and
+    ValueError past the end of its flow when it has no singular time, and
+    a closed chart reads invalid from its first invalid sample on."""
 
     scenario: Scenario
     ordering: str
@@ -204,14 +205,7 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
         with np.errstate(invalid="ignore"):
             grid = np.linspace(0.0, t_end, 201)
     grid = np.asarray(grid, dtype=float)
-    return _read_factors(scenario, magnus.flow(scenario, t_end, tol, grid),
-                         grid)
-
-
-def _read_factors(scenario: Scenario, flow: magnus.Flow,
-                  grid: np.ndarray) -> DisentangledFactors:
-    """solve_riccati_numeric's factors on the grid, read off a flow whose
-    step edges hold the grid."""
+    flow = magnus.flow(scenario, t_end, tol, grid)
     t_end = float(flow.ts[-1])
     alpha, rho = _diag(scenario, grid)
     dense = functools.partial(flow, s_only=True)
@@ -240,9 +234,12 @@ def _read_factors(scenario: Scenario, flow: magnus.Flow,
     def evaluate(t):
         top = min(t_end, stop)
         if t > top + 1e-12:
-            raise ChartSingularity(
-                f"factor chart singular before t = {t:.6g}",
-                singular_time=singular_time)
+            if singular_time is not None:
+                raise ChartSingularity(
+                    f"factor chart singular before t = {t:.6g}",
+                    singular_time=singular_time)
+            raise ValueError(f"factor time {t} is outside the factors' "
+                             f"span [0, {t_end}]")
         return tuple(complex(v[0]) for v in read(np.array([min(t, top)])))
 
     return DisentangledFactors(

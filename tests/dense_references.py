@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from twomode.evolution import c_coefficients
 from twomode.fock import annihilator, make_space, number_diagonals
-from twomode.riccati import solve_riccati_numeric
+from twomode.smatrix import smatrix_numeric_grid
 
 
 def assert_close(got, ref, bound=1e-12):
@@ -61,15 +61,38 @@ def dense_mixing(space, gamma3, theta_diff, eps=1):
     return compression(space, build)
 
 
+def _nilpotent_exp(gen):
+    """exp(gen) for a nilpotent gen with at most one entry per row and per
+    column, such as z J+ or z J-: its terminating series, summed in gen's
+    precision."""
+    rows, cols = np.nonzero(gen)
+    out = term = np.eye(len(gen), dtype=gen.dtype)
+    for k in range(1, len(gen)):
+        step = np.zeros_like(term)
+        step[:, cols] = term[:, rows] * gen[rows, cols] / k
+        if not step.any():
+            return out
+        out, term = out + step, step
+    return out
+
+
 def dense_gauss_product(space, alpha, rho, lam, omega, gamma):
-    n1, n2 = number_diagonals(space)
-    jp, jm = dense_jpm(space)
-    d_n = np.exp(-0.5j * alpha * (n1 + n2))
-    d_rho = np.exp(-0.5j * rho * (n1 - n2))
-    d_om = np.exp(0.5 * omega * (n1 - n2))
-    u = expm(lam * jp) * d_n[:, None] * d_rho[:, None]
-    u = u * d_om[None, :]
-    return u @ expm(gamma * jm)
+    """e^{-i alpha N/2} e^{-i rho J3} e^{lam J+} e^{omega J3} e^{gamma J-}
+    (N = n1 + n2) on the truncated space, in long double throughout: the
+    product cancels entries of e^{omega J3} as large as
+    e^{n_max |Re omega|/2}, and in double precision that cancellation
+    alone leaves errors of 4e-11 of the largest complete-shell entry at
+    n_max 12."""
+    real, cplx = np.longdouble, np.clongdouble
+    lower = np.diag(np.sqrt(np.arange(1, space.side, dtype=real)), k=1)
+    eye = np.eye(space.side, dtype=real)
+    a1, a2 = np.kron(lower, eye), np.kron(eye, lower)
+    n1, n2 = (n.astype(real) for n in number_diagonals(space))
+    diag = np.exp(cplx(-0.5j * alpha) * (n1 + n2)
+                  + cplx(-0.5j * rho) * (n1 - n2))
+    u = (_nilpotent_exp(cplx(lam) * (a1.T @ a2)) * diag[:, None]
+         * np.exp(cplx(0.5 * omega) * (n1 - n2))[None, :])
+    return u @ _nilpotent_exp(cplx(gamma) * (a1 @ a2.T))
 
 
 def dense_su2_lift(space, smat):
@@ -102,13 +125,7 @@ def dense_su2_lift(space, smat):
 
 
 def dense_assemble_U(space, scenario, t, tol=1e-10):
-    factors = solve_riccati_numeric(scenario, t, tol, grid=np.array([t]))
+    smat = smatrix_numeric_grid(scenario, np.array([t]), tol).mat[0]
     amps = c_coefficients(scenario, (0j, 0j), t, tol)
-    alpha, rho = factors.alpha[0], factors.rho[0]
-    if factors.valid[0]:
-        u0 = dense_gauss_product(space, alpha, rho, factors.lam[0],
-                                 factors.omega[0], factors.gamma[0])
-    else:
-        u0 = dense_su2_lift(space, factors.s_dense(t))
     disp = dense_displacement(space, amps.c1, amps.c2)
-    return amps.global_phase * (disp @ u0)
+    return amps.global_phase * (disp @ dense_su2_lift(space, smat))

@@ -375,6 +375,21 @@ def test_verify_passes(tmp_path, capsys):
         assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0
 
 
+def test_verify_passes_near_a_chart_pole(tmp_path, capsys):
+    # |Lambda| ~ 1e3 on a valid chart: the assembled operator must still
+    # follow the oracle
+    ini = write_ini(tmp_path, "[ConstantPhase]\neta0 = 1.0\nphi0 = 0.2\n"
+                    "\n[F1]\nre = 0.05\n")
+    out = tmp_path / "run"
+    code = main(["verify", "--scenario", ini,
+                 "--t-end", repr(math.pi / 2.0 - 1e-3), "--out", str(out)])
+    assert code == 0
+    assert "FAIL" not in capsys.readouterr().out
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks[-1]["name"] == "operator_fidelity"
+    assert checks[-1]["value"] >= 1.0 - 1e-6
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     ini = write_ini(tmp_path, ALL_CONSTANT_INI)
     out = tmp_path / "run"

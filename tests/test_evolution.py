@@ -13,7 +13,8 @@ from twomode.evolution import (CoherentStateSpec, assemble_U, c_coefficients,
                                habeta_spectrum_check, ladder_eigenvalue_checks)
 from twomode.fock import (annihilator, coherent_state, expectation,
                           interior_mask, make_space)
-from twomode.oracle import brute_force_propagator, compare_operators
+from twomode.oracle import (brute_force_propagator, compare_operators,
+                            state_fidelities)
 from twomode.riccati import factors_on_grid, solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
@@ -217,7 +218,7 @@ def test_assemble_matches_brute_force():
 
 
 def test_assemble_survives_chart_singularity():
-    # past the factor pole the assembly switches to the regular lift
+    # past the factor pole the lift needs no chart
     space = make_space(6)
     scenario = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
     t = math.pi / 2.0 + 0.2
@@ -235,6 +236,25 @@ def test_assemble_survives_chart_singularity():
     psi /= np.linalg.norm(psi)
     report = compare_operators(u, ref, [psi], space=space)
     assert np.min(report.fidelities) > 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("n_max", [6, 8])
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+def test_assemble_near_a_chart_pole(n_max, d):
+    # |Lambda| ~ 1/d on a chart that still reads valid: U0 is the lift
+    space = make_space(n_max)
+    scenario = ConstantPhaseScenario(eta0=1.0, phi0=0.2)
+    t = math.pi / 2.0 - d
+    u = assemble_U(space, scenario, t)
+    complete = interior_mask(space, 0)
+    block = np.ix_(complete, complete)
+    assert_close(u[block], dense_assemble_U(space, scenario, t)[block])
+    keep = interior_mask(space, 2)
+    states = np.stack([coherent_state(space, c1, c2) * keep
+                       for c1, c2 in ((0.3, 0.0), (0.25 + 0.2j, -0.3j))],
+                      axis=1)
+    ref = brute_force_propagator(space, scenario, t, 2048, states)
+    assert np.min(state_fidelities(u @ states, ref)) >= 1.0 - 1e-6
 
 
 def test_empty_time_arrays_give_empty_results():

@@ -462,6 +462,16 @@ def test_grid_times_read_the_stored_samples(factors):
     assert read >= 3
 
 
+def test_numeric_factors_past_their_span_are_refused():
+    # no pole on [0, 1]: a later time is outside the flow, not a chart end
+    factors = solve_riccati_numeric(LinearPhaseScenario(eta0=0.5, w0=1.0),
+                                    1.0)
+    assert factors.singular_time is None
+    for read in (factors.at, lambda t: smatrix_from_factors(factors, t)):
+        with pytest.raises(ValueError, match=r"span \[0, 1.0\]"):
+            read(1.5)
+
+
 def test_numeric_grid_time_past_the_pole_still_raises():
     cp = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
     got = solve_riccati_numeric(cp, 2.0, grid=np.array([0.0, 1.0, 1.8, 2.0]))
