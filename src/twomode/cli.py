@@ -51,19 +51,31 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.writelines(line % tuple(row) for row in rows)
 
 
+def _json_number(value):
+    """value, or None for a non-finite float, which standard JSON cannot
+    hold (the CSV writes nan)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """Standard JSON only: a non-finite float left in payload is an
+    error, not a bare NaN."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _write_table(args, name: str, case: str, header: list[str],
                  rows: list[list], **extra) -> None:
     """<name>.csv and/or <name>.json in the output directory, as the run's
-    format asks; the JSON holds case, columns, rows and any extra keys."""
+    format asks; the JSON holds case, columns, rows (a non-finite value
+    as null) and any extra keys."""
     if args.format in ("csv", "both"):
         _write_csv(os.path.join(args.out, name + ".csv"), header, rows)
     if args.format in ("json", "both"):
+        rows = [[_json_number(v) for v in row] for row in rows]
         _write_json(os.path.join(args.out, name + ".json"),
                     {"case": case, "columns": header, "rows": rows, **extra})
 
@@ -145,8 +157,13 @@ def _drive(sec):
 def parse_scenario(path: str):
     """Read an INI scenario file: one section named by the case tag plus
     optional [F1], [F2], [B] drive sections."""
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
+    # no value is a template, so '%' is read as itself
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed scenario file {path}: {exc}") from None
+    if not read:
         raise ValueError(f"cannot read scenario file {path}")
     tags = [s for s in cp.sections() if s in CASES]
     if len(tags) != 1:
@@ -320,7 +337,7 @@ def cmd_verify(args, scenario) -> int:
     _write_json(os.path.join(args.out, "verify.json"), {
         "case": scenario.case,
         "passed": passed,
-        "checks": checks})
+        "checks": [{**c, "value": _json_number(c["value"])} for c in checks]})
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"{status}  {c['name']}: {c['value']} (tol {c['tolerance']})")

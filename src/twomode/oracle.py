@@ -28,7 +28,9 @@ midpoint coefficients as arrays, in the calling thread.
   scipy.sparse._sparsetools.csr_matvecs, which adds A w to a copy of out;
   no sparse container is used in the loop, since the Python dispatch of
   csr_array @ costs several times the product itself at this size.  The
-  kernel is private and checks no sizes, so the states must have dim rows
+  kernel is imported once per call of brute_force_propagator, not at
+  module level, so importing twomode does not load scipy.sparse.  It is
+  private and checks no sizes, so the states must have dim rows
   (tests/test_oracle.py pins its contract).  A step whose coefficients are
   not finite is refused, not skipped, and so is a negative or non-finite
   t: both oracles step forward over [0, t].
@@ -43,7 +45,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .fock import FockSpace, annihilator, interior_mask, number_diagonals
 from .scenario import Scenario
@@ -166,6 +167,8 @@ def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
     exponentials on the truncated Fock space over [0, t].  states is a
     vector or a dim x k block; by default the identity, so that U itself
     is returned.  Second order accurate in t/n_steps."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
     if n_steps < 1:
         raise InsufficientSamples("n_steps must be at least 1")
     n = space.dim

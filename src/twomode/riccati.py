@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import magnus
 from .scenario import PhaseFamily, Scenario
@@ -183,7 +182,12 @@ def _chart_end(scenario: Scenario, dense, ts):
     near = []
     for i in np.nonzero((mag[1:] < mag[:-1]) & (mag[1:] <= right))[0] + 1:
         lo, hi = ts[i - 1], ts[min(i + 1, ts.size - 1)]
-        t = brentq(slope, lo, hi) if slope(lo) < 0.0 < slope(hi) else ts[i]
+        if slope(lo) < 0.0 < slope(hi):
+            from scipy.optimize import brentq
+
+            t = brentq(slope, lo, hi)
+        else:
+            t = ts[i]
         y = dense(t)
         if abs(y[..., 0, 1]) >= LAM_LIMIT * abs(y[..., 1, 1]):
             return float(t), np.array(near)

@@ -469,9 +469,22 @@ def _reference_csv(path, header, rows):
                 for v in row) + "\n")
 
 
+def _standard_json(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _standard_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_standard_json(v) for v in value]
+    return value
+
+
 def _reference_json(path, payload):
+    # standard JSON: a non-finite float is written as null
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_standard_json(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -575,6 +588,82 @@ def test_verify_passes_on_a_dense_table(tmp_path, capsys):
     assert code == 0
     checks = json.loads((out / "verify.json").read_text())["checks"]
     assert 3.5 <= checks[0]["value"] <= 4.5
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not standard JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command,text,t_end", [
+    ("factors", "[ConstantPhase]\neta0 = 1.0\n", "2.0"),
+    ("smatrix", ALL_CONSTANT_INI, "1.5"),
+    ("evolve", DRIVEN_INI, "1.5"),
+    ("coherent", ISOTROPIC_INI, "2.0"),
+    ("verify", ALL_CONSTANT_INI, "1.0"),
+])
+def test_json_outputs_are_standard_json(tmp_path, capsys, command, text,
+                                        t_end):
+    # factors past the pole holds NaN rows and verify on a constant case a
+    # NaN step-doubling ratio: both are null in JSON and nan in the CSV
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "run"
+    code = main([command, "--scenario", ini, "--t-end", t_end, "--grid", "21",
+                 "--nmax", "6", "--steps", "256", "--format", "both",
+                 "--out", str(out)])
+    assert code == (2 if command == "factors" else 0)
+    names = sorted(p.name for p in out.iterdir() if p.suffix == ".json")
+    assert names == [command + ".json"]
+    payload = _strict_json((out / names[0]).read_text())
+    if command == "factors":
+        csv_rows = (out / "factors.csv").read_text().splitlines()[1:]
+        assert "nan" in csv_rows[-1].split(",")
+        assert None in payload["rows"][-1]
+        for csv_row, row in zip(csv_rows, payload["rows"]):
+            assert [None if v == "nan" else float(v)
+                    for v in csv_row.split(",")] == row
+    if command == "verify":
+        assert payload["checks"][0]["name"] == "oracle_convergence"
+        assert payload["checks"][0]["value"] is None
+        assert "oracle_convergence: nan" in capsys.readouterr().out
+
+
+def test_json_writer_refuses_a_non_finite_value(tmp_path):
+    with pytest.raises(ValueError):
+        twomode.cli._write_json(str(tmp_path / "out.json"),
+                                {"value": math.nan})
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[AllConstant]\nw11 = 0.7\nw11 = 0.3\nw22 = 0.1\n",
+     "option 'w11' in section 'AllConstant' already exists"),
+    ("w11 = 0.7\n[AllConstant]\nw22 = 0.1\n",
+     "File contains no section headers"),
+    ("[AllConstant]\nw11 0.7\nw22 = 0.1\n",
+     "Source contains parsing errors"),
+], ids=["duplicate-key", "no-section-header", "not-key-value"])
+def test_malformed_scenario_file_is_an_error(tmp_path, capsys, text,
+                                             message):
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", ini, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed scenario file {ini}: ")
+    assert message in err
+    assert not out.exists()
+
+
+def test_percent_sign_is_read_as_itself(tmp_path, capsys):
+    # no interpolation: '50%' is a value that is not a number, not a
+    # broken template
+    ini = write_ini(tmp_path, "[AllConstant]\nw11 = 50%\nw22 = 0.1\n"
+                    "w12_re = 0.1\n")
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", ini, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [AllConstant] w11 must be a finite number, not '50%'\n")
+    assert not out.exists()
 
 
 def test_bad_run_configuration(tmp_path, capsys):
