@@ -200,13 +200,10 @@ def parse_scenario(path: str):
 def cmd_factors(args, scenario) -> int:
     grid = np.linspace(0.0, args.t_end, args.grid)
     factors = solve_riccati_numeric(scenario, args.t_end, args.tol, grid)
-    rows = []
-    for i, t in enumerate(grid):
-        ok = bool(factors.valid[i])
-        lam, om, gam = factors.lam[i], factors.omega[i], factors.gamma[i]
-        rows.append([float(t), float(lam.real), float(lam.imag),
-                     float(om.real), float(om.imag),
-                     float(gam.real), float(gam.imag), int(ok)])
+    # Lambda, Omega and Gamma read as floats are re_Lambda, ... im_Gamma
+    values = np.column_stack([grid, np.column_stack(
+        [factors.lam, factors.omega, factors.gamma]).view(float)]).tolist()
+    rows = [row + [int(ok)] for row, ok in zip(values, factors.valid)]
     header = ["t", "re_Lambda", "im_Lambda", "re_Omega", "im_Omega",
               "re_Gamma", "im_Gamma", "chart_valid"]
     _write_table(args, "factors", scenario.case, header, rows,
@@ -312,10 +309,8 @@ def cmd_verify(args, scenario) -> int:
         record("factor_chart", False, factors.singular_time, "regular chart")
         exit_code = 2
     else:
-        worst = 0.0
-        for i, tt in enumerate(grid):
-            rec = smatrix_from_factors(factors, float(tt))
-            worst = max(worst, float(np.max(np.abs(rec.mat - mats[i]))))
+        rebuilt = smatrix_from_factors(factors, grid).mat
+        worst = float(np.max(np.abs(rebuilt - mats)))
         record("factor_reconstruction", worst < 1e-7, worst, 1e-7)
 
     space = make_space(args.nmax)

@@ -250,6 +250,20 @@ def _march_pair(scenario, edges, counts, drives):
     return np.append(left, edges[-1]), both[:, :, 0, :n], both[:, :, 1]
 
 
+def refuse_bad_times(times, what):
+    """ValueError naming the first negative or non-finite time, if any."""
+    bad = times[~(np.isfinite(times) & (times >= 0.0))]
+    if bad.size:
+        raise ValueError(f"{what} time {bad[0]} is negative or not finite")
+
+
+def union(*parts):
+    """The sorted distinct values of finite 1-D arrays, as np.unique gives
+    them, without the numpy.ma import of np.unique's first call."""
+    out = np.sort(np.concatenate(parts))
+    return out[np.diff(out, prepend=-np.inf) > 0.0]
+
+
 def _values(scanned):
     """Flow.values, (steps + 1, dim, dim) from the identity on, from
     scanned propagators held steps last."""
@@ -270,10 +284,9 @@ class Flow:
         self.ts = ts
         self.values = values
 
-    def __call__(self, times, s_only=False):
+    def __call__(self, times):
         """The propagator blocks at a time or an array of times, as an
-        (..., dim, dim) stack with the shape of times in front; s_only
-        keeps only S, and its partial steps sample no drive.  A time
+        (..., dim, dim) stack with the shape of times in front.  A time
         outside [0, ts[-1]], or not finite, is refused."""
         times = np.asarray(times, dtype=float)
         flat = times.ravel()
@@ -283,8 +296,6 @@ class Flow:
                              f"flow's span [0, {self.ts[-1]}]")
         j = np.searchsorted(self.ts, flat, side="right") - 1
         out = self.values[j]
-        if s_only:
-            out = out[:, :2, :2].copy()
         theta = flat - self.ts[j]
         off = np.nonzero(theta)[0]
         if off.size:
@@ -313,16 +324,11 @@ def flow(scenario, t: float, tol: float, samples=(),
     non-finite t or sample time is refused before any step."""
     t = float(t)
     samples = np.asarray(samples, dtype=float).ravel()
-    times = np.append(t, samples)
-    bad = times[~(np.isfinite(times) & (times >= 0.0))]
-    if bad.size:
-        raise ValueError(f"Magnus flow time {bad[0]} is negative or not "
-                         "finite")
+    refuse_bad_times(np.append(t, samples), "Magnus flow")
     if samples.size and samples.max() > t:
         raise ValueError(f"sample times leave the span [0, {t}]")
     inner = np.asarray(scenario.breakpoints(t), dtype=float)
-    edges = np.unique(np.concatenate(
-        ([0.0, t], inner[(inner > 0.0) & (inner < t)], samples)))
+    edges = union([0.0, t], inner[(inner > 0.0) & (inner < t)], samples)
     if edges.size == 1:
         return Flow(scenario, edges, _identity(3 if drives else 2)[None])
     # a step's error goes as (h ||W||)^7: start near where it meets tol

@@ -16,12 +16,12 @@ by one read-off, _read_off: Lambda = G12/G22, Gamma = G21/G22 and
 Omega = -2 log G22, with arg G22 on the 2 pi branch nearest a reference
 arg.  The numeric route takes G from one flow of S and unwraps arg G22
 along its step edges; every phase family declares one closed block G(t)
-(_closed_block) with its own reference arg, and smatrix_closed unframes
-the same block.  One rule (_regular) decides whether a sample lies on the
-chart.
+(_closed_block) with its own reference arg.  One helper, _unframe, maps G
+back to S, for smatrix_closed and smatrix_from_factors alike.  One rule
+(_regular) decides whether a sample lies on the chart.
 
 The alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
-(no separate rho rotation) relates to the standard one by
+(the standard one with rho = 0 in the Gauss frame) relates to it by
 
     Lambda~ = e^{-i rho} Lambda,   Omega~ = Omega - i rho,   Gamma~ = Gamma.
 
@@ -67,30 +67,11 @@ class ChartSingularity(Exception):
 # factor containers
 
 @dataclass(frozen=True)
-class FactorSample:
-    t: float
-    alpha: float
-    rho: float
-    lam: complex
-    omega: complex
-    gamma: complex
-    valid: bool
-
-
-@dataclass(frozen=True)
 class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator _eval,
-    t -> (Lambda, Omega, Gamma), for any time (dense flow output or closed
-    form).  Numeric factors carry s_dense, which gives their S at a time or
-    an array of times as an (..., 2, 2) stack.
-
-    at(t) reads the stored sample i when t is exactly the grid time t[i],
-    valid[i] is set and t lies before singular_time (or there is none).
-    Any other time (off the grid, an invalid sample, or a grid time at or
-    past the singular time) goes through diag_integrals and _eval, so a
-    numeric chart still raises ChartSingularity past its end, and
-    ValueError past the end of its flow when it has no singular time, and
-    a closed chart reads invalid from its first invalid sample on."""
+    times -> (Lambda, Omega, Gamma) on a 1-D array of times (dense flow
+    output or closed form).  Numeric factors carry s_dense, which gives
+    their S at a time or an array of times as an (..., 2, 2) stack."""
 
     scenario: Scenario
     ordering: str
@@ -105,23 +86,35 @@ class DisentangledFactors:
     singular_time: float | None = None
     s_dense: Callable | None = None
 
-    def at(self, t: float) -> FactorSample:
-        i = int(np.searchsorted(self.t, t))
-        if (i < self.t.size and self.t[i] == t and self.valid[i]
-                and (self.singular_time is None or t < self.singular_time)):
-            return FactorSample(
-                t=float(t), alpha=float(self.alpha[i]),
-                rho=float(self.rho[i]), lam=complex(self.lam[i]),
-                omega=complex(self.omega[i]), gamma=complex(self.gamma[i]),
-                valid=True)
-        alpha, rho = self.scenario.diag_integrals(t)
-        lam, omega, gamma = self._eval(t)
-        ok = bool(_regular(lam, omega, gamma))
-        if self.singular_time is not None and t >= self.singular_time:
-            ok = False
-        return FactorSample(t=float(t), alpha=alpha, rho=rho,
-                            lam=complex(lam), omega=complex(omega),
-                            gamma=complex(gamma), valid=ok)
+    def sample(self, t):
+        """(alpha, rho, lam, omega, gamma, valid) at a time or a 1-D array
+        of times, in the shape of t.  The grid time t[i], valid and before
+        singular_time, reads sample i; all other times go through
+        diag_integrals and _eval in one call, so a numeric chart raises
+        past its end (ChartSingularity, or ValueError past its flow) and a
+        closed chart reads invalid from its first invalid sample on.  A
+        negative or non-finite time is refused with ValueError."""
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        end = math.inf if self.singular_time is None else self.singular_time
+        fields = (self.alpha, self.rho, self.lam, self.omega, self.gamma,
+                  self.valid)
+        if self.t.size:
+            # all grid times but the last: each index stays on the grid
+            i = self.t[:-1].searchsorted(flat)
+            out = [v[i] for v in fields]
+            off = (self.t[i] != flat) | ~out[5] | (flat >= end)
+        else:
+            out = [np.empty(flat.shape, v.dtype) for v in fields]
+            off = np.ones(flat.shape, dtype=bool)
+        times = flat[off]
+        if times.size:
+            magnus.refuse_bad_times(times, "factor")
+            fresh = (*self.scenario.diag_integrals(times), *self._eval(times))
+            for v, new in zip(out, fresh):
+                v[off] = new
+            out[5][off] = _regular(*fresh[2:]) & (times < end)
+        return tuple(out) if t.ndim else tuple(v[0] for v in out)
 
 
 def _regular(lam, omega, gamma):
@@ -209,15 +202,14 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
         with np.errstate(invalid="ignore"):
             grid = np.linspace(0.0, t_end, 201)
     grid = np.asarray(grid, dtype=float)
-    flow = magnus.flow(scenario, t_end, tol, grid)
-    t_end = float(flow.ts[-1])
+    dense = magnus.flow(scenario, t_end, tol, grid)
+    t_end = float(dense.ts[-1])
     alpha, rho = _diag(scenario, grid)
-    dense = functools.partial(flow, s_only=True)
-    singular_time, near = _chart_end(scenario, dense, flow.ts)
+    singular_time, near = _chart_end(scenario, dense, dense.ts)
     stop = math.inf if singular_time is None else singular_time
     # near-zeros of |S22| join the unwrapping samples: each splits the
     # fast half turn of arg G22 there into two quarter turns
-    ts = np.union1d(flow.ts[flow.ts < stop], near)
+    ts = magnus.union(dense.ts[dense.ts < stop], near)
 
     def gauss(times):
         alpha, rho = _diag(scenario, times)
@@ -235,22 +227,22 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
     lam, omega, gamma = (np.where(past, np.nan, v) for v in read(grid))
     valid = _regular(lam, omega, gamma)
 
-    def evaluate(t):
+    def evaluate(times):
         top = min(t_end, stop)
-        if t > top + 1e-12:
+        over = times[times > top + 1e-12]
+        if over.size:
             if singular_time is not None:
                 raise ChartSingularity(
-                    f"factor chart singular before t = {t:.6g}",
+                    f"factor chart singular before t = {over[0]:.6g}",
                     singular_time=singular_time)
-            raise ValueError(f"factor time {t} is outside the factors' "
-                             f"span [0, {t_end}]")
-        return tuple(complex(v[0]) for v in read(np.array([min(t, top)])))
+            raise ValueError(f"factor time {over[0]} is outside the "
+                             f"factors' span [0, {t_end}]")
+        return read(np.minimum(times, top))
 
     return DisentangledFactors(
         scenario=scenario, ordering="standard", t=grid, alpha=alpha, rho=rho,
         lam=lam, omega=omega, gamma=gamma, valid=valid,
-        singular_time=singular_time, _eval=evaluate,
-        s_dense=dense)
+        singular_time=singular_time, _eval=evaluate, s_dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +274,18 @@ def _closed_block(fam: PhaseFamily, t):
     return block, (-x if fam.w0 < 0 else x) - half
 
 
+def _unframe(alpha, rho, g11, g12, g21, g22):
+    """S = e^{-i alpha/2} diag(e^{-i rho/2}, e^{i rho/2}) G from the
+    Gauss-frame entries, all at one time (a 2x2 matrix) or along a 1-D
+    array of times (an (n, 2, 2) stack)."""
+    e1 = np.exp(-0.5j * (alpha + rho))
+    e2 = np.exp(-0.5j * (alpha - rho))
+    # built with the matrix axes first and transposed: .T reverses every
+    # axis, which puts the times in front and swaps rows and columns back
+    return np.array([[e1 * g11, e2 * g21], [e1 * g12, e2 * g22]],
+                    dtype=complex).T
+
+
 def closed_factors(scenario: Scenario, t):
     """Closed-form (Lambda, Omega, Gamma) in the standard ordering for any
     scenario with a phase family, at a time or 1-D array of times; values
@@ -305,6 +309,7 @@ def factors_on_grid(scenario: Scenario, grid,
         raise ValueError(f"unknown ordering {ordering!r}")
     chart = charts[ordering]
     grid = np.asarray(grid, dtype=float)
+    magnus.refuse_bad_times(grid, "factor")
     alpha, rho = _diag(scenario, grid)
     lam, omega, gamma = (np.asarray(v, dtype=complex)
                          for v in chart(scenario, grid))
@@ -314,7 +319,7 @@ def factors_on_grid(scenario: Scenario, grid,
     return DisentangledFactors(
         scenario=scenario, ordering=ordering, t=grid, alpha=alpha, rho=rho,
         lam=lam, omega=omega, gamma=gamma, valid=valid,
-        singular_time=singular, _eval=lambda t: chart(scenario, float(t)))
+        singular_time=singular, _eval=functools.partial(chart, scenario))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ Magnus flow, magnus.flow.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import magnus
-from .riccati import ChartSingularity, DisentangledFactors, _closed_block
+from .riccati import (ChartSingularity, DisentangledFactors, _closed_block,
+                      _unframe)
 from .scenario import Scenario
 
 
@@ -54,7 +54,7 @@ def smatrix_numeric_grid(scenario: Scenario, grid,
     that is flagged."""
     grid = np.asarray(grid, dtype=float)
     solved = magnus.flow(scenario, grid.max(initial=0.0), tol, grid)
-    return _sampled(solved(grid, s_only=True), grid, tol)
+    return _sampled(solved(grid), grid, tol)
 
 
 def _sampled(mats: np.ndarray, grid, tol: float) -> SMatrix2:
@@ -81,42 +81,35 @@ def smatrix_closed(scenario: Scenario, t) -> SMatrix2:
     if fam is None:
         raise ValueError(f"no printed closed S block for case {scenario.case}")
     alpha, rho = scenario.diag_integrals(t)
-    (g11, g12, g21, g22), _ = _closed_block(fam, t)
-    e1 = np.exp(-0.5j * (alpha + rho))
-    e2 = np.exp(-0.5j * (alpha - rho))
-    # built with the matrix axes first and transposed: .T reverses every
-    # axis, which puts the times in front and swaps rows and columns back
-    m = np.array([[e1 * g11, e2 * g21], [e1 * g12, e2 * g22]], dtype=complex)
-    return SMatrix2(t=t, mat=m.T)
+    block, _ = _closed_block(fam, t)
+    return SMatrix2(t=t, mat=_unframe(alpha, rho, *block))
 
 
 # ---------------------------------------------------------------------------
 # reconstruction from factors
 
-def smatrix_from_factors(factors: DisentangledFactors, t: float) -> SMatrix2:
-    """Rebuild S(t) from the Gauss factors on the j=1/2 carrier.
+def smatrix_from_factors(factors: DisentangledFactors, t) -> SMatrix2:
+    """Rebuild S on the j=1/2 carrier at a time (a 2x2 mat) or a 1-D array
+    of times (an (n, 2, 2) mat): the Gauss product of the factors L, Om, Ga
 
-    Standard ordering:
-        S = e^{-i alpha/2} diag(e^{-i rho/2}, e^{i rho/2})
-            [[e^{Om/2} + L G e^{-Om/2}, L e^{-Om/2}],
-             [G e^{-Om/2},              e^{-Om/2}]]
-    Alternative ordering drops the rho rotation (it lives inside Omega~).
-    """
-    sample = factors.at(t)
-    if not sample.valid:
+        G = [[e^{Om/2} + L Ga e^{-Om/2}, L e^{-Om/2}],
+             [Ga e^{-Om/2},              e^{-Om/2}]]
+
+    unframed by riccati._unframe, with rho = 0 in the alternative ordering
+    (its rho rotation lives inside Omega~).  Raises ChartSingularity when
+    any sample is off the chart."""
+    # read a float as an array of one: numpy scalars round unlike arrays
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    alpha, rho, lam, omega, gamma, valid = factors.sample(flat)
+    if np.count_nonzero(valid) < valid.size:
         raise ChartSingularity(
-            f"factor chart invalid at t = {t:.6g}",
+            f"factor chart invalid at t = {flat[~valid][0]:.6g}",
             singular_time=factors.singular_time)
-    lam, omega, gam = sample.lam, sample.omega, sample.gamma
-    ep = cmath.exp(0.5 * omega)
-    em = cmath.exp(-0.5 * omega)
-    gauss = np.array([[ep + lam * gam * em, lam * em],
-                      [gam * em, em]], dtype=complex)
-    phase = cmath.exp(-0.5j * sample.alpha)
-    if factors.ordering == "standard":
-        rot = np.diag([cmath.exp(-0.5j * sample.rho),
-                       cmath.exp(0.5j * sample.rho)])
-        m = phase * rot @ gauss
-    else:
-        m = phase * gauss
-    return SMatrix2(t=float(t), mat=m)
+    half = 0.5 * omega
+    em = np.exp(-half)
+    mat = _unframe(alpha, rho if factors.ordering == "standard" else 0.0,
+                   np.exp(half) + lam * gamma * em, lam * em, gamma * em, em)
+    # a time-major copy keeps no reference to the (2, 2, n) block
+    return SMatrix2(t=t, mat=np.ascontiguousarray(
+        mat.reshape(times.shape + (2, 2))))

@@ -1,7 +1,8 @@
 """The import contract: `import twomode, twomode.cli` loads NumPy and the
 package, and each SciPy module loads only where a case or subcommand first
-uses it.  The test modules import SciPy themselves, so every check runs in
-a fresh interpreter."""
+uses it; the subcommands on the printed cases load no `numpy.ma` either.
+The test modules import SciPy themselves, so every check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -16,14 +17,17 @@ from twomode.cli import main
 
 SRC = str(Path(twomode.__file__).resolve().parents[1])
 
-# runs main() on each argument list of its JSON argument in turn and
-# prints, after each, the exit code and the SciPy modules loaded so far
+# runs main() on each argument list of its first JSON argument in turn
+# and prints, after each, the exit code and the modules loaded so far that
+# are its second argument (default scipy) or lie inside it
 PROBE = """\
 import json, sys
 from twomode.cli import main
+top = sys.argv[2] if len(sys.argv) > 2 else "scipy"
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded = sorted(m for m in sys.modules
+                    if m == top or m.startswith(top + "."))
     print(json.dumps([code, loaded]))
 """
 
@@ -90,6 +94,20 @@ def test_subcommands_load_no_scipy(tmp_path):
              "11", "--out", str(tmp_path / case)]
             for command, case in NO_SCIPY_RUNS]
     lines = _cold(tmp_path, PROBE, json.dumps(runs)).splitlines()
+    assert [json.loads(line) for line in lines] == [[0, []]] * len(runs)
+
+
+def test_subcommands_load_no_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma on their first call; the
+    # flows merge their step edges without them.  The GeneralPhase chart
+    # has a bracketed minimum of |S22|, so its factors load scipy.optimize,
+    # which loads numpy.ma itself.
+    runs = [[command, "--scenario", _scenario(tmp_path, case), "--grid",
+             "11", "--out", str(tmp_path / command / case)]
+            for command in ("smatrix", "evolve", "factors")
+            for case in PRINTED
+            if (command, case) != ("factors", "GeneralPhase")]
+    lines = _cold(tmp_path, PROBE, json.dumps(runs), "numpy.ma").splitlines()
     assert [json.loads(line) for line in lines] == [[0, []]] * len(runs)
 
 

@@ -87,7 +87,7 @@ def _reference(scenario, t, c0):
 def _flow_values(flow, times, c0):
     """Rows S11, S12, S21, S22, c1, c2, P of a drive flow at the times."""
     c, p = flow.amplitudes(times, c0)
-    return np.concatenate([flow(times, s_only=True).reshape(-1, 4).T, c.T,
+    return np.concatenate([flow(times)[..., :2, :2].reshape(-1, 4).T, c.T,
                            p[None]])
 
 
@@ -261,14 +261,14 @@ def test_a_built_flow_refuses_times_outside_its_span(time):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for dense in (factors.s_dense, flow,
-                      lambda x: flow(np.array([0.5, x]), s_only=True)):
+                      lambda x: flow(np.array([0.5, x]))):
             with pytest.raises(ValueError, match=message):
                 dense(time)
     # inside the span, both ends included, the values stand
     longer = magnus.flow(scenario, 4.0, 1e-12)
     inside = np.array([0.0, 0.37, 1.0])
     assert np.max(np.abs(factors.s_dense(inside)
-                         - longer(inside, s_only=True))) <= 1e-9
+                         - longer(inside))) <= 1e-9
 
 
 # The fused march against the march it replaced: the mesh and its doubling

@@ -64,7 +64,8 @@ def test_brute_force_smatrix_unitarity(w11, w22, re12, im12, t):
 def test_reconstructed_determinant(w11, w22, re12, im12, t):
     scenario = AllConstantScenario(w11=w11, w22=w22, w12=complex(re12, im12))
     factors = factors_on_grid(scenario, np.array([0.0, t]))
-    assume(factors.at(t).valid and abs(factors.at(t).lam) < LAMBDA_CAP)
+    _, _, lam, _, _, valid = factors.sample(t)
+    assume(valid and abs(lam) < LAMBDA_CAP)
     s = smatrix_from_factors(factors, t)
     alpha = (w11 + w22) * t
     assert abs(np.linalg.det(s.mat) - cmath.exp(-1j * alpha)) < 1e-9

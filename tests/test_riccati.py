@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from twomode.scenario import (
     Scenario,
     TabulatedScenario,
 )
-from twomode.smatrix import smatrix_from_factors, smatrix_numeric_grid
+from twomode.smatrix import (smatrix_closed, smatrix_from_factors,
+                             smatrix_numeric_grid)
 from twomode.special import fresnel_c, kummer_1f1
 
 PHASE_CASES = [
@@ -226,9 +228,8 @@ def test_quadratic_phase_alternative():
     grid = np.array([0.0, 0.3, 0.7, 1.0])
     numeric = solve_riccati_numeric(scenario, 1.0, tol=1e-12, grid=grid)
     for t in grid[1:]:
-        sample = numeric.at(float(t))
-        want = alternative_from_standard(sample.lam, sample.omega,
-                                         sample.gamma, sample.rho)
+        _, rho, lam, omega, gamma, _ = numeric.sample(float(t))
+        want = alternative_from_standard(lam, omega, gamma, rho)
         got = alt_factors(scenario, float(t))
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-8
 
@@ -237,9 +238,8 @@ def test_quadratic_phase_small_curvature_limit():
     # theta0 -> 0 approaches the constant-phase solution
     scenario = QuadraticPhaseScenario(eta0=1.0, theta0=1e-3)
     numeric = solve_riccati_numeric(scenario, 1.0, tol=1e-12)
-    sample = numeric.at(1.0)
-    want = alternative_from_standard(sample.lam, sample.omega,
-                                     sample.gamma, sample.rho)
+    _, rho, lam, omega, gamma, _ = numeric.sample(1.0)
+    want = alternative_from_standard(lam, omega, gamma, rho)
     got = alt_factors(scenario, 1.0)
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-6
 
@@ -250,9 +250,8 @@ def test_fresnel_alternative():
     assert max(map(abs, alt_factors(scenario, 0.0))) == 0.0
 
     numeric = solve_riccati_numeric(scenario, 0.8, tol=1e-12)
-    sample = numeric.at(0.8)
-    want = alternative_from_standard(sample.lam, sample.omega,
-                                     sample.gamma, sample.rho)
+    _, rho, lam, omega, gamma, _ = numeric.sample(0.8)
+    want = alternative_from_standard(lam, omega, gamma, rho)
     got = alt_factors(scenario, 0.8)
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-8
 
@@ -324,20 +323,20 @@ def test_numeric_route_flags_singularity():
     assert not np.any(got.valid[past])
     assert np.all(np.isnan(got.lam[past].real))
     with pytest.raises(ChartSingularity):
-        got.at(1.8)
+        got.sample(1.8)
     # before the pole the dense evaluator still works
-    assert got.at(1.0).valid
+    assert got.sample(1.0)[5]
 
 
 def test_factor_sample_lookup():
     scenario = ConstantPhaseScenario(eta0=1.0, phi0=0.3)
     grid = np.linspace(0.0, 1.0, 11)
     factors = factors_on_grid(scenario, grid)
-    sample = factors.at(0.55)
+    _, _, lam, omega, _, valid = factors.sample(0.55)
     want = closed_factors(scenario, 0.55)
-    assert abs(sample.lam - want[0]) < 1e-14
-    assert abs(sample.omega - want[1]) < 1e-14
-    assert sample.valid
+    assert abs(lam - want[0]) < 1e-14
+    assert abs(omega - want[1]) < 1e-14
+    assert valid
 
 
 def test_factors_on_grid_rejects_unknown_ordering():
@@ -370,14 +369,14 @@ def test_numeric_route_through_near_miss():
     for got, want in zip((numeric.lam, numeric.omega, numeric.gamma), closed):
         assert _rel_err(got, want) <= 1e-8
 
-    peak = numeric.at(math.pi / 2.0)
+    _, _, peak_lam, peak_omega, peak_gamma, _ = numeric.sample(math.pi / 2.0)
     lam, omega, gamma = closed_factors(scenario, math.pi / 2.0)
-    assert 1e5 < abs(peak.lam) < 1e6
-    assert _rel_err(peak.lam, lam) <= 1e-8
-    assert _rel_err(peak.gamma, gamma) <= 1e-8
+    assert 1e5 < abs(peak_lam) < 1e6
+    assert _rel_err(peak_lam, lam) <= 1e-8
+    assert _rel_err(peak_gamma, gamma) <= 1e-8
     # Im Omega turns by 2 pi across the near-miss; at its middle the
     # branch must still be the closed one (a wrong one is off by 4 pi)
-    assert abs(peak.omega - omega) < 1e-3
+    assert abs(peak_omega - omega) < 1e-3
 
 
 def test_numeric_route_locates_narrow_pole():
@@ -402,9 +401,8 @@ def test_numeric_omega_follows_its_winding():
     for got, want in zip((numeric.lam, numeric.omega, numeric.gamma), closed):
         assert _rel_err(got, want) <= 1e-8
     for t in (2.345, 5.678):
-        sample = numeric.at(t)
         _, omega, _ = closed_factors(scenario, t)
-        assert _rel_err(sample.omega, omega) <= 1e-8
+        assert _rel_err(numeric.sample(t)[3], omega) <= 1e-8
 
 
 def _smooth_tabulated(driven=False):
@@ -416,7 +414,7 @@ def _smooth_tabulated(driven=False):
         ts, 0.3 + 0.2 * np.sin(2.0 * ts), 0.1 * np.cos(ts), w12, **drives)
 
 
-@pytest.mark.parametrize("factors", [
+FACTOR_SETS = [
     factors_on_grid(ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2,
                                           w22=0.05),
                     np.array([0.0, 0.4, 1.1, math.pi / 2.0, 1.8, 2.0])),
@@ -433,33 +431,97 @@ def _smooth_tabulated(driven=False):
                           grid=np.linspace(0.0, 1.2, 25)),
     solve_riccati_numeric(ConstantPhaseScenario(eta0=1.0, phi0=0.3), 2.0,
                           grid=np.linspace(0.0, 2.0, 41)),
-], ids=["ConstantPhase", "LinearPhase", "QuadraticPhase-alt",
-        "FresnelNorm-alt", "AllConstant-alt", "Tabulated-numeric",
-        "ConstantPhase-numeric"])
+]
+FACTOR_IDS = ["ConstantPhase", "LinearPhase", "QuadraticPhase-alt",
+              "FresnelNorm-alt", "AllConstant-alt", "Tabulated-numeric",
+              "ConstantPhase-numeric"]
+
+
+@pytest.mark.parametrize("factors", FACTOR_SETS, ids=FACTOR_IDS)
 def test_grid_times_read_the_stored_samples(factors):
     def refuse(t):
-        raise AssertionError(f"evaluator called at grid time {t}")
+        raise AssertionError(f"evaluator called at grid times {t}")
 
-    # a grid time on the chart never reaches the evaluator
+    # a grid time on the chart never reaches the evaluator, whether it is
+    # read alone or with all the others in one array
     stored_only = replace(factors, _eval=refuse)
-    read = 0
-    for i, t in enumerate(factors.t.tolist()):
-        if not factors.valid[i] or (factors.singular_time is not None
-                                    and t >= factors.singular_time):
-            continue
-        sample = stored_only.at(t)
-        assert sample.valid and sample.t == t
-        assert (sample.alpha, sample.rho) == (factors.alpha[i], factors.rho[i])
-        stored = (factors.lam[i], factors.omega[i], factors.gamma[i])
-        assert (sample.lam, sample.omega, sample.gamma) == stored
-        # the grid read agrees with the evaluator route at that time
-        for got, want in zip(stored, factors._eval(t)):
-            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
-        for got, want in zip((sample.alpha, sample.rho),
-                             factors.scenario.diag_integrals(t)):
-            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
-        read += 1
-    assert read >= 3
+    on = factors.valid.copy()
+    if factors.singular_time is not None:
+        on &= factors.t < factors.singular_time
+    times = factors.t[on]
+    assert times.size >= 3
+    read = stored_only.sample(times)
+    stored = (factors.alpha, factors.rho, factors.lam, factors.omega,
+              factors.gamma, factors.valid)
+    for got, field in zip(read, stored):
+        assert np.array_equal(got, field[on])
+    for i, t in enumerate(times.tolist()):
+        assert stored_only.sample(t) == tuple(v[i] for v in read)
+    assert smatrix_from_factors(stored_only, times).mat.shape == (
+        times.size, 2, 2)
+    # the grid read agrees with the evaluator route at those times
+    evaluated = factors._eval(times) + factors.scenario.diag_integrals(times)
+    for got, want in zip(read[2:5] + read[:2], evaluated):
+        assert np.all(np.abs(got - want)
+                      <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("factors", FACTOR_SETS, ids=FACTOR_IDS)
+def test_array_read_equals_the_stacked_scalar_reads(factors):
+    # the grid times and the midpoints between them, read alone and in one
+    # array; a numeric chart is read only before its end
+    times = np.sort(np.concatenate(
+        [factors.t, 0.5 * (factors.t[1:] + factors.t[:-1])]))
+    if factors.s_dense is not None and factors.singular_time is not None:
+        times = times[times < factors.singular_time]
+    read = factors.sample(times)
+    singles = [factors.sample(t) for t in times.tolist()]
+    for k, got in enumerate(read):
+        assert got.shape == times.shape
+        assert np.array_equal(got, [single[k] for single in singles],
+                              equal_nan=k < 5)
+    on = times[read[5]]
+    assert on.size > times.size // 2
+    rebuilt = smatrix_from_factors(factors, on)
+    assert rebuilt.mat.shape == (on.size, 2, 2)
+    assert np.array_equal(rebuilt.mat, [smatrix_from_factors(factors, t).mat
+                                        for t in on.tolist()])
+
+
+@pytest.mark.parametrize("factors", [
+    factors_on_grid(ConstantPhaseScenario(eta0=1.0, phi0=0.3),
+                    np.linspace(0.0, 1.0, 11)),
+    factors_on_grid(ConstantPhaseScenario(eta0=1.0, phi0=0.3), np.array([])),
+    solve_riccati_numeric(ConstantPhaseScenario(eta0=1.0, phi0=0.3), 1.0,
+                          grid=np.linspace(0.0, 1.0, 11)),
+], ids=["closed", "closed-empty-grid", "numeric"])
+def test_empty_array_read(factors):
+    read = factors.sample(np.array([]))
+    assert [v.shape for v in read] == [(0,)] * 6
+    rebuilt = smatrix_from_factors(factors, np.array([]))
+    assert rebuilt.mat.shape == (0, 2, 2)
+    # and one time, stored or not, reads as a 2x2 mat
+    want = smatrix_closed(factors.scenario, 0.5).mat
+    assert np.max(np.abs(smatrix_from_factors(factors, 0.5).mat - want)) < 1e-9
+
+
+@pytest.mark.parametrize("time", [-0.5, math.nan, math.inf, -math.inf])
+def test_factor_reads_refuse_a_bad_time(time):
+    # every factor read refuses such a time, alone or in an array, on
+    # closed charts as on numeric ones, and so does a closed factor grid
+    cp = ConstantPhaseScenario(eta0=1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    message = re.escape(f"factor time {time} is negative or not finite")
+    for factors in (factors_on_grid(cp, grid),
+                    factors_on_grid(cp, grid, "alternative"),
+                    solve_riccati_numeric(cp, 1.0, grid=grid)):
+        for read in (factors.sample,
+                     lambda t: smatrix_from_factors(factors, t)):
+            for t in (time, np.array([0.5, time])):
+                with pytest.raises(ValueError, match=message):
+                    read(t)
+    with pytest.raises(ValueError, match=message):
+        factors_on_grid(cp, np.array([0.0, time]))
 
 
 def test_numeric_factors_past_their_span_are_refused():
@@ -467,9 +529,10 @@ def test_numeric_factors_past_their_span_are_refused():
     factors = solve_riccati_numeric(LinearPhaseScenario(eta0=0.5, w0=1.0),
                                     1.0)
     assert factors.singular_time is None
-    for read in (factors.at, lambda t: smatrix_from_factors(factors, t)):
-        with pytest.raises(ValueError, match=r"span \[0, 1.0\]"):
-            read(1.5)
+    for read in (factors.sample, lambda t: smatrix_from_factors(factors, t)):
+        for t in (1.5, np.array([0.25, 1.5, 0.5])):
+            with pytest.raises(ValueError, match=r"span \[0, 1.0\]"):
+                read(t)
 
 
 def test_numeric_grid_time_past_the_pole_still_raises():
@@ -477,8 +540,12 @@ def test_numeric_grid_time_past_the_pole_still_raises():
     got = solve_riccati_numeric(cp, 2.0, grid=np.array([0.0, 1.0, 1.8, 2.0]))
     assert got.singular_time < 1.8
     with pytest.raises(ChartSingularity):
-        got.at(1.8)
-    assert got.at(1.0).valid
+        got.sample(1.8)
+    assert got.sample(1.0)[5]
+    # one time past the pole fails an array read
+    for read in (got.sample, lambda t: smatrix_from_factors(got, t)):
+        with pytest.raises(ChartSingularity):
+            read(np.array([0.2, 1.0, 1.8, 0.5]))
 
 
 def test_closed_grid_time_past_first_invalid_sample_reads_invalid():
@@ -488,9 +555,12 @@ def test_closed_grid_time_past_first_invalid_sample_reads_invalid():
     factors = factors_on_grid(cp, np.array([0.0, 1.0, math.pi / 2.0, 1.8]))
     assert list(factors.valid) == [True, True, False, True]
     assert factors.singular_time == math.pi / 2.0
-    assert not factors.at(1.8).valid
-    with pytest.raises(ChartSingularity):
-        smatrix_from_factors(factors, 1.8)
+    assert not factors.sample(1.8)[5]
+    assert list(factors.sample(np.array([0.2, 1.8, 1.0]))[5]) == [
+        True, False, True]
+    for t in (1.8, np.array([0.2, 1.0, 1.8, 0.5])):
+        with pytest.raises(ChartSingularity, match="invalid at t = 1.8"):
+            smatrix_from_factors(factors, t)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -641,7 +711,7 @@ def test_quadratic_phase_chart_at_vanishing_u_is_flagged_not_raised():
     factors = factors_on_grid(scenario, grid, "alternative")
     assert list(factors.valid) == [True, True, False]
     assert factors.singular_time == math.pi / 2.0
-    assert not factors.at(math.pi / 2.0).valid
+    assert not factors.sample(math.pi / 2.0)[5]
     with pytest.raises(ChartSingularity):
         smatrix_from_factors(factors, math.pi / 2.0)
 
