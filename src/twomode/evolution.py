@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, annihilator, coherent_state,
-                   displacement_operator, number_diagonals, schwinger_lift)
+from .fock import (FockSpace, coherent_state, displacement_operator,
+                   schwinger_lift)
 from . import magnus
 from .scenario import Scenario, drive_is_zero
 from .smatrix import smatrix_closed
@@ -187,49 +187,3 @@ def ladder_eigenvalue_checks(space: FockSpace, state: CoherentStateSpec,
     res = (np.linalg.norm((lowered - lam[:, None, None] * psi)
                           .reshape(c1.size, -1), axis=1) / np.sqrt(norm2))
     return lam, res
-
-
-# ---------------------------------------------------------------------------
-# spectrum of the dressed-number Hamiltonian
-
-@dataclass(frozen=True)
-class SpectrumCheck:
-    max_deviation: float
-    levels: np.ndarray
-    counts: np.ndarray
-
-
-def habeta_spectrum_check(space: FockSpace, state: CoherentStateSpec,
-                          k: int | None = None) -> SpectrumCheck:
-    """Diagonalize H = A^dag A (A = alpha0 a1 + beta0 a2) on the complete
-    total-occupation shells n1 + n2 <= n_max and compare the lowest k
-    distinct eigenvalues with 0..k-1.
-
-    Per-mode truncation mutilates the shells above n_max (their blocks
-    acquire non-integer eigenvalues), so only complete shells count.
-    Within each complete shell N the spectrum is exactly {0, 1, ..., N},
-    which fixes the multiplicities: eigenvalue m appears once per shell
-    N >= m.
-    """
-    if k is None:
-        k = space.n_max + 1
-    a_op = (state.alpha0 * annihilator(space, 1)
-            + state.beta0 * annihilator(space, 2))
-    h = a_op.conj().T @ a_op
-    n1, n2 = number_diagonals(space)
-    keep = np.nonzero(n1 + n2 <= space.n_max)[0]
-    vals = np.linalg.eigvalsh(h[np.ix_(keep, keep)])
-    # cluster into distinct levels
-    levels = []
-    counts = []
-    for v in vals:
-        if levels and abs(v - levels[-1]) < 1e-6:
-            counts[-1] += 1
-            continue
-        levels.append(float(v))
-        counts.append(1)
-    levels = np.asarray(levels)
-    counts = np.asarray(counts)
-    top = min(k, levels.size)
-    dev = float(np.max(np.abs(levels[:top] - np.arange(top))))
-    return SpectrumCheck(max_deviation=dev, levels=levels, counts=counts)

@@ -23,7 +23,6 @@ operators.  Nothing here forms a general matrix exponential.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -176,9 +175,13 @@ def _mode_displacements(space: FockSpace, c,
     """P V and e^{-i |c| mu} at each single-mode amplitude of the array c,
     so that D(c) = exp(c a^dag - c* a) = (P V) diag(e^{-i |c| mu}) (P V)^dag
     with P = diag(e^{i n arg c}), which turns c a^dag - c* a into
-    |c| (a^dag - a) = -i |c| V diag(mu) V^dag.  Raises TruncationError when
-    any amplitude's discarded Poisson tail exceeds tail_tol."""
+    |c| (a^dag - a) = -i |c| V diag(mu) V^dag.  Raises ValueError when an
+    amplitude is not finite, and TruncationError when any amplitude's
+    discarded Poisson tail exceeds tail_tol."""
     c = np.asarray(c, dtype=complex)
+    bad = c[~np.isfinite(c)]
+    if bad.size:
+        raise ValueError(f"displacement amplitude {bad[0]} is not finite")
     tail = max((_tail_weight(x, space.n_max) for x in c.ravel().tolist()),
                default=0.0)
     if tail > tail_tol:
@@ -215,34 +218,6 @@ def coherent_state(space: FockSpace, c1, c2,
     first, second = np.sum(pv * weights[..., None, :], axis=-1)
     psi = first[..., :, None] * second[..., None, :]
     return psi.reshape(*psi.shape[:-2], space.dim)
-
-
-def mixing_operator(space: FockSpace, gamma3: float, theta_diff: float,
-                    eps: int = 1) -> np.ndarray:
-    """Beam-splitter style rotation taking the dressed mode onto bare mode 1.
-
-    T = exp[-chi (e^{-i theta_diff} J+ - e^{i theta_diff} J-)], the
-    Schwinger lift of [[c, -eps e^{-i theta_diff} s],
-    [eps e^{i theta_diff} s, c]] with c = sqrt((1 + eps gamma3)/2) =
-    cos(chi) and s = sqrt((1 - eps gamma3)/2) = eps sin(chi).  So
-    eps*gamma3 = +1 gives the identity and -1 the quarter rotation (mode
-    swap up to phases).
-    """
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if not -1.0 <= gamma3 <= 1.0:
-        raise ValueError("gamma3 must lie in [-1, 1]")
-    c = math.sqrt((1.0 + eps * gamma3) / 2.0)
-    s = math.sqrt((1.0 - eps * gamma3) / 2.0)
-    e = eps * cmath.exp(1j * theta_diff)
-    return schwinger_lift(space, [[c, -s * e.conjugate()], [s * e, c]])
-
-
-def expectation(op: np.ndarray, state: np.ndarray) -> complex:
-    norm2 = np.vdot(state, state).real
-    if norm2 == 0.0:
-        raise ValueError("expectation of the zero vector")
-    return complex(np.vdot(state, op @ state) / norm2)
 
 
 def interior_mask(space: FockSpace, margin: int = 2) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Brute-force reference propagators and comparison helpers.
+"""Brute-force reference propagators and the state fidelity they are
+compared by.
 
 These deliberately avoid the factorization machinery: the only ingredients
 are midpoint sampling of the Hamiltonian and exponentials of frozen
@@ -42,11 +43,10 @@ factorization is right; the two routes must stay independent.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, annihilator, interior_mask, number_diagonals
+from .fock import FockSpace, annihilator, number_diagonals
 from .scenario import Scenario
 
 # midpoints the 2x2 oracle samples and multiplies at once; bounds its memory
@@ -63,10 +63,6 @@ _TAYLOR_TOL = 2.0 ** -53
 # _coefficients: w11 n1 + w22 n2 + w12 a1+ a2 + conj(w12) a2+ a1
 # + F1 a1+ + conj(F1) a1 + F2 a2+ + conj(F2) a2 + B
 _TERMS = ("n1", "n2", "k12", "k21", "a1+", "a1", "a2+", "a2", "1")
-
-
-class InsufficientSamples(Exception):
-    """Too few samples for the requested finite-difference stencil."""
 
 
 def hamiltonian_ops(space: FockSpace) -> dict:
@@ -170,7 +166,7 @@ def brute_force_propagator(space: FockSpace, scenario: Scenario, t: float,
     from scipy.sparse._sparsetools import csr_matvecs
 
     if n_steps < 1:
-        raise InsufficientSamples("n_steps must be at least 1")
+        raise ValueError("n_steps must be at least 1")
     n = space.dim
     out = np.eye(n, dtype=complex) if states is None else \
         np.array(states, dtype=complex, order="C")
@@ -245,7 +241,7 @@ def brute_force_smatrix(scenario: Scenario, t: float, n_steps: int) -> np.ndarra
     """Same midpoint product for the 2x2 coefficient matrix W(s) over the
     steps of _midpoints on [0, t], taken _BLOCK steps at a time."""
     if n_steps < 1:
-        raise InsufficientSamples("n_steps must be at least 1")
+        raise ValueError("n_steps must be at least 1")
     ts, h = _midpoints(scenario, t, n_steps)
     s = np.eye(2, dtype=complex)
     for start in range(0, ts.size, _BLOCK):
@@ -253,24 +249,6 @@ def brute_force_smatrix(scenario: Scenario, t: float, n_steps: int) -> np.ndarra
         w11, w22, w12 = scenario.coupling(tb)
         s = _ordered_product(_su2_steps(w11, w22, w12, tb.size, hb)) @ s
     return s
-
-
-def ode_residual(ts, values, rhs) -> float:
-    """Max deviation of centered differences from rhs(t, y) on a uniform
-    grid.  values may be scalar samples (shape (n,)) or a system (n, m)."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if ts.size < 3:
-        raise InsufficientSamples("need at least 3 samples for a centered stencil")
-    h = np.diff(ts)
-    if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-300):
-        raise ValueError("ode_residual expects a uniform grid")
-    worst = 0.0
-    for i in range(1, ts.size - 1):
-        deriv = (values[i + 1] - values[i - 1]) / (ts[i + 1] - ts[i - 1])
-        dev = np.max(np.abs(deriv - np.asarray(rhs(ts[i], values[i]))))
-        worst = max(worst, float(dev))
-    return worst
 
 
 def state_fidelities(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -282,50 +260,3 @@ def state_fidelities(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     denom = nx * nx * ny * ny
     return np.divide(overlap, denom, out=np.zeros_like(overlap),
                      where=(nx != 0.0) & (ny != 0.0))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    max_entry_deviation: float
-    fidelities: np.ndarray
-    det_ratio: complex
-    det_deviation: float
-    notes: str = ""
-
-
-def compare_operators(a: np.ndarray, b: np.ndarray, test_states,
-                      space: FockSpace | None = None,
-                      margin: int = 2) -> ComparisonReport:
-    """Entrywise deviation on the interior block, per-state fidelities
-    |<a psi | b psi>|^2, and the determinant ratio det(a)/det(b).
-
-    A pure global phase between a and b shows up only in det_ratio; the
-    fidelities and (generally) the entry deviation expose real mismatches.
-    Rows and columns within `margin` quanta of the cutoff are excluded
-    from the entry deviation when a space is given.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if space is not None:
-        mask = interior_mask(space, margin)
-        diff = np.abs(a - b)[np.ix_(mask, mask)]
-    else:
-        diff = np.abs(a - b)
-    max_entry = float(diff.max()) if diff.size else 0.0
-
-    states = np.stack(list(test_states), axis=1)
-    fids = state_fidelities(a @ states, b @ states)
-
-    sign_a, logdet_a = np.linalg.slogdet(a)
-    sign_b, logdet_b = np.linalg.slogdet(b)
-    if sign_b == 0:
-        det_ratio = complex(np.inf)
-        det_dev = float("inf")
-        notes = "det(b) vanishes"
-    else:
-        det_ratio = complex(sign_a / sign_b * np.exp(logdet_a - logdet_b))
-        det_dev = abs(det_ratio - 1.0)
-        notes = ""
-    return ComparisonReport(max_entry_deviation=max_entry, fidelities=fids,
-                            det_ratio=det_ratio, det_deviation=det_dev,
-                            notes=notes)

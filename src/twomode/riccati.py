@@ -134,23 +134,6 @@ def _read_off(g12, g21, g22, ref):
         return g12 / g22, -2.0 * (np.log(np.abs(g22)) + 1j * arg), g21 / g22
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    max_conj_residual: float
-    max_im_omega: float
-
-
-def gamma_conjugacy_check(factors: DisentangledFactors) -> ConjugacyReport:
-    """Constant-phase identities: Gamma = -conj(Lambda) and Omega real.
-    Evaluated over the valid samples only."""
-    m = factors.valid
-    if not np.any(m):
-        return ConjugacyReport(math.nan, math.nan)
-    conj_res = float(np.max(np.abs(factors.gamma[m] + np.conj(factors.lam[m]))))
-    im_om = float(np.max(np.abs(factors.omega[m].imag)))
-    return ConjugacyReport(max_conj_residual=conj_res, max_im_omega=im_om)
-
-
 # ---------------------------------------------------------------------------
 # numeric route
 
@@ -159,6 +142,31 @@ def _diag(scenario: Scenario, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     return np.array([np.broadcast_to(v, times.shape)
                      for v in scenario.diag_integrals(times)], dtype=float)
+
+
+def _root(f, lo, hi, f_lo, f_hi):
+    """The root of f in [lo, hi] with f_lo = f(lo) < 0 < f_hi = f(hi), by
+    regula falsi with the Illinois rule: an end left in place by two steps
+    in a row has its value halved, which makes the steps converge
+    superlinearly.  Stops, at machine precision, when a step lands on an
+    end or on a zero of f."""
+    moved = 0
+    for _ in range(100):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            f_hi *= 0.5 if moved < 0 else 1.0
+            moved = -1
+        else:
+            hi, f_hi = x, fx
+            f_lo *= 0.5 if moved > 0 else 1.0
+            moved = 1
+    return min(max(x, lo), hi)
 
 
 def _chart_end(scenario: Scenario, dense, ts):
@@ -175,10 +183,9 @@ def _chart_end(scenario: Scenario, dense, ts):
     near = []
     for i in np.nonzero((mag[1:] < mag[:-1]) & (mag[1:] <= right))[0] + 1:
         lo, hi = ts[i - 1], ts[min(i + 1, ts.size - 1)]
-        if slope(lo) < 0.0 < slope(hi):
-            from scipy.optimize import brentq
-
-            t = brentq(slope, lo, hi)
+        f_lo = slope(lo)
+        if f_lo < 0.0 < (f_hi := slope(hi)):
+            t = _root(slope, lo, hi, f_lo, f_hi)
         else:
             t = ts[i]
         y = dense(t)
@@ -259,7 +266,10 @@ def _closed_block(fam: PhaseFamily, t):
 
     arg(c + i r s) stays within pi/2 of sign(w0) x, so the reference arg
     sign(w0) x - phi~/2 picks the branch that follows G22 continuously
-    from t = 0; w0 = -0.0 counts as positive, like w0 = 0."""
+    from t = 0; w0 = -0.0 counts as positive, like w0 = 0.  A negative or
+    non-finite time is refused with ValueError."""
+    t = np.asarray(t, dtype=float)
+    magnus.refuse_bad_times(t, "closed")
     delta = fam.delta
     r = fam.w0 / delta if delta else 0.0
     a = 2.0 * fam.eps * fam.eta0 / delta if delta else 0.0
@@ -295,7 +305,7 @@ def closed_factors(scenario: Scenario, t):
     if fam is None:
         raise ValueError(f"no standard-ordering closed factors for case "
                          f"{scenario.case}")
-    (_, g12, g21, g22), ref = _closed_block(fam, np.asarray(t, dtype=float))
+    (_, g12, g21, g22), ref = _closed_block(fam, t)
     return _read_off(g12, g21, g22, ref)
 
 
@@ -334,7 +344,9 @@ def alternative_from_standard(lam, omega, gamma, rho):
 def alt_factors(scenario: Scenario, t):
     """Alternative-ordering (Lambda~, Omega~, Gamma~) at a time or a 1-D
     array of times: the case's own alt_chart where it declares one, the
-    chart relations on top of the standard closed forms otherwise."""
+    chart relations on top of the standard closed forms otherwise.  A
+    negative or non-finite time is refused with ValueError."""
+    magnus.refuse_bad_times(np.asarray(t, dtype=float), "closed")
     chart = scenario.alt_chart(t)
     if chart is not None:
         return chart

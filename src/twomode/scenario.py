@@ -10,9 +10,8 @@ coupling entering the off-diagonal Riccati flow is
 
 and the named closed-form families fix the phase of eta:
 constant, linear in s, quadratic in s, or slaved to a mixing angle rho(s).
-The condition theta12(s) = phi(s) + pi/2 - rho(s) (mod 2pi) ties the raw
-coupling phase theta12 to the eta phase model phi; check_phase_condition
-measures the residual on a grid.
+Each family's coupling is written so that its raw phase theta12 meets
+theta12(s) = phi(s) + pi/2 - rho(s) (mod 2pi) for its eta phase model phi.
 
 Every case's coupling(), diag_integrals() and alt_chart() and every drive
 take a time or a 1-D array of times, through one numpy formula: an array
@@ -40,8 +39,6 @@ from .special import kummer_1f1
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline, PPoly
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +85,6 @@ NO_DRIVE = ConstantDrive(0j)
 
 def drive_is_zero(drive) -> bool:
     return isinstance(drive, ConstantDrive) and drive.value == 0
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-@dataclass(frozen=True)
-class PhaseConditionReport:
-    satisfied: bool
-    max_violation: float
-    t: np.ndarray
-    violation: np.ndarray
 
 
 class PhaseFamily(NamedTuple):
@@ -188,42 +174,10 @@ class Scenario:
         cases that carry coherent data (with z0), else None."""
         return None
 
-    def phase_reference(self, t: float) -> float:
-        """Model phase phi(t) of eta used by check_phase_condition, at a
-        time or at each time of a 1-D array."""
-        fam = self.phase_family()
-        if fam is None:
-            raise NotImplementedError
-        return fam.phi0 + fam.phi_tilde(t)
-
     def eta(self, t: float) -> complex:
         _, rho = self.diag_integrals(t)
         _, _, w12 = self.coupling(t)
         return -1j * w12 * np.exp(1j * rho)
-
-
-def check_phase_condition(scenario: Scenario, grid, tol: float = 1e-9,
-                          reference: Callable[[float], float] | None = None,
-                          ) -> PhaseConditionReport:
-    """Residual of theta12(t) - (phi(t) + pi/2 - rho(t)) wrapped to (-pi, pi].
-
-    Points where w12 vanishes carry no phase information and contribute
-    zero residual.  An explicit reference phi(t) overrides the scenario's
-    own phase model; like the coefficients, it is called once, with the
-    whole grid array, and a scalar it returns broadcasts.
-    """
-    grid = np.asarray(grid, dtype=float)
-    phi = reference if reference is not None else scenario.phase_reference
-    _, _, w12 = scenario.coupling(grid)
-    _, rho = scenario.diag_integrals(grid)
-    w12 = np.broadcast_to(w12, grid.shape)
-    diff = np.angle(w12) - (phi(grid) + math.pi / 2.0 - rho)
-    residual = np.where(np.abs(w12) < 1e-300, 0.0,
-                        (diff + math.pi) % TWO_PI - math.pi)
-    max_violation = float(np.max(np.abs(residual))) if grid.size else 0.0
-    return PhaseConditionReport(satisfied=bool(max_violation <= tol),
-                                max_violation=max_violation,
-                                t=grid, violation=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +304,7 @@ class GeneralPhaseScenario(Scenario):
 
 class _ConstantCoupling:
     """Frozen coefficients map onto the linearly drifting phase chart:
-    eta = -i w12 e^{i (w11 - w22) s}.  Probing the constant-phase chart
-    instead is done by passing check_phase_condition an explicit constant
-    reference."""
+    eta = -i w12 e^{i (w11 - w22) s}."""
 
     def phase_family(self):
         w11, w22, w12 = self.coupling(0.0)
@@ -569,9 +521,6 @@ class QuadraticPhaseScenario(Scenario):
     def diag_integrals(self, t):
         return 0.0, 0.0
 
-    def phase_reference(self, t):
-        return -self.theta0 * t * t
-
     def alt_chart(self, t):
         """u'' - (ln conj(eta))' u' + eta0^2 u = 0 has the Kummer solutions
         u = 1F1(a; 1/2; i theta0 s^2), a = i eta0^2 / 4 theta0, u(0) = 1, and
@@ -675,10 +624,6 @@ class FresnelNormScenario(Scenario):
 
     def diag_integrals(self, t):
         return 0.0, 0.0
-
-    def phase_reference(self, t):
-        _, q, tanq = self._tilt(t)
-        return 3.0 * q - tanq + self.theta_v0 - self.theta_u0 - math.pi
 
     def alt_chart(self, t):
         """Closed at every time, across the kinks of |cos(nu s^2)|: with
@@ -792,11 +737,6 @@ class TabulatedScenario(Scenario):
     def breakpoints(self, t):
         knots = self.grid[1:-1]
         return knots[(knots > 0.0) & (knots < t)]
-
-    def phase_reference(self, t):
-        t0 = float(self.grid[0])
-        _, _, w12 = self.coupling(t0)
-        return float(np.angle(-1j * w12)) if w12 != 0 else 0.0
 
 
 class _SplineDrive:

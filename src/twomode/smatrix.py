@@ -76,12 +76,13 @@ def smatrix_closed(scenario: Scenario, t) -> SMatrix2:
     """Printed closed-form S for every case with a phase family, at a time
     or a 1-D array of times: the family's closed Gauss-frame block G
     (riccati._closed_block) unframed,
-    S = e^{-i alpha/2} diag(e^{-i rho/2}, e^{i rho/2}) G."""
+    S = e^{-i alpha/2} diag(e^{-i rho/2}, e^{i rho/2}) G.  A negative or
+    non-finite time is refused with ValueError."""
     fam = scenario.phase_family()
     if fam is None:
         raise ValueError(f"no printed closed S block for case {scenario.case}")
-    alpha, rho = scenario.diag_integrals(t)
     block, _ = _closed_block(fam, t)
+    alpha, rho = scenario.diag_integrals(t)
     return SMatrix2(t=t, mat=_unframe(alpha, rho, *block))
 
 

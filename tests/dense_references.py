@@ -3,7 +3,8 @@ operator built by one `expm` on a full truncated space.  A shell-conserving
 operator is built on the space of 2 n_max quanta per mode, whose shells up
 to 2 n_max are complete, and restricted to the n_max states: that is the
 exact compression P U P of the untruncated operator, partial shells
-included."""
+included.  Also the dense spectrum of the dressed number operator and each
+case's model phase of eta."""
 
 import cmath
 import math
@@ -13,6 +14,8 @@ from scipy.linalg import expm
 
 from twomode.evolution import c_coefficients
 from twomode.fock import annihilator, make_space, number_diagonals
+from twomode.scenario import (FresnelNormScenario, QuadraticPhaseScenario,
+                              TabulatedScenario)
 from twomode.smatrix import smatrix_numeric_grid
 
 
@@ -42,6 +45,16 @@ def dense_displacement(space, c1, c2):
     gen = (c1 * a1.conj().T - np.conj(c1) * a1
            + c2 * a2.conj().T - np.conj(c2) * a2)
     return expm(gen)
+
+
+def mixing_rotation(gamma3, theta_diff, eps=1):
+    """The 2x2 matrix whose lift dense_mixing exponentiates:
+    [[c, -eps e^{-i theta_diff} s], [eps e^{i theta_diff} s, c]] with
+    c = sqrt((1 + eps gamma3)/2) and s = sqrt((1 - eps gamma3)/2)."""
+    c = math.sqrt((1.0 + eps * gamma3) / 2.0)
+    s = math.sqrt((1.0 - eps * gamma3) / 2.0)
+    e = eps * cmath.exp(1j * theta_diff)
+    return np.array([[c, -s * e.conjugate()], [s * e, c]])
 
 
 def dense_mixing(space, gamma3, theta_diff, eps=1):
@@ -129,3 +142,41 @@ def dense_assemble_U(space, scenario, t, tol=1e-10):
     amps = c_coefficients(scenario, (0j, 0j), t, tol)
     disp = dense_displacement(space, amps.c1, amps.c2)
     return amps.global_phase * (disp @ dense_su2_lift(space, smat))
+
+
+def dressed_levels(space, alpha0, beta0):
+    """Distinct eigenvalues, ascending, and their multiplicities of
+    A^dag A (A = alpha0 a1 + beta0 a2) on the complete shells
+    n1 + n2 <= n_max, from one dense diagonalization.  Per-mode truncation
+    mutilates the shells above n_max, so only complete shells count;
+    within shell N the spectrum is exactly {0, 1, ..., N}."""
+    a_op = alpha0 * annihilator(space, 1) + beta0 * annihilator(space, 2)
+    n1, n2 = number_diagonals(space)
+    keep = np.nonzero(n1 + n2 <= space.n_max)[0]
+    vals = np.linalg.eigvalsh((a_op.conj().T @ a_op)[np.ix_(keep, keep)])
+    levels, counts = [], []
+    for v in vals:
+        if levels and abs(v - levels[-1]) < 1e-6:
+            counts[-1] += 1
+        else:
+            levels.append(float(v))
+            counts.append(1)
+    return np.array(levels), np.array(counts)
+
+
+def phase_model(scenario, t):
+    """The model phase phi(t) of eta = eps |eta| e^{i phi} at a time or a
+    1-D array of times: the case's phase family, QuadraticPhase's
+    -theta0 t^2, FresnelNorm's 3 q - tan q + theta_v0 - theta_u0 - pi, and
+    for a table the phase of eta at its first sample."""
+    if isinstance(scenario, QuadraticPhaseScenario):
+        return -scenario.theta0 * t * t
+    if isinstance(scenario, FresnelNormScenario):
+        tanq = np.sinh(scenario.norm_integral(t))
+        return (3.0 * scenario.tilt_angle(t) - tanq + scenario.theta_v0
+                - scenario.theta_u0 - math.pi)
+    if isinstance(scenario, TabulatedScenario):
+        _, _, w12 = scenario.coupling(float(scenario.grid[0]))
+        return float(np.angle(-1j * w12)) if w12 != 0 else 0.0
+    fam = scenario.phase_family()
+    return fam.phi0 + fam.phi_tilde(t)

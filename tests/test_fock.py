@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dense_references import assert_close, dense_mixing
-from twomode.fock import (FockSpace, TruncationError, annihilator,
-                          basis_state, coherent_state, displacement_operator,
-                          expectation, interior_mask, make_space,
-                          mixing_operator, number_diagonals, schwinger_lift,
-                          vacuum_state)
+from dense_references import assert_close, dense_mixing, mixing_rotation
+from twomode.fock import (TruncationError, annihilator, basis_state,
+                          coherent_state, displacement_operator,
+                          interior_mask, make_space, number_diagonals,
+                          schwinger_lift)
 
 
 def test_space_layout():
@@ -124,26 +123,38 @@ def test_displacement_tail_guard():
     displacement_operator(make_space(10), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf,
+                                       complex(0.1, -math.inf)])
+def test_displacement_refuses_a_non_finite_amplitude(amplitude):
+    # the tail guard reads no tail weight off such an amplitude
+    space = make_space(4)
+    message = "displacement amplitude .* is not finite"
+    with pytest.raises(ValueError, match=message):
+        displacement_operator(space, 0.1, amplitude)
+    with pytest.raises(ValueError, match=message):
+        coherent_state(space, amplitude, 0.0)
+    with pytest.raises(ValueError, match=message):
+        coherent_state(space, np.array([0.1, amplitude]), np.zeros(2))
+
+
 def test_coherent_state_mean_occupation():
     space = make_space(10)
     psi = coherent_state(space, 0.6, -0.3j)
     a1 = annihilator(space, 1)
     a2 = annihilator(space, 2)
-    assert abs(expectation(a1, psi) - 0.6) < 1e-8
-    assert abs(expectation(a2, psi) + 0.3j) < 1e-8
+    assert abs(np.vdot(psi, a1 @ psi) - 0.6) < 1e-8
+    assert abs(np.vdot(psi, a2 @ psi) + 0.3j) < 1e-8
     n1 = a1.conj().T @ a1
-    assert abs(expectation(n1, psi) - 0.36) < 1e-7
+    assert abs(np.vdot(psi, n1 @ psi) - 0.36) < 1e-7
 
 
-def test_expectation_rejects_zero_vector():
-    space = make_space(2)
-    with pytest.raises(ValueError):
-        expectation(np.eye(space.dim), np.zeros(space.dim))
+def mixing(space, gamma3, theta_diff, eps=1):
+    return schwinger_lift(space, mixing_rotation(gamma3, theta_diff, eps))
 
 
 def test_mixing_operator_unitary_and_endpoints():
     space = make_space(5)
-    t = mixing_operator(space, 0.3, 0.7)
+    t = mixing(space, 0.3, 0.7)
     # unitary on the complete shells; on every entry the compression of the
     # untruncated rotation
     complete = interior_mask(space, 0)
@@ -151,17 +162,13 @@ def test_mixing_operator_unitary_and_endpoints():
     assert np.max(np.abs(block @ block.conj().T
                          - np.eye(block.shape[0]))) < 1e-10
     assert_close(t, dense_mixing(space, 0.3, 0.7))
-    assert np.array_equal(mixing_operator(space, 1.0, 0.4), np.eye(space.dim))
-    assert np.array_equal(mixing_operator(space, -1.0, 0.4, eps=-1),
+    assert np.array_equal(mixing(space, 1.0, 0.4), np.eye(space.dim))
+    assert np.array_equal(mixing(space, -1.0, 0.4, eps=-1),
                           np.eye(space.dim))
-    swap = mixing_operator(space, -1.0, 0.0)
+    swap = mixing(space, -1.0, 0.0)
     psi = swap @ basis_state(space, 1, 0)
     # quarter rotation moves the quantum to the other mode (up to phase)
     assert abs(abs(psi[space.index(0, 1)]) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        mixing_operator(space, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        mixing_operator(space, 0.0, 0.0, eps=2)
 
 
 def test_mixing_transformation_laws():
@@ -174,7 +181,7 @@ def test_mixing_transformation_laws():
     sub = np.ix_(mask, mask)
     for gamma3, theta, eps in ((0.0, 0.0, 1), (0.3, 0.7, 1), (-0.4, 1.2, 1),
                                (0.3, 0.7, -1)):
-        t = mixing_operator(space, gamma3, theta, eps)
+        t = mixing(space, gamma3, theta, eps)
         cp = np.sqrt((1 + eps * gamma3) / 2)
         cm = np.sqrt((1 - eps * gamma3) / 2)
         law1 = cp * a1 - eps * np.exp(-1j * theta) * cm * a2
@@ -197,10 +204,10 @@ def test_mixing_diagonalizes_dressed_number():
     mask = interior_mask(space, margin=1)
     sub = np.ix_(mask, mask)
 
-    t1 = mixing_operator(space, gamma3, theta, eps=1)
+    t1 = mixing(space, gamma3, theta, eps=1)
     dev1 = t1.conj().T @ h @ t1 - a1.conj().T @ a1
     assert np.max(np.abs(dev1[sub])) < 1e-10
 
-    tm = mixing_operator(space, gamma3, theta, eps=-1)
+    tm = mixing(space, gamma3, theta, eps=-1)
     dev2 = tm.conj().T @ h @ tm - a2.conj().T @ a2
     assert np.max(np.abs(dev2[sub])) < 1e-10

@@ -80,35 +80,34 @@ def test_import_loads_no_scipy(tmp_path):
     assert out == "[]\n"
 
 
-NO_SCIPY_RUNS = [
-    ("evolve", case) for case in PRINTED] + [
-    ("smatrix", case) for case in PRINTED] + [
-    ("coherent", "IsotropicConstant"), ("coherent", "RhoConstant"),
-    ("factors", "AllConstant")]
+# (command, case, --t-end, exit code): every subcommand on the printed
+# cases, and factors past the ConstantPhase pole, which places the pole
+CHARTS = [(command, case, "1.0", 0) for command in ("smatrix", "evolve",
+                                                    "factors")
+          for case in PRINTED] + [("factors", "ConstantPhasePole", "2.0", 2)]
+NO_SCIPY_RUNS = CHARTS + [("coherent", "IsotropicConstant", "1.0", 0),
+                          ("coherent", "RhoConstant", "1.0", 0)]
+
+
+def _probe_runs(tmp_path, runs, top="scipy"):
+    # one process runs them all: a module, once loaded, stays loaded, so the
+    # first run that reports one is the run that loaded it
+    argvs = [[command, "--scenario", _scenario(tmp_path, case), "--t-end",
+              t_end, "--grid", "11", "--out", str(tmp_path / command / case)]
+             for command, case, t_end, _ in runs]
+    lines = _cold(tmp_path, PROBE, json.dumps(argvs), top).splitlines()
+    assert [json.loads(line) for line in lines] == [
+        [code, []] for *_, code in runs]
 
 
 def test_subcommands_load_no_scipy(tmp_path):
-    # one process runs them all: a module, once loaded, stays loaded, so the
-    # first run that reports one is the run that loaded it
-    runs = [[command, "--scenario", _scenario(tmp_path, case), "--grid",
-             "11", "--out", str(tmp_path / case)]
-            for command, case in NO_SCIPY_RUNS]
-    lines = _cold(tmp_path, PROBE, json.dumps(runs)).splitlines()
-    assert [json.loads(line) for line in lines] == [[0, []]] * len(runs)
+    _probe_runs(tmp_path, NO_SCIPY_RUNS)
 
 
 def test_subcommands_load_no_numpy_ma(tmp_path):
     # np.unique and np.union1d import numpy.ma on their first call; the
-    # flows merge their step edges without them.  The GeneralPhase chart
-    # has a bracketed minimum of |S22|, so its factors load scipy.optimize,
-    # which loads numpy.ma itself.
-    runs = [[command, "--scenario", _scenario(tmp_path, case), "--grid",
-             "11", "--out", str(tmp_path / command / case)]
-            for command in ("smatrix", "evolve", "factors")
-            for case in PRINTED
-            if (command, case) != ("factors", "GeneralPhase")]
-    lines = _cold(tmp_path, PROBE, json.dumps(runs), "numpy.ma").splitlines()
-    assert [json.loads(line) for line in lines] == [[0, []]] * len(runs)
+    # flows merge their step edges without them
+    _probe_runs(tmp_path, CHARTS, "numpy.ma")
 
 
 @pytest.mark.parametrize("command,case,t_end,code,module,files", [
@@ -117,7 +116,7 @@ def test_subcommands_load_no_numpy_ma(tmp_path):
     ("smatrix", "FresnelNorm", "1.5", 0, "scipy.special",
      ["smatrix.csv", "smatrix.json"]),
     ("verify", "AllConstant", "1.0", 0, "scipy.sparse", ["verify.json"]),
-    ("factors", "ConstantPhasePole", "2.0", 2, "scipy.optimize",
+    ("factors", "FresnelNorm", "1.5", 0, "scipy.special",
      ["factors.csv", "factors.json"]),
 ])
 def test_lazy_path_matches_the_warm_process(tmp_path, capsys, command, case,

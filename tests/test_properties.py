@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from twomode.fock import annihilator, displacement_operator, expectation, make_space
+from twomode.fock import annihilator, displacement_operator, make_space
 from twomode.oracle import brute_force_smatrix
 from twomode.riccati import closed_factors, factors_on_grid
 from twomode.scenario import AllConstantScenario, LinearPhaseScenario
@@ -165,5 +165,5 @@ def test_displacement_unitary_with_right_mean(re1, im1, re2, im2):
     vac = np.zeros(SPACE.dim)
     vac[SPACE.index(0, 0)] = 1.0
     psi = d @ vac
-    assert abs(expectation(annihilator(SPACE, 1), psi) - c1) < 1e-6
-    assert abs(expectation(annihilator(SPACE, 2), psi) - c2) < 1e-6
+    assert abs(np.vdot(psi, annihilator(SPACE, 1) @ psi) - c1) < 1e-6
+    assert abs(np.vdot(psi, annihilator(SPACE, 2) @ psi) - c2) < 1e-6

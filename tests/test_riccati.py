@@ -11,13 +11,13 @@ from scipy.integrate import quad
 
 import twomode
 import twomode.scenario
+from twomode.evolution import coherent_evolution_closed, coherent_spec
 from twomode.riccati import (
     ChartSingularity,
     alt_factors,
     alternative_from_standard,
     closed_factors,
     factors_on_grid,
-    gamma_conjugacy_check,
     solve_riccati_numeric,
 )
 from twomode.scenario import (
@@ -122,23 +122,24 @@ def test_closed_lambda_satisfies_riccati_equation():
 def test_conjugacy_holds_for_constant_phase():
     scenario = ConstantPhaseScenario(eta0=1.0, phi0=0.4)
     factors = factors_on_grid(scenario, np.linspace(0.0, 1.2, 61))
-    report = gamma_conjugacy_check(factors)
-    assert report.max_conj_residual < 1e-9
-    assert report.max_im_omega < 1e-9
+    assert np.all(factors.valid)
+    assert np.max(np.abs(factors.gamma + np.conj(factors.lam))) < 1e-9
+    assert np.max(np.abs(factors.omega.imag)) < 1e-9
 
 
 def test_conjugacy_trivial_for_zero_coupling():
     flat = AllConstantScenario(w11=0.1, w22=0.3, w12=0.0)
-    report = gamma_conjugacy_check(solve_riccati_numeric(flat, 1.0))
-    assert report.max_conj_residual < 1e-12
-    assert report.max_im_omega < 1e-12
+    factors = solve_riccati_numeric(flat, 1.0)
+    assert np.all(factors.valid)
+    assert np.max(np.abs(factors.gamma + np.conj(factors.lam))) < 1e-12
+    assert np.max(np.abs(factors.omega.imag)) < 1e-12
 
 
 def test_conjugacy_breaks_when_phase_drifts():
     scenario = LinearPhaseScenario(eta0=1.0, w0=1.0)
     factors = factors_on_grid(scenario, np.linspace(0.0, 1.2, 61))
-    report = gamma_conjugacy_check(factors)
-    assert report.max_im_omega > 1e-3
+    assert np.all(factors.valid)
+    assert np.max(np.abs(factors.omega.imag)) > 1e-3
 
 
 def test_alternative_chart_relations():
@@ -524,6 +525,26 @@ def test_factor_reads_refuse_a_bad_time(time):
         factors_on_grid(cp, np.array([0.0, time]))
 
 
+@pytest.mark.parametrize("time", [-0.5, math.nan, math.inf, -math.inf])
+def test_closed_routes_refuse_a_bad_time(time):
+    # the closed S block, the closed factors in both orderings and the
+    # closed coherent law, alone or in an array, rather than a backward or
+    # NaN result
+    cp = ConstantPhaseScenario(eta0=1.0)
+    qp = QuadraticPhaseScenario(eta0=1.0, theta0=0.5)
+    rc = RhoConstantScenario(rho0=0.6, eta0=0.8, w0=1.1, z0=0.5)
+    message = re.escape(f"closed time {time} is negative or not finite")
+    for t in (time, np.array([0.5, time])):
+        for route in (lambda: smatrix_closed(cp, t),
+                      lambda: closed_factors(cp, t),
+                      lambda: alt_factors(cp, t),
+                      lambda: alt_factors(qp, t),
+                      lambda: coherent_evolution_closed(rc, coherent_spec(rc),
+                                                        t)):
+            with pytest.raises(ValueError, match=message):
+                route()
+
+
 def test_numeric_factors_past_their_span_are_refused():
     # no pole on [0, 1]: a later time is outside the flow, not a chart end
     factors = solve_riccati_numeric(LinearPhaseScenario(eta0=0.5, w0=1.0),
@@ -590,6 +611,17 @@ def test_numeric_route_locates_isotropic_pole():
     past = numeric.t >= numeric.singular_time
     assert np.any(past) and not np.any(numeric.valid[past])
     assert np.all(numeric.valid[~past])
+
+
+def test_numeric_chart_ends_at_the_constant_phase_pole():
+    # |S22| = |cos(eta0 t)|: the chart ends at pi / (2 eta0), with or
+    # without diagonals, to a few units in the last place
+    for eta0 in (0.55, 0.8, 1.0, 1.3):
+        for w11, w22 in ((0.0, 0.0), (0.2, 0.05)):
+            scenario = ConstantPhaseScenario(eta0=eta0, w11=w11, w22=w22)
+            numeric = solve_riccati_numeric(scenario, 6.0)
+            assert abs(numeric.singular_time
+                       - math.pi / (2.0 * eta0)) <= 1e-12
 
 
 def _call_sites(path, name):

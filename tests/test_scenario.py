@@ -6,13 +6,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import twomode.scenario
+from dense_references import phase_model
 from twomode.scenario import (CASES, AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, CosineDrive,
                               FresnelNormScenario, GeneralPhaseScenario,
                               IsotropicConstantScenario, LinearPhaseScenario,
                               LogRhoScenario, QuadraticPhaseScenario,
                               RhoConstantScenario, RotatingDrive,
-                              TabulatedScenario, check_phase_condition)
+                              TabulatedScenario)
 
 ALL_CASES = [
     ConstantPhaseScenario(eta0=1.0, phi0=0.3, w11=0.2, w22=0.05),
@@ -76,12 +77,23 @@ def test_log_rho_initial_coefficients():
     assert abs(sc.mixing_angle0() - math.pi / 4.0) < 1e-12
 
 
+def phase_residual(scenario, grid, phi):
+    """theta12 - (phi + pi/2 - rho) on a grid array, for the model phase
+    phi on the grid (or a constant), wrapped to [-pi, pi); 0 where w12
+    vanishes, which carries no phase."""
+    _, _, w12 = scenario.coupling(grid)
+    _, rho = scenario.diag_integrals(grid)
+    w12 = np.broadcast_to(w12, grid.shape)
+    diff = np.angle(w12) - (phi + math.pi / 2.0 - rho)
+    return np.where(np.abs(w12) < 1e-300, 0.0,
+                    (diff + math.pi) % (2.0 * math.pi) - math.pi)
+
+
 def test_phase_condition_holds_for_every_case_model():
     grid = np.linspace(0.0, 2.0, 41)
     for sc in ALL_CASES:
-        report = check_phase_condition(sc, grid)
-        assert report.satisfied, (sc.case, report.max_violation)
-        assert report.max_violation < 1e-9
+        residual = phase_residual(sc, grid, phase_model(sc, grid))
+        assert np.max(np.abs(residual)) < 1e-9, sc.case
 
 
 def test_phase_condition_negative_control():
@@ -90,29 +102,23 @@ def test_phase_condition_negative_control():
     grid = np.linspace(0.0, 2.0, 21)
     bad = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j)
     phi0 = float(np.angle(-1j * bad.w12))
-    report = check_phase_condition(bad, grid, reference=lambda t: phi0)
-    assert not report.satisfied
-    assert abs(report.max_violation - 0.8) < 1e-9  # (w11 - w22) * t_end
+    worst = np.max(np.abs(phase_residual(bad, grid, phi0)))
+    assert abs(worst - 0.8) < 1e-9  # (w11 - w22) * t_end
 
     good = AllConstantScenario(w11=0.4, w22=0.4, w12=0.25 + 0.1j)
     phi0 = float(np.angle(-1j * good.w12))
-    report = check_phase_condition(good, grid, reference=lambda t: phi0)
-    assert report.satisfied
+    assert np.max(np.abs(phase_residual(good, grid, phi0))) <= 1e-9
 
 
 def test_phase_condition_explicit_reference():
     sc = LinearPhaseScenario(eta0=1.0, w0=0.7, phi0=0.2)
     grid = np.linspace(0.0, 1.5, 16)
-    good = check_phase_condition(sc, grid,
-                                 reference=lambda t: 0.2 + 0.7 * t)
-    assert good.satisfied
-    bad = check_phase_condition(sc, grid, reference=lambda t: 0.2)
-    assert not bad.satisfied
+    assert np.max(np.abs(phase_residual(sc, grid, 0.2 + 0.7 * grid))) <= 1e-9
+    assert np.max(np.abs(phase_residual(sc, grid, 0.2))) > 1e-9
 
 
-# The per-point loop that the array evaluation of check_phase_condition
-# replaced, kept as its reference, with the scalar FresnelNorm phase model
-# it called.
+# The same residual one time at a time, the reference for the coefficients
+# on arrays, with a scalar FresnelNorm phase model.
 
 def _scalar_fresnel_reference(sc):
     def phi(t):
@@ -121,10 +127,12 @@ def _scalar_fresnel_reference(sc):
     return phi
 
 
-def _loop_phase_residual(scenario, grid, reference=None):
-    phi = reference if reference is not None else scenario.phase_reference
-    if reference is None and isinstance(scenario, FresnelNormScenario):
+def _loop_phase_residual(scenario, grid):
+    if isinstance(scenario, FresnelNormScenario):
         phi = _scalar_fresnel_reference(scenario)
+    else:
+        def phi(t):
+            return phase_model(scenario, t)
     residual = np.zeros_like(grid)
     for i, t in enumerate(grid):
         _, _, w12 = scenario.coupling(t)
@@ -149,34 +157,15 @@ def _drifting_tabulated():
 ], ids=lambda s: s.case)
 def test_phase_condition_on_arrays_matches_per_point_loop(scenario):
     grid = np.linspace(0.0, 2.5, 51)
-    report = check_phase_condition(scenario, grid)
+    got = phase_residual(scenario, grid, phase_model(scenario, grid))
     want = _loop_phase_residual(scenario, grid)
-    assert np.max(np.abs(report.violation - want)) <= 1e-15
-    assert report.max_violation == np.max(np.abs(report.violation))
-
-
-def test_phase_condition_explicit_reference_gets_the_grid():
-    sc = AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j)
-    grid = np.linspace(0.0, 2.0, 21)
-    seen = []
-
-    def reference(t):
-        seen.append(np.shape(t))
-        return 0.1 + 0.2 * np.sin(t)
-
-    report = check_phase_condition(sc, grid, reference=reference)
-    assert seen == [grid.shape]
-    want = _loop_phase_residual(sc, grid, lambda t: 0.1 + 0.2 * np.sin(t))
-    assert np.max(np.abs(report.violation - want)) <= 1e-15
-    constant = check_phase_condition(sc, grid, reference=lambda t: 0.1)
-    want = _loop_phase_residual(sc, grid, lambda t: 0.1)
-    assert np.max(np.abs(constant.violation - want)) <= 1e-15
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_phase_condition_on_an_empty_grid():
+    empty = np.array([])
     for sc in ALL_CASES + [_drifting_tabulated()]:
-        report = check_phase_condition(sc, np.array([]))
-        assert report.satisfied and report.max_violation == 0.0
+        assert phase_residual(sc, empty, phase_model(sc, empty)).shape == (0,)
 
 
 def test_general_phase_validation():
@@ -555,7 +544,7 @@ def test_fresnel_norm_chart_keeps_relative_accuracy(psi_target):
         if psi_target >= 5.0:
             # sinh(psi) - gd(psi) cancels near t = 0, so only here
             checks += [(omega.imag, -2 * (tanq - q)),
-                       (sc.phase_reference(t),
+                       (phase_model(sc, t),
                         3 * q - tanq + sc.theta_v0 - sc.theta_u0 - mpmath.pi)]
         for got, want in checks:
             assert abs(float(got) - want) <= 1e-14 * abs(want)

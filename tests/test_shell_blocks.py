@@ -15,13 +15,13 @@ from scipy.linalg import expm
 import twomode.evolution
 from dense_references import (assert_close, compression, dense_assemble_U,
                               dense_displacement, dense_gauss_product,
-                              dense_jpm, dense_mixing, dense_su2_lift)
+                              dense_jpm, dense_mixing, dense_su2_lift,
+                              mixing_rotation)
 from twomode.evolution import (CoherentStateSpec, _su2_lift, assemble_U,
                                ladder_eigenvalue_checks)
 from twomode.fock import (TruncationError, annihilator, coherent_state,
                           displacement_operator, interior_mask, make_space,
-                          mixing_operator, number_diagonals, schwinger_lift,
-                          vacuum_state)
+                          number_diagonals, schwinger_lift, vacuum_state)
 from twomode.riccati import solve_riccati_numeric
 from twomode.scenario import (AllConstantScenario, ConstantDrive,
                               ConstantPhaseScenario, RotatingDrive)
@@ -96,7 +96,8 @@ def test_mixing_operator_is_the_dense_exponential(n_max):
     space = make_space(n_max)
     for gamma3, theta, eps in ((0.3, 0.7, 1), (-0.4, 1.2, 1), (0.3, 0.7, -1),
                                (-1.0, 0.2, 1), (0.999, -2.0, -1)):
-        assert_close(mixing_operator(space, gamma3, theta, eps),
+        assert_close(schwinger_lift(space,
+                                    mixing_rotation(gamma3, theta, eps)),
                      dense_mixing(space, gamma3, theta, eps))
 
 
