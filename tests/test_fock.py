@@ -148,13 +148,9 @@ def test_coherent_state_mean_occupation():
     assert abs(np.vdot(psi, n1 @ psi) - 0.36) < 1e-7
 
 
-def mixing(space, gamma3, theta_diff, eps=1):
-    return schwinger_lift(space, mixing_rotation(gamma3, theta_diff, eps))
-
-
 def test_mixing_operator_unitary_and_endpoints():
     space = make_space(5)
-    t = mixing(space, 0.3, 0.7)
+    t = schwinger_lift(space, mixing_rotation(0.3, 0.7))
     # unitary on the complete shells; on every entry the compression of the
     # untruncated rotation
     complete = interior_mask(space, 0)
@@ -162,10 +158,12 @@ def test_mixing_operator_unitary_and_endpoints():
     assert np.max(np.abs(block @ block.conj().T
                          - np.eye(block.shape[0]))) < 1e-10
     assert_close(t, dense_mixing(space, 0.3, 0.7))
-    assert np.array_equal(mixing(space, 1.0, 0.4), np.eye(space.dim))
-    assert np.array_equal(mixing(space, -1.0, 0.4, eps=-1),
+    assert np.array_equal(schwinger_lift(space, mixing_rotation(1.0, 0.4)),
                           np.eye(space.dim))
-    swap = mixing(space, -1.0, 0.0)
+    assert np.array_equal(
+        schwinger_lift(space, mixing_rotation(-1.0, 0.4, eps=-1)),
+        np.eye(space.dim))
+    swap = schwinger_lift(space, mixing_rotation(-1.0, 0.0))
     psi = swap @ basis_state(space, 1, 0)
     # quarter rotation moves the quantum to the other mode (up to phase)
     assert abs(abs(psi[space.index(0, 1)]) - 1.0) < 1e-12
@@ -181,9 +179,10 @@ def test_mixing_transformation_laws():
     sub = np.ix_(mask, mask)
     for gamma3, theta, eps in ((0.0, 0.0, 1), (0.3, 0.7, 1), (-0.4, 1.2, 1),
                                (0.3, 0.7, -1)):
-        t = mixing(space, gamma3, theta, eps)
         cp = np.sqrt((1 + eps * gamma3) / 2)
         cm = np.sqrt((1 - eps * gamma3) / 2)
+        e = eps * np.exp(1j * theta)
+        t = schwinger_lift(space, [[cp, -cm * np.conj(e)], [cm * e, cp]])
         law1 = cp * a1 - eps * np.exp(-1j * theta) * cm * a2
         law2 = cp * a2 + eps * np.exp(1j * theta) * cm * a1
         got1 = t.conj().T @ a1 @ t
@@ -204,10 +203,10 @@ def test_mixing_diagonalizes_dressed_number():
     mask = interior_mask(space, margin=1)
     sub = np.ix_(mask, mask)
 
-    t1 = mixing(space, gamma3, theta, eps=1)
+    t1 = schwinger_lift(space, mixing_rotation(gamma3, theta, eps=1))
     dev1 = t1.conj().T @ h @ t1 - a1.conj().T @ a1
     assert np.max(np.abs(dev1[sub])) < 1e-10
 
-    tm = mixing(space, gamma3, theta, eps=-1)
+    tm = schwinger_lift(space, mixing_rotation(gamma3, theta, eps=-1))
     dev2 = tm.conj().T @ h @ tm - a2.conj().T @ a2
     assert np.max(np.abs(dev2[sub])) < 1e-10
