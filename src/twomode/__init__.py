@@ -1,9 +1,9 @@
 """Disentangling driven two-coupled-mode evolution into closed factors,
 with brute-force verification on a truncated Fock space."""
 
-from .fock import (FockSpace, TruncationError, annihilator, basis_state,
-                   coherent_state, displacement_operator, interior_mask,
-                   make_space, schwinger_lift, vacuum_state)
+from .fock import (FockSpace, TruncationError, annihilator, coherent_state,
+                   displacement_operator, interior_mask, make_space,
+                   schwinger_lift)
 from .scenario import (AllConstantScenario, ConstantDrive,
                        ConstantPhaseScenario, CosineDrive,
                        FresnelNormScenario, GeneralPhaseScenario,

@@ -200,10 +200,14 @@ def parse_scenario(path: str):
 def cmd_factors(args, scenario) -> int:
     grid = np.linspace(0.0, args.t_end, args.grid)
     factors = solve_riccati_numeric(scenario, args.t_end, args.tol, grid)
+    coeffs = np.column_stack([factors.lam, factors.omega, factors.gamma])
+    # the documented table, which factor-sweep checks: nan from the pole on
+    end = math.inf if factors.singular_time is None else factors.singular_time
+    past = grid >= end
+    coeffs[past] = np.nan
     # Lambda, Omega and Gamma read as floats are re_Lambda, ... im_Gamma
-    values = np.column_stack([grid, np.column_stack(
-        [factors.lam, factors.omega, factors.gamma]).view(float)]).tolist()
-    rows = [row + [int(ok)] for row, ok in zip(values, factors.valid)]
+    values = np.column_stack([grid, coeffs.view(float)]).tolist()
+    rows = [row + [int(ok)] for row, ok in zip(values, factors.valid & ~past)]
     header = ["t", "re_Lambda", "im_Lambda", "re_Omega", "im_Omega",
               "re_Gamma", "im_Gamma", "chart_valid"]
     _write_table(args, "factors", scenario.case, header, rows,

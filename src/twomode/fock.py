@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,8 @@ class FockSpace:
     n_max: int
 
     def __post_init__(self):
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, not {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -59,22 +62,9 @@ class FockSpace:
             raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {self.n_max}")
         return n1 * self.side + n2
 
-    def occupations(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.side)
-
 
 def make_space(n_max: int) -> FockSpace:
     return FockSpace(n_max)
-
-
-def basis_state(space: FockSpace, n1: int, n2: int) -> np.ndarray:
-    state = np.zeros(space.dim, dtype=complex)
-    state[space.index(n1, n2)] = 1.0
-    return state
-
-
-def vacuum_state(space: FockSpace) -> np.ndarray:
-    return basis_state(space, 0, 0)
 
 
 def _lowering(space: FockSpace) -> np.ndarray:

@@ -40,7 +40,7 @@ flow the blocks are held steps last, as (dim, dim, steps) arrays, so
 every product, bracket and exponential runs over contiguous step arrays.
 n starts where h max||W|| <= min(STEP_CAP, 2 tol^(1/6)) on every piece,
 from a pre-pass that samples the coupling only; the fixed cap keeps the
-step edges bracketing every minimum of |S22| (riccati._chart_end).  Each
+step edges bracketing every minimum of |S22| (riccati._s22_minima).  Each
 doubling level then samples the generator on the nodes of the mesh and
 of its doubling in one call, exponentiates the steps of both in one
 pass and scans both in one prefix scan.  When the two agree to tol at

@@ -18,7 +18,7 @@ arg.  The numeric route takes G from one flow of S and unwraps arg G22
 along its step edges; every phase family declares one closed block G(t)
 (_closed_block) with its own reference arg.  One helper, _unframe, maps G
 back to S, for smatrix_closed and smatrix_from_factors alike.  One rule
-(_regular) decides whether a sample lies on the chart.
+(_regular) decides whether a sample lies on the chart, on both routes.
 
 The alternative ordering exp(Lambda~ J+) exp(Omega~ J3) exp(Gamma~ J-)
 (the standard one with rho = 0 in the Gauss frame) relates to it by
@@ -35,8 +35,9 @@ smooth steps misses a jump in a higher derivative, as at a Tabulated
 sample or a kink of FresnelNorm's |cos(nu s^2)|.
 
 Lambda diverging (a chart singularity, S22 -> 0) is a property of the
-coordinate patch, not of the underlying unitary; it is reported through
-validity flags and the first singular time rather than hidden.
+coordinate patch, not of the underlying unitary: the product form is only
+locally valid (Wei & Norman), and a pole is a point on the chart, not its
+end.  Both routes read on past it, and singular_time reports the first.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ LAM_LIMIT = 1e8
 
 
 class ChartSingularity(Exception):
-    """Factorization chart coefficient diverged: the Gauss patch ended."""
+    """A factor sample read off the Gauss chart: a time on a pole."""
 
     def __init__(self, message, singular_time=None):
         super().__init__(message)
@@ -70,8 +71,9 @@ class ChartSingularity(Exception):
 class DisentangledFactors:
     """Factor coefficients sampled on a grid, with an exact evaluator _eval,
     times -> (Lambda, Omega, Gamma) on a 1-D array of times (dense flow
-    output or closed form).  Numeric factors carry s_dense, which gives
-    their S at a time or an array of times as an (..., 2, 2) stack."""
+    output or closed form); singular_time is the first pole, or None.
+    Numeric factors carry s_dense, which gives their S at a time or an
+    array of times as an (..., 2, 2) stack."""
 
     scenario: Scenario
     ordering: str
@@ -88,22 +90,20 @@ class DisentangledFactors:
 
     def sample(self, t):
         """(alpha, rho, lam, omega, gamma, valid) at a time or a 1-D array
-        of times, in the shape of t.  The grid time t[i], valid and before
-        singular_time, reads sample i; all other times go through
-        diag_integrals and _eval in one call, so a numeric chart raises
-        past its end (ChartSingularity, or ValueError past its flow) and a
-        closed chart reads invalid from its first invalid sample on.  A
-        negative or non-finite time is refused with ValueError."""
+        of times, in the shape of t.  The grid time t[i], valid, reads
+        sample i; all other times go through diag_integrals and _eval in
+        one call, past a pole too, and are valid where _regular holds.  A
+        negative or non-finite time is refused with ValueError, and so is
+        a time past a numeric chart's flow."""
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
-        end = math.inf if self.singular_time is None else self.singular_time
         fields = (self.alpha, self.rho, self.lam, self.omega, self.gamma,
                   self.valid)
         if self.t.size:
             # all grid times but the last: each index stays on the grid
             i = self.t[:-1].searchsorted(flat)
             out = [v[i] for v in fields]
-            off = (self.t[i] != flat) | ~out[5] | (flat >= end)
+            off = (self.t[i] != flat) | ~out[5]
         else:
             out = [np.empty(flat.shape, v.dtype) for v in fields]
             off = np.ones(flat.shape, dtype=bool)
@@ -113,7 +113,7 @@ class DisentangledFactors:
             fresh = (*self.scenario.diag_integrals(times), *self._eval(times))
             for v, new in zip(out, fresh):
                 v[off] = new
-            out[5][off] = _regular(*fresh[2:]) & (times < end)
+            out[5][off] = _regular(*fresh[2:])
         return tuple(out) if t.ndim else tuple(v[0] for v in out)
 
 
@@ -169,10 +169,10 @@ def _root(f, lo, hi, f_lo, f_hi):
     return min(max(x, lo), hi)
 
 
-def _chart_end(scenario: Scenario, dense, ts):
-    """First local minimum of |S22| where |S12/S22| reaches LAM_LIMIT (or
-    None), and the minima before it; each minimum sampled at ts is refined
-    to the root of d|S22|^2/ds = 2 Im(conj(w12 S22) S12) around it."""
+def _s22_minima(scenario: Scenario, dense, ts):
+    """The local minima of |S22| sampled at ts, each refined to the root of
+    d|S22|^2/ds = 2 Im(conj(w12 S22) S12) around it, and the first of them
+    where |S12/S22| reaches LAM_LIMIT (the first pole), or None."""
     def slope(s):
         y = dense(s)
         return np.imag(np.conj(scenario.coupling(s)[2] * y[..., 1, 1])
@@ -180,7 +180,8 @@ def _chart_end(scenario: Scenario, dense, ts):
 
     mag = np.abs(dense(ts)[..., 1, 1])
     right = np.append(mag[2:], np.inf)
-    near = []
+    minima = []
+    pole = None
     for i in np.nonzero((mag[1:] < mag[:-1]) & (mag[1:] <= right))[0] + 1:
         lo, hi = ts[i - 1], ts[min(i + 1, ts.size - 1)]
         f_lo = slope(lo)
@@ -189,10 +190,10 @@ def _chart_end(scenario: Scenario, dense, ts):
         else:
             t = ts[i]
         y = dense(t)
-        if abs(y[..., 0, 1]) >= LAM_LIMIT * abs(y[..., 1, 1]):
-            return float(t), np.array(near)
-        near.append(t)
-    return None, np.array(near)
+        if pole is None and abs(y[..., 0, 1]) >= LAM_LIMIT * abs(y[..., 1, 1]):
+            pole = float(t)
+        minima.append(t)
+    return np.array(minima), pole
 
 
 def solve_riccati_numeric(scenario: Scenario, t_end: float,
@@ -200,9 +201,10 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
                           grid=None) -> DisentangledFactors:
     """Read (Lambda, Omega, Gamma) off one Magnus flow of S with every grid
     time a step edge: the Gauss frame G of S through _read_off, with arg
-    G22 unwrapped along the step edges and the near-zeros of |S22|.  The
-    chart ends at the first local minimum of |S22| where |Lambda| reaches
-    LAM_LIMIT; samples from that singular time on are NaN and invalid."""
+    G22 unwrapped along the step edges and the near-zeros of |S22|.  A
+    sample is valid where _regular holds; singular_time is the first local
+    minimum of |S22| where |Lambda| reaches LAM_LIMIT, and the chart reads
+    on past it."""
     if grid is None:
         # a t_end that is not finite gives NaN samples, which magnus.flow
         # refuses together with t_end
@@ -210,13 +212,11 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
             grid = np.linspace(0.0, t_end, 201)
     grid = np.asarray(grid, dtype=float)
     dense = magnus.flow(scenario, t_end, tol, grid)
-    t_end = float(dense.ts[-1])
     alpha, rho = _diag(scenario, grid)
-    singular_time, near = _chart_end(scenario, dense, dense.ts)
-    stop = math.inf if singular_time is None else singular_time
+    minima, singular_time = _s22_minima(scenario, dense, dense.ts)
     # near-zeros of |S22| join the unwrapping samples: each splits the
     # fast half turn of arg G22 there into two quarter turns
-    ts = magnus.union(dense.ts[dense.ts < stop], near)
+    ts = magnus.union(dense.ts, minima)
 
     def gauss(times):
         alpha, rho = _diag(scenario, times)
@@ -230,30 +230,28 @@ def solve_riccati_numeric(scenario: Scenario, t_end: float,
         ref = arg_ts[np.searchsorted(ts, times, side="right") - 1]
         return _read_off(*gauss(times), ref)
 
-    past = grid >= stop
-    lam, omega, gamma = (np.where(past, np.nan, v) for v in read(grid))
-    valid = _regular(lam, omega, gamma)
-
-    def evaluate(times):
-        top = min(t_end, stop)
-        over = times[times > top + 1e-12]
-        if over.size:
-            if singular_time is not None:
-                raise ChartSingularity(
-                    f"factor chart singular before t = {over[0]:.6g}",
-                    singular_time=singular_time)
-            raise ValueError(f"factor time {over[0]} is outside the "
-                             f"factors' span [0, {t_end}]")
-        return read(np.minimum(times, top))
-
+    lam, omega, gamma = read(grid)
     return DisentangledFactors(
         scenario=scenario, ordering="standard", t=grid, alpha=alpha, rho=rho,
-        lam=lam, omega=omega, gamma=gamma, valid=valid,
-        singular_time=singular_time, _eval=evaluate, s_dense=dense)
+        lam=lam, omega=omega, gamma=gamma, valid=_regular(lam, omega, gamma),
+        singular_time=singular_time, _eval=read, s_dense=dense)
 
 
 # ---------------------------------------------------------------------------
 # closed forms, standard ordering
+
+def _family_pole(fam: PhaseFamily, end: float):
+    """The first pole of a phase family's chart on [0, end], or None.  At
+    the rotation angle |x| = pi/2, |Lambda| = |a/r| = 2 eta0/|w0| (see
+    _closed_block), so there is a pole only if that reaches LAM_LIMIT; |x|
+    grows monotonically, and the pole is where it reaches pi/2."""
+    def past(t):
+        return abs(float(fam.angle(t))) - 0.5 * math.pi
+
+    if 2.0 * fam.eta0 < LAM_LIMIT * abs(fam.w0) or past(end) < 0.0:
+        return None
+    return _root(past, 0.0, end, -0.5 * math.pi, past(end))
+
 
 def _closed_block(fam: PhaseFamily, t):
     """A phase family's closed Gauss-frame block at a time or 1-D array of
@@ -313,7 +311,8 @@ def factors_on_grid(scenario: Scenario, grid,
                     ordering: str = "standard") -> DisentangledFactors:
     """Package closed-form coefficients as a DisentangledFactors with an
     exact evaluator: closed_factors, or alt_factors for
-    ordering="alternative", in one call on the whole grid."""
+    ordering="alternative", in one call on the whole grid.  singular_time
+    is a phase family's first pole, else the first irregular sample."""
     charts = {"standard": closed_factors, "alternative": alt_factors}
     if ordering not in charts:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -324,8 +323,12 @@ def factors_on_grid(scenario: Scenario, grid,
     lam, omega, gamma = (np.asarray(v, dtype=complex)
                          for v in chart(scenario, grid))
     valid = _regular(lam, omega, gamma)
-    bad = np.nonzero(~valid)[0]
-    singular = float(grid[bad[0]]) if bad.size else None
+    fam = scenario.phase_family()
+    if fam is None:
+        bad = np.nonzero(~valid)[0]
+        singular = float(grid[bad[0]]) if bad.size else None
+    else:
+        singular = _family_pole(fam, float(grid.max(initial=0.0)))
     return DisentangledFactors(
         scenario=scenario, ordering=ordering, t=grid, alpha=alpha, rho=rho,
         lam=lam, omega=omega, gamma=gamma, valid=valid,

@@ -379,10 +379,6 @@ class _MixingAngle:
     with phi0 = theta_beta0 - theta_alpha0 - pi/2, and the dressed mode at
     t = 0 is (cos r0 e^{i theta_alpha0}, sin r0 e^{i theta_beta0})."""
 
-    @property
-    def delta(self) -> float:
-        return math.hypot(2.0 * self.eta0, self.w0)
-
     def phase_family(self):
         phi0 = self.theta_beta0 - self.theta_alpha0 - math.pi / 2.0
         return PhaseFamily(self.eta0, self.w0, 1, phi0, self.phi_tilde)

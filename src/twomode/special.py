@@ -4,6 +4,7 @@ eps sum |t_n|, stays within 1e-9 max(1, |value|)."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,16 +47,18 @@ def kummer_1f1(a: complex, b: complex, z: complex,
     reads a running sum, so each term costs O(1); the value is the
     compensated sum of all terms, formed once.  Arguments with |z| > 30 are
     rejected, and so are sums that cancel past _SERIES_ROUNDOFF: there the
-    alternating series loses too many digits in doubles.
+    alternating series loses too many digits in doubles.  A non-finite
+    argument is refused with ValueError.
     """
-    b = complex(b)
+    a, b, z = complex(a), complex(b), complex(z)
+    for name, arg in zip("abz", (a, b, z)):
+        if not cmath.isfinite(arg):
+            raise ValueError(f"1F1 argument {name} = {arg} is not finite")
     if b.imag == 0 and b.real <= 0 and b.real == int(b.real):
         raise ValueError("1F1 undefined for non-positive integer b")
     if abs(z) > _SERIES_DOMAIN:
         raise SeriesDivergence(f"|z| = {abs(z):.3g} outside series domain "
                                f"{_SERIES_DOMAIN}")
-    a = complex(a)
-    z = complex(z)
     term = 1.0 + 0j
     terms = [term]
     partial = term
@@ -85,7 +88,10 @@ def kummer_1f1(a: complex, b: complex, z: complex,
 
 def fresnel_c(x: float, tol: float = 1e-14) -> SpecialValue:
     """Fresnel cosine integral C(x) = int_0^x cos(pi u^2 / 2) du by series:
-    sum over n of (-1)^n (pi/2)^{2n} x^{4n+1} / ((2n)! (4n+1))."""
+    sum over n of (-1)^n (pi/2)^{2n} x^{4n+1} / ((2n)! (4n+1)).  A
+    non-finite x is refused with ValueError."""
+    if not math.isfinite(x):
+        raise ValueError(f"Fresnel argument x = {x} is not finite")
     if abs(x) > _SERIES_DOMAIN:
         raise SeriesDivergence(f"|x| = {abs(x):.3g} outside series domain "
                                f"{_SERIES_DOMAIN}")

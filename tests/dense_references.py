@@ -3,8 +3,8 @@ operator built by one `expm` on a full truncated space.  A shell-conserving
 operator is built on the space of 2 n_max quanta per mode, whose shells up
 to 2 n_max are complete, and restricted to the n_max states: that is the
 exact compression P U P of the untruncated operator, partial shells
-included.  Also the dense spectrum of the dressed number operator and each
-case's model phase of eta."""
+included.  Also the dense spectrum of the dressed number operator, each
+case's model phase of eta, and Fock basis states."""
 
 import cmath
 import math
@@ -17,6 +17,13 @@ from twomode.fock import annihilator, make_space, number_diagonals
 from twomode.scenario import (FresnelNormScenario, QuadraticPhaseScenario,
                               TabulatedScenario)
 from twomode.smatrix import smatrix_numeric_grid
+
+
+def basis_state(space, n1, n2):
+    """|n1, n2> as a flat vector on space."""
+    state = np.zeros(space.dim, dtype=complex)
+    state[space.index(n1, n2)] = 1.0
+    return state
 
 
 def assert_close(got, ref, bound=1e-12):

@@ -297,6 +297,38 @@ def test_factors_past_singularity(tmp_path, capsys):
     assert sorted(flags, reverse=True) == flags
 
 
+@pytest.mark.parametrize("text,t_end", [
+    ("[ConstantPhase]\neta0 = 1.0\n", "2"),
+    ("[IsotropicConstant]\nrho0 = 0.7853981633974483\n", "4"),
+], ids=["ConstantPhase", "IsotropicConstant"])
+def test_factors_table_ends_at_the_first_pole(tmp_path, text, t_end):
+    # the library reads on past the pole; the table keeps its contract:
+    # library values before singular_time, nan and chart_valid 0 after
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "run"
+    code = main(["factors", "--scenario", ini, "--t-end", t_end,
+                 "--grid", "41", "--out", str(out), "--format", "both"])
+    assert code == 2
+    grid = np.linspace(0.0, float(t_end), 41)
+    factors = twomode.solve_riccati_numeric(parse_scenario(ini),
+                                            float(t_end), grid=grid)
+    before = grid < factors.singular_time
+    assert np.any(before) and not np.all(before)
+    assert np.all(factors.valid)
+    lines = (out / "factors.csv").read_text().splitlines()[1:]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    want = np.column_stack([factors.lam, factors.omega,
+                            factors.gamma]).view(float)
+    assert np.array_equal(rows[before, 1:7], want[before])
+    assert np.all(rows[before, 7] == 1)
+    assert np.all(np.isnan(rows[~before, 1:7:2]))
+    assert np.all(rows[~before, 7] == 0)
+    payload = json.loads((out / "factors.json").read_text())
+    assert payload["singular_time"] == factors.singular_time
+    assert all(v is None for row, late in zip(payload["rows"], ~before)
+               if late for v in row[1:7:2])
+
+
 def test_smatrix_formats(tmp_path):
     ini = write_ini(tmp_path, ALL_CONSTANT_INI)
     out = tmp_path / "run"

@@ -327,7 +327,8 @@ def _reference_coherent(scenario, z0, t):
         ph = cmath.exp(-1j * t)
         return (z0 * np.conj(scenario.alpha) * ph,
                 z0 * np.conj(scenario.beta) * ph)
-    delta, w0, eta0 = scenario.delta, scenario.w0, scenario.eta0
+    delta, w0, eta0 = (scenario.phase_family().delta, scenario.w0,
+                       scenario.eta0)
     r0 = scenario.mixing_angle0()
     if isinstance(scenario, RhoConstantScenario):
         big_phi = (delta / (4.0 * eta0)) * math.sin(2.0 * r0) * t

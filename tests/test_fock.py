@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dense_references import assert_close, dense_mixing, mixing_rotation
-from twomode.fock import (TruncationError, annihilator, basis_state,
+from dense_references import (assert_close, basis_state, dense_mixing,
+                              mixing_rotation)
+from twomode.fock import (FockSpace, TruncationError, annihilator,
                           coherent_state, displacement_operator,
                           interior_mask, make_space, number_diagonals,
                           schwinger_lift)
@@ -15,13 +16,18 @@ def test_space_layout():
     assert space.side == 5
     assert space.dim == 25
     for idx in range(space.dim):
-        n1, n2 = space.occupations(idx)
-        assert space.index(n1, n2) == idx
+        assert space.index(*divmod(idx, space.side)) == idx
 
 
 def test_space_validation():
     with pytest.raises(ValueError):
         make_space(0)
+    # a float cutoff would give a float dim, which no array shape takes
+    for n_max in (3.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            make_space(n_max)
+    assert make_space(np.int64(3)).dim == 16
+    assert FockSpace(2).dim == 9
     space = make_space(3)
     with pytest.raises(ValueError):
         space.index(4, 0)

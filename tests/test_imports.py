@@ -44,6 +44,7 @@ INIS = {
     "IsotropicConstant": "[IsotropicConstant]\nrho0 = 0.7\nz0_re = 0.4\n",
     "FresnelNorm": "[FresnelNorm]\neta0 = 0.7\nnu = 2.0\n",
     "ConstantPhasePole": "[ConstantPhase]\neta0 = 1.0\n",
+    "IsotropicPole": "[IsotropicConstant]\nrho0 = 0.7853981633974483\n",
     "Tabulated": "[Tabulated]\ndata = samples.csv\n",
 }
 
@@ -86,7 +87,8 @@ CHARTS = [(command, case, "1.0", 0) for command in ("smatrix", "evolve",
                                                     "factors")
           for case in PRINTED] + [("factors", "ConstantPhasePole", "2.0", 2)]
 NO_SCIPY_RUNS = CHARTS + [("coherent", "IsotropicConstant", "1.0", 0),
-                          ("coherent", "RhoConstant", "1.0", 0)]
+                          ("coherent", "RhoConstant", "1.0", 0),
+                          ("factors", "IsotropicPole", "4.0", 2)]
 
 
 def _probe_runs(tmp_path, runs, top="scipy"):

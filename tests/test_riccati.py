@@ -321,11 +321,11 @@ def test_numeric_route_flags_singularity():
     assert abs(got.singular_time - math.pi / 2.0) < 1e-4
     past = got.t > got.singular_time
     assert np.any(past)
-    assert not np.any(got.valid[past])
-    assert np.all(np.isnan(got.lam[past].real))
-    with pytest.raises(ChartSingularity):
-        got.sample(1.8)
-    # before the pole the dense evaluator still works
+    # a pole is a point: the chart, Lambda = tan(t), reads on past it
+    assert np.all(got.valid)
+    assert _rel_err(got.lam[past], np.tan(got.t[past])) <= 1e-8
+    _, _, lam, _, _, valid = got.sample(1.8)
+    assert valid and _rel_err(lam, math.tan(1.8)) <= 1e-8
     assert got.sample(1.0)[5]
 
 
@@ -386,10 +386,10 @@ def test_numeric_route_locates_narrow_pole():
     numeric = solve_riccati_numeric(scenario, 3.0, tol=1e-10)
     assert numeric.singular_time is not None
     assert abs(numeric.singular_time - math.pi / 2.0) < 1e-6
+    # no grid time lies within the 1e-8 of the pole where |Lambda| passes
+    # LAM_LIMIT, so every sample is valid, past the pole too
     past = numeric.t >= numeric.singular_time
-    assert not np.any(numeric.valid[past])
-    assert np.all(np.isnan(numeric.lam[past].real))
-    assert np.all(numeric.valid[~past])
+    assert np.any(past) and np.all(numeric.valid)
 
 
 def test_numeric_omega_follows_its_winding():
@@ -556,31 +556,33 @@ def test_numeric_factors_past_their_span_are_refused():
                 read(t)
 
 
-def test_numeric_grid_time_past_the_pole_still_raises():
+def test_numeric_grid_time_past_the_pole_reads_the_chart():
     cp = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
     got = solve_riccati_numeric(cp, 2.0, grid=np.array([0.0, 1.0, 1.8, 2.0]))
     assert got.singular_time < 1.8
-    with pytest.raises(ChartSingularity):
-        got.sample(1.8)
-    assert got.sample(1.0)[5]
-    # one time past the pole fails an array read
-    for read in (got.sample, lambda t: smatrix_from_factors(got, t)):
-        with pytest.raises(ChartSingularity):
-            read(np.array([0.2, 1.0, 1.8, 0.5]))
+    assert list(got.valid) == [True] * 4
+    assert got.sample(1.8)[5] and got.sample(1.0)[5]
+    # an array read across the pole reads every time off the chart
+    times = np.array([0.2, 1.0, 1.8, 0.5])
+    assert np.all(got.sample(times)[5])
+    rebuilt = smatrix_from_factors(got, times).mat
+    assert np.max(np.abs(rebuilt - smatrix_closed(cp, times).mat)) < 1e-7
 
 
-def test_closed_grid_time_past_first_invalid_sample_reads_invalid():
-    # the closed Lambda = tan(t) e^{i phi0} is regular again at 1.8, but
-    # the chart ended at the invalid sample pi/2
+def test_closed_grid_time_past_an_invalid_sample_reads_the_chart():
+    # the closed Lambda = tan(t) e^{i phi0} is regular again at 1.8: only
+    # the sample on the pole pi/2 is off the chart
     cp = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
     factors = factors_on_grid(cp, np.array([0.0, 1.0, math.pi / 2.0, 1.8]))
     assert list(factors.valid) == [True, True, False, True]
     assert factors.singular_time == math.pi / 2.0
-    assert not factors.sample(1.8)[5]
-    assert list(factors.sample(np.array([0.2, 1.8, 1.0]))[5]) == [
-        True, False, True]
-    for t in (1.8, np.array([0.2, 1.0, 1.8, 0.5])):
-        with pytest.raises(ChartSingularity, match="invalid at t = 1.8"):
+    assert factors.sample(1.8)[5]
+    assert list(factors.sample(np.array([0.2, 1.8, math.pi / 2.0]))[5]) == [
+        True, True, False]
+    rebuilt = smatrix_from_factors(factors, 1.8).mat
+    assert np.max(np.abs(rebuilt - smatrix_closed(cp, 1.8).mat)) < 1e-12
+    for t in (math.pi / 2.0, np.array([0.2, 1.0, math.pi / 2.0, 0.5])):
+        with pytest.raises(ChartSingularity, match="invalid at t = 1.5708"):
             smatrix_from_factors(factors, t)
 
 
@@ -609,8 +611,7 @@ def test_numeric_route_locates_isotropic_pole():
     assert numeric.singular_time is not None
     assert abs(numeric.singular_time - math.pi) < 1e-9
     past = numeric.t >= numeric.singular_time
-    assert np.any(past) and not np.any(numeric.valid[past])
-    assert np.all(numeric.valid[~past])
+    assert np.any(past) and np.all(numeric.valid)
 
 
 def test_numeric_chart_ends_at_the_constant_phase_pole():
@@ -622,6 +623,89 @@ def test_numeric_chart_ends_at_the_constant_phase_pole():
             numeric = solve_riccati_numeric(scenario, 6.0)
             assert abs(numeric.singular_time
                        - math.pi / (2.0 * eta0)) <= 1e-12
+
+
+# cases whose chart has a pole, each with a span that holds it, the first
+# pole and a span past it
+POLE_CASES = [
+    (ConstantPhaseScenario(eta0=1.0), 0.5 * math.pi, 6.0),
+    (ConstantPhaseScenario(eta0=0.7, phi0=0.3, w11=0.2, w22=-0.1),
+     math.pi / 1.4, 6.0),
+    (IsotropicConstantScenario.from_polar(rho0=math.pi / 4.0), math.pi, 8.0),
+    (LinearPhaseScenario(eta0=1.0, w0=1e-9, phi0=0.3), 0.5 * math.pi, 6.0),
+]
+POLE_IDS = ["ConstantPhase", "ConstantPhase-diagonals", "IsotropicConstant",
+            "LinearPhase"]
+
+
+def _pole_grids(pole, t_end):
+    # two grids with no sample on the pole, and one with a sample on it
+    on = np.union1d(np.linspace(0.0, t_end, 97), [pole])
+    return np.linspace(0.0, t_end, 601), np.linspace(0.0, t_end, 240), on
+
+
+@pytest.mark.parametrize("scenario,pole,t_end", POLE_CASES, ids=POLE_IDS)
+def test_numeric_factors_past_a_pole_equal_the_closed_ones(scenario, pole,
+                                                           t_end):
+    for grid in _pole_grids(pole, t_end):
+        numeric = solve_riccati_numeric(scenario, t_end, tol=1e-12,
+                                        grid=grid)
+        lam, omega, gamma = closed_factors(scenario, grid)
+        assert np.any(grid > pole + 0.5)
+        ok = numeric.valid & factors_on_grid(scenario, grid).valid
+        assert np.count_nonzero(~ok) == (pole in grid)
+        assert _rel_err(numeric.lam[ok], lam[ok]) <= 1e-8
+        assert _rel_err(numeric.gamma[ok], gamma[ok]) <= 1e-8
+        assert _rel_err(np.exp(0.5 * numeric.omega[ok]),
+                        np.exp(0.5 * omega[ok])) <= 1e-8
+        # Omega only modulo 4 pi i, a branch no Gauss product sees
+        turns = np.round((numeric.omega - omega).imag / (4.0 * math.pi))
+        assert _rel_err(numeric.omega[ok] - 4j * math.pi * turns[ok],
+                        omega[ok]) <= 1e-8
+        # and so do reads off the grid, past the pole
+        off = np.array([pole + 0.01, 0.5 * (pole + t_end), t_end - 0.01])
+        got = numeric.sample(off)
+        for g, w in zip((got[2], got[4]), closed_factors(scenario, off)[::2]):
+            assert _rel_err(g, w) <= 1e-8
+
+
+@pytest.mark.parametrize("scenario,pole,t_end", POLE_CASES, ids=POLE_IDS)
+def test_factors_past_a_pole_rebuild_s_on_both_routes(scenario, pole, t_end):
+    for grid in _pole_grids(pole, t_end):
+        want = smatrix_closed(scenario, grid).mat
+        for factors in (solve_riccati_numeric(scenario, t_end, grid=grid),
+                        factors_on_grid(scenario, grid)):
+            ok = factors.valid
+            rebuilt = smatrix_from_factors(factors, grid[ok]).mat
+            assert np.max(np.abs(rebuilt - want[ok])) <= 1e-7
+            if pole in grid:
+                with pytest.raises(ChartSingularity):
+                    smatrix_from_factors(factors, pole)
+
+
+@pytest.mark.parametrize("scenario,t_end", [
+    *((scenario, t_end) for scenario, _, t_end in POLE_CASES),
+    (ConstantPhaseScenario(eta0=1.0), 2.0),
+    (IsotropicConstantScenario.from_polar(rho0=math.pi / 4.0), 4.0),
+    (LinearPhaseScenario(eta0=1.0, w0=1e-5, phi0=0.3), 6.0),
+    (AllConstantScenario(w11=0.7, w22=0.3, w12=0.25 + 0.1j), 6.0),
+    (GeneralPhaseScenario(eta0=0.8, w0=1.2, phi0=0.2, theta0=1.0, nu=0.2),
+     6.0),
+], ids=lambda v: v.case if isinstance(v, Scenario) else f"t{v:g}")
+def test_both_routes_report_the_same_first_pole(scenario, t_end):
+    closed_pole = factors_on_grid(scenario, [0.0, t_end]).singular_time
+    grids = [np.linspace(0.0, t_end, 201), np.linspace(0.0, t_end, 240)]
+    if closed_pole is not None:
+        grids.append(np.union1d(grids[0], [closed_pole]))
+    for grid in grids:
+        numeric = solve_riccati_numeric(scenario, t_end, grid=grid)
+        closed = factors_on_grid(scenario, grid)
+        if closed_pole is None:
+            assert numeric.singular_time is None
+            assert closed.singular_time is None
+        else:
+            assert closed.singular_time == closed_pole
+            assert abs(numeric.singular_time - closed_pole) <= 1e-12
 
 
 def _call_sites(path, name):
@@ -873,8 +957,16 @@ def test_closed_factors_match_reference_formulas(scenario):
           & (np.abs(want[0]) <= 1e8))
     factors = factors_on_grid(scenario, grid)
     assert np.array_equal(factors.valid, ok)
-    bad = np.nonzero(~ok)[0]
-    assert factors.singular_time == (float(grid[bad[0]]) if bad.size else None)
+    # |Lambda| peaks at 2 eta0 / |w0| where the rotation angle |x| passes
+    # pi/2; the first pole is that crossing if the peak reaches LAM_LIMIT
+    fam = scenario.phase_family()
+    crosses = abs(fam.angle(20.0)) >= math.pi / 2.0
+    if crosses and 2.0 * fam.eta0 >= 1e8 * abs(fam.w0):
+        pole = factors.singular_time
+        assert abs(abs(fam.angle(pole)) - math.pi / 2.0) <= 1e-12
+        assert abs(closed_factors(scenario, pole)[0]) >= 1e8
+    else:
+        assert factors.singular_time is None
 
 
 @pytest.mark.parametrize("scenario", SIGNED_ZERO_W0, ids=lambda s: s.case)

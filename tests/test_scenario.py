@@ -221,7 +221,7 @@ def test_rho_constant_structure():
     assert abs(w22 - math.sin(math.pi / 6) ** 2) < 1e-12
     assert abs(abs(w12)
                - math.sin(math.pi / 6) * math.cos(math.pi / 6)) < 1e-12
-    assert abs(sc.delta - math.hypot(1.6, 1.0)) < 1e-12
+    assert abs(sc.phase_family().delta - math.hypot(1.6, 1.0)) < 1e-12
     with pytest.raises(ValueError):
         RhoConstantScenario(rho0=0.0, eta0=1.0, w0=1.0)
     with pytest.raises(ValueError):

@@ -113,10 +113,18 @@ def test_reconstruction_from_numeric_factors():
 
 
 def test_reconstruction_raises_past_singularity():
+    # past the first pole pi/2 the factors rebuild S, on both routes; the
+    # second pole 3 pi/2, a grid sample off the chart, still raises
     cp = ConstantPhaseScenario(eta0=1.0, phi0=0.0)
-    factors = solve_riccati_numeric(cp, 2.0)
-    with pytest.raises(ChartSingularity):
-        smatrix_from_factors(factors, 1.9)
+    grid = np.array([0.0, 1.0, 1.9, 1.5 * math.pi, 5.0])
+    for factors in (solve_riccati_numeric(cp, 5.0, grid=grid),
+                    factors_on_grid(cp, grid)):
+        assert abs(factors.singular_time - 0.5 * math.pi) < 1e-12
+        rebuilt = smatrix_from_factors(factors, 1.9).mat
+        assert np.max(np.abs(rebuilt - smatrix_closed(cp, 1.9).mat)) < 1e-7
+        assert not factors.valid[3]
+        with pytest.raises(ChartSingularity, match="invalid at t = 4.71239"):
+            smatrix_from_factors(factors, grid)
 
 
 def test_grid_evaluation_matches_single_shots():
@@ -232,7 +240,7 @@ def _reference_smatrix(sc, t):
     if isinstance(sc, (AllConstantScenario, IsotropicConstantScenario)):
         w11, w22, w12 = sc.coupling(0.0)
         return _reference_rabi_block(0.5 * (w11 + w22), w11 - w22, w12, t)
-    delta, w0, eta0 = sc.delta, sc.w0, sc.eta0
+    delta, w0, eta0 = sc.phase_family().delta, sc.w0, sc.eta0
     if isinstance(sc, RhoConstantScenario):
         big_phi = (delta / (4.0 * eta0)) * math.sin(2.0 * sc.rho0) * t
         theta_ba = sc.theta_drift * t

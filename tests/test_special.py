@@ -92,6 +92,19 @@ def test_fresnel_series_policy():
         fresnel_c(40.0)
 
 
+def test_series_refuse_non_finite_arguments():
+    # refused at once, naming the argument, not after 600 terms of NaN
+    nan, inf = math.nan, math.inf
+    for args, name in (((0.5, 1.5, nan), "z"), ((nan, 1.5, 0.5), "a"),
+                       ((0.5, complex(1.5, nan), 0.5), "b"),
+                       ((0.5, 1.5, complex(0.0, inf)), "z")):
+        with pytest.raises(ValueError, match=f"argument {name} = .* not"):
+            kummer_1f1(*args)
+    for x in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="argument x = .* not finite"):
+            fresnel_c(x)
+
+
 def test_fresnel_truncation_diagnostics():
     got = fresnel_c(1.8, tol=1e-13)
     assert got.terms > 2
