@@ -16,7 +16,7 @@ product at every time: on the factor chart and past its poles alike,
 with no chart and no log branch.  One Magnus flow (magnus.flow) gives S,
 (c1, c2) and P together, from one read of its block at t.  The
 displacement is formed first, so an amplitude its truncation guard
-rejects costs no U0; it is the spectral single-mode form of
+(fock.TAIL_TOL) rejects costs no U0; it is the spectral single-mode form of
 fock.displacement_operator, exact for the truncated operators.  The lift
 is the compression P Sym^N(S) P of the untruncated operator: unitary on
 the complete shells N <= n_max, not unitary on the partial ones above.
@@ -159,22 +159,21 @@ def coherent_evolution_closed(scenario: Scenario, state: CoherentStateSpec,
 
 
 def ladder_eigenvalue_checks(space: FockSpace, state: CoherentStateSpec,
-                             c1, c2, coefficients=None
-                             ) -> tuple[np.ndarray, np.ndarray]:
+                             c1, c2) -> tuple[np.ndarray, np.ndarray]:
     """Verify that the coherent state at each pair of amplitudes c1, c2
     (two 1-D arrays, or two scalars) is an eigenstate of a lowering
     combination u1 a1 + u2 a2, in one array pass: the eigenvalues and the
-    residuals.  Default coefficients are the generalized ones
-    (conj(c1)/conj(z0), conj(c2)/conj(z0)); pass explicit (u1, u2) to test
-    a fixed dressed mode in every state instead."""
+    residuals.  The coefficients are the generalized ones
+    (conj(c1)/conj(z0), conj(c2)/conj(z0)), which at c(0) equal the
+    dressed mode (alpha0, beta0) of the lowering operator alpha0 a1 +
+    beta0 a2; at z0 = 0, where they are undefined, they are that mode."""
     c1, c2 = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (c1, c2))
     psi = coherent_state(space, c1, c2).reshape(-1, space.side, space.side)
-    if coefficients is None:
-        if state.z0 == 0:
-            coefficients = (np.conj(state.alpha0), np.conj(state.beta0))
-        else:
-            coefficients = (np.conj(c1) / np.conj(state.z0),
-                            np.conj(c2) / np.conj(state.z0))
+    if state.z0 == 0:
+        coefficients = (state.alpha0, state.beta0)
+    else:
+        coefficients = (np.conj(c1) / np.conj(state.z0),
+                        np.conj(c2) / np.conj(state.z0))
     u1, u2 = (np.broadcast_to(u, c1.shape)[:, None, None]
               for u in coefficients)
     # (a1 psi)[n1, n2] = sqrt(n1 + 1) psi[n1 + 1, n2], likewise for a2

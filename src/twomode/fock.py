@@ -18,7 +18,9 @@ generators commute, so a displacement is the Kronecker product of two
 single-mode ones, each D(c) = P V e^{-i |c| mu} V^dag P^dag from one
 cached eigendecomposition V diag(mu) V^dag of the quadrature
 i(a^dag - a), with P = diag(e^{i n arg c}), exact for the truncated
-operators.  Nothing here forms a general matrix exponential.
+operators.  A displacement refuses, with TruncationError, an amplitude
+whose first discarded Poisson level weighs more than TAIL_TOL.  Nothing
+here forms a general matrix exponential.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+TAIL_TOL = 1e-6     # the largest Poisson weight of a first discarded level
 
 
 class TruncationError(Exception):
@@ -160,49 +164,47 @@ def _quadrature_spectrum(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     return mu, vecs
 
 
-def _mode_displacements(space: FockSpace, c,
-                        tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _mode_displacements(space: FockSpace,
+                        c) -> tuple[np.ndarray, np.ndarray]:
     """P V and e^{-i |c| mu} at each single-mode amplitude of the array c,
     so that D(c) = exp(c a^dag - c* a) = (P V) diag(e^{-i |c| mu}) (P V)^dag
     with P = diag(e^{i n arg c}), which turns c a^dag - c* a into
     |c| (a^dag - a) = -i |c| V diag(mu) V^dag.  Raises ValueError when an
     amplitude is not finite, and TruncationError when any amplitude's
-    discarded Poisson tail exceeds tail_tol."""
+    discarded Poisson tail exceeds TAIL_TOL."""
     c = np.asarray(c, dtype=complex)
     bad = c[~np.isfinite(c)]
     if bad.size:
         raise ValueError(f"displacement amplitude {bad[0]} is not finite")
     tail = max((_tail_weight(x, space.n_max) for x in c.ravel().tolist()),
                default=0.0)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
-            f"displacement tail weight {tail:.3e} exceeds {tail_tol:.1e} "
+            f"displacement tail weight {tail:.3e} exceeds {TAIL_TOL:.1e} "
             f"at n_max={space.n_max}")
     mu, vecs = _quadrature_spectrum(space)
     phases = np.exp(1j * np.angle(c)[..., None] * np.arange(space.side))
     return phases[..., :, None] * vecs, np.exp(-1j * np.abs(c)[..., None] * mu)
 
 
-def displacement_operator(space: FockSpace, c1: complex, c2: complex,
-                          tail_tol: float = 1e-6) -> np.ndarray:
+def displacement_operator(space: FockSpace, c1: complex,
+                          c2: complex) -> np.ndarray:
     """Two-mode displacement exp(c1 a1^dag - c1* a1 + c2 a2^dag - c2* a2),
     the Kronecker product of the two commuting single-mode displacements.
 
     Raises TruncationError when either mode's discarded Poisson tail exceeds
-    tail_tol, i.e. when the displaced vacuum would press against the cutoff.
+    TAIL_TOL, i.e. when the displaced vacuum would press against the cutoff.
     """
-    pv, spectral = _mode_displacements(space, (c1, c2), tail_tol)
+    pv, spectral = _mode_displacements(space, (c1, c2))
     d1, d2 = (pv * spectral[:, None, :]) @ pv.conj().swapaxes(-1, -2)
     return np.kron(d1, d2)
 
 
-def coherent_state(space: FockSpace, c1, c2,
-                   tail_tol: float = 1e-6) -> np.ndarray:
+def coherent_state(space: FockSpace, c1, c2) -> np.ndarray:
     """The displaced vacuum D(c1, c2)|0, 0>, through the same guard, for
     amplitudes c1 and c2 or, stacked along the first axis, for each pair
     of two 1-D arrays of them; every amplitude must pass the guard."""
-    pv, spectral = _mode_displacements(
-        space, np.broadcast_arrays(c1, c2), tail_tol)
+    pv, spectral = _mode_displacements(space, np.broadcast_arrays(c1, c2))
     # column 0 of D(c); P V and V share row 0
     weights = spectral * pv[..., 0, :].conj()
     first, second = np.sum(pv * weights[..., None, :], axis=-1)

@@ -116,13 +116,12 @@ def _coefficients(scenario: Scenario, ts: np.ndarray) -> np.ndarray:
                     axis=-1).astype(complex)
 
 
-def hamiltonian_matrix(space: FockSpace, scenario: Scenario, t: float,
-                       ops: dict | None = None) -> np.ndarray:
+def hamiltonian_matrix(space: FockSpace, scenario: Scenario,
+                       t: float) -> np.ndarray:
     """Dense H(t) on the truncated space, drives and scalar term included."""
-    if ops is None:
-        ops = hamiltonian_ops(space)
     coef = _coefficients(scenario, np.array([t], dtype=float))
-    return (coef[0] @ _basis(ops)).reshape(space.dim, space.dim)
+    basis = _basis(hamiltonian_ops(space))
+    return (coef[0] @ basis).reshape(space.dim, space.dim)
 
 
 def _midpoints(scenario: Scenario, t: float,

@@ -59,10 +59,6 @@ LAM_LIMIT = 1e8
 class ChartSingularity(Exception):
     """A factor sample read off the Gauss chart: a time on a pole."""
 
-    def __init__(self, message, singular_time=None):
-        super().__init__(message)
-        self.singular_time = singular_time
-
 
 # ---------------------------------------------------------------------------
 # factor containers

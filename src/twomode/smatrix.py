@@ -33,10 +33,6 @@ class SMatrix2:
     mat: np.ndarray
     projected: bool | np.ndarray = False
 
-    @property
-    def unitarity_defect(self):
-        return unitarity_defects(self.mat)[()]
-
 
 def unitarity_defects(mats) -> np.ndarray:
     """max |S^H S - I| of a 2x2 matrix, or of each one in an (..., 2, 2)
@@ -105,8 +101,7 @@ def smatrix_from_factors(factors: DisentangledFactors, t) -> SMatrix2:
     alpha, rho, lam, omega, gamma, valid = factors.sample(flat)
     if np.count_nonzero(valid) < valid.size:
         raise ChartSingularity(
-            f"factor chart invalid at t = {flat[~valid][0]:.6g}",
-            singular_time=factors.singular_time)
+            f"factor chart invalid at t = {flat[~valid][0]:.6g}")
     half = 0.5 * omega
     em = np.exp(-half)
     mat = _unframe(alpha, rho if factors.ordering == "standard" else 0.0,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -58,6 +59,9 @@ omega = 1.0
 kind = constant
 value = 0.2
 """
+
+VERIFY_CHECKS = ["oracle_convergence", "oracle_unitarity", "smatrix_vs_oracle",
+                 "factor_reconstruction", "operator_fidelity"]
 
 
 def write_ini(tmp_path, text, name="scenario.ini"):
@@ -399,10 +403,7 @@ def test_verify_passes(tmp_path, capsys):
     assert "operator_fidelity" in captured
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is True
-    names = [c["name"] for c in payload["checks"]]
-    assert names == ["oracle_convergence", "oracle_unitarity",
-                     "smatrix_vs_oracle", "factor_reconstruction",
-                     "operator_fidelity"]
+    assert [c["name"] for c in payload["checks"]] == VERIFY_CHECKS
     for check in payload["checks"]:
         assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0
 
@@ -433,6 +434,42 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL  factor_reconstruction" in captured
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("text,t_end", [
+    ("[ConstantPhase]\neta0 = 1.0\nphi0 = 0.2\n", "2.0"),
+    ("[ConstantPhase]\neta0 = 1.0\nphi0 = 0.2\n\n[F1]\nre = 0.05\n", "2.0"),
+    (ISOTROPIC_INI, "4.0"),
+    # the 9-point check grid puts sample 4 on the pole at pi/2
+    ("[ConstantPhase]\neta0 = 1.0\nphi0 = 0.2\n", repr(math.pi)),
+], ids=["ConstantPhase", "ConstantPhase-driven", "IsotropicConstant",
+        "ConstantPhase-on-pole"])
+def test_verify_checks_the_factors_past_a_pole(tmp_path, capsys, text,
+                                               t_end):
+    # a pole is a point on the chart: the factors rebuild S on every check
+    # sample off it, and a flipped Gamma still fails there
+    ini = write_ini(tmp_path, text)
+    scenario = parse_scenario(ini)
+    grid = np.linspace(0.0, float(t_end), 9)
+    factors = twomode.solve_riccati_numeric(scenario, float(t_end), 1e-10,
+                                            grid)
+    assert factors.singular_time < float(t_end)
+    if t_end == repr(math.pi):
+        assert factors.valid.tolist() == [True] * 4 + [False] + [True] * 4
+    out = tmp_path / "run"
+    argv = ["verify", "--scenario", ini, "--t-end", t_end, "--nmax", "6",
+            "--steps", "256", "--out", str(out)]
+    assert main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    payload = json.loads((out / "verify.json").read_text())
+    assert [c["name"] for c in payload["checks"]] == VERIFY_CHECKS
+    assert payload["passed"] is True
+    assert payload["checks"][3]["value"] < 1e-11
+
+    assert main(argv + ["--corrupt", "factor-sign"]) == 1
+    assert "FAIL  factor_reconstruction" in capsys.readouterr().out
+    payload = json.loads((out / "verify.json").read_text())
+    assert [c["name"] for c in payload["checks"]] == VERIFY_CHECKS
 
 
 def test_parser_is_shared_without_leaking_options(tmp_path, capsys):
@@ -641,9 +678,11 @@ def test_json_outputs_are_standard_json(tmp_path, capsys, command, text,
     # NaN step-doubling ratio: both are null in JSON and nan in the CSV
     ini = write_ini(tmp_path, text)
     out = tmp_path / "run"
+    own = {"factors": ["--format", "both"], "smatrix": ["--format", "both"],
+           "evolve": [], "coherent": ["--nmax", "6", "--format", "both"],
+           "verify": ["--nmax", "6", "--steps", "256"]}[command]
     code = main([command, "--scenario", ini, "--t-end", t_end, "--grid", "21",
-                 "--nmax", "6", "--steps", "256", "--format", "both",
-                 "--out", str(out)])
+                 *own, "--out", str(out)])
     assert code == (2 if command == "factors" else 0)
     names = sorted(p.name for p in out.iterdir() if p.suffix == ".json")
     assert names == [command + ".json"]
@@ -728,7 +767,78 @@ def test_run_option_is_rejected(tmp_path, capsys, option, value, message):
     out = tmp_path / "run"
     assert main(["verify", "--scenario", ini, option, value,
                  "--out", str(out)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: argument {option}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--bogus", "1"], "error: unrecognized arguments: --bogus 1"),
+    (["--grid", "abc"], "error: argument --grid: invalid int value: 'abc'"),
+    (["--format", "xml"], "error: argument --format: invalid choice: 'xml'"),
+], ids=["unknown-option", "not-an-int", "not-a-choice"])
+def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
+    # exit 2 is the chart singularity's; a bad argument is a bad input
+    ini = write_ini(tmp_path, ALL_CONSTANT_INI)
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", ini, "--out", str(out),
+                 *argv]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--corrupt" in capsys.readouterr().out
+
+
+# (command, scenario, an option the command does not declare)
+COMMAND_RUNS = [
+    ("factors", ALL_CONSTANT_INI, ["--nmax", "3"]),
+    ("smatrix", ALL_CONSTANT_INI, ["--steps", "5"]),
+    ("evolve", DRIVEN_INI, ["--format", "csv"]),
+    ("coherent", ISOTROPIC_INI, ["--tol", "1e-9"]),
+    ("verify", ALL_CONSTANT_INI, ["--format", "csv"]),
+]
+
+
+@pytest.mark.parametrize("command,text,undeclared", COMMAND_RUNS,
+                         ids=[run[0] for run in COMMAND_RUNS])
+def test_every_declared_option_is_read(tmp_path, capsys, monkeypatch,
+                                       command, text, undeclared):
+    # the parsed namespace records each name read from it; every option a
+    # subcommand declares is read by its handler, main or _write_table
+    parser = twomode.cli._build_parser()
+    parse = parser.parse_args
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    declared = []
+
+    def recording_parse(argv):
+        args = parse(argv)
+        declared.extend(name for name in vars(args) if name != "command")
+        return Recording(**vars(args))
+
+    monkeypatch.setattr(parser, "parse_args", recording_parse)
+    ini = write_ini(tmp_path, text)
+    argv = [command, "--scenario", ini, "--t-end", "1.0", "--grid", "5"]
+    if command == "verify":
+        argv += ["--nmax", "6", "--steps", "256"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    assert declared and set(declared) <= reads
+
+    # and an option it does not declare is refused before any output
+    capsys.readouterr()
+    out = tmp_path / "refused"
+    assert main([*argv, "--out", str(out), *undeclared]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: {' '.join(undeclared)}\n")
     assert not out.exists()
 
 

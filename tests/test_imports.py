@@ -126,8 +126,10 @@ def test_lazy_path_matches_the_warm_process(tmp_path, capsys, command, case,
     # the SciPy module is first loaded inside the command, and the output
     # is what the same command writes in a process that had it loaded
     ini = _scenario(tmp_path, case)
+    own = (["--nmax", "6", "--steps", "256"] if command == "verify"
+           else ["--format", "both"])
     argv = [command, "--scenario", ini, "--t-end", t_end, "--grid", "21",
-            "--nmax", "6", "--steps", "256", "--format", "both"]
+            *own]
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     lines = _cold(tmp_path, PROBE,
                   json.dumps([argv + ["--out", str(cold)]])).splitlines()

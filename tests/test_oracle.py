@@ -181,15 +181,6 @@ def test_oracle_rejects_empty_stepping():
         brute_force_propagator(make_space(2), scenario, 1.0, 0)
 
 
-def test_shared_ops_reuse():
-    space = make_space(3)
-    scenario = AllConstantScenario(w11=0.2, w22=0.1, w12=0.05)
-    ops = hamiltonian_ops(space)
-    a = hamiltonian_matrix(space, scenario, 0.7, ops)
-    b = hamiltonian_matrix(space, scenario, 0.7)
-    assert np.array_equal(a, b)
-
-
 def test_smatrix_oracle_matches_sequential_loop():
     scenario = LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, w11=0.15,
                                    w22=0.05)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import twomode.evolution
+import twomode.fock
 from dense_references import (assert_close, basis_state, compression,
                               dense_assemble_U, dense_displacement,
                               dense_gauss_product, dense_jpm, dense_mixing,
@@ -40,12 +41,14 @@ def haar_unitary(rng):
 # fock
 
 @pytest.mark.parametrize("n_max", N_MAX)
-def test_displacement_is_the_dense_exponential(n_max):
+def test_displacement_is_the_dense_exponential(n_max, monkeypatch):
+    # the truncation guard off: every amplitude is compared
+    monkeypatch.setattr(twomode.fock, "TAIL_TOL", 1.0)
     space = make_space(n_max)
     for c1, c2 in ((0.7 + 0.4j, -0.3j), (0.0, 1.1), (-0.05, 0.02 + 0.01j)):
-        got = displacement_operator(space, c1, c2, tail_tol=1.0)
+        got = displacement_operator(space, c1, c2)
         assert_close(got, dense_displacement(space, c1, c2))
-        psi = coherent_state(space, c1, c2, tail_tol=1.0)
+        psi = coherent_state(space, c1, c2)
         assert_close(psi, dense_displacement(space, c1, c2)
                      @ basis_state(space, 0, 0))
 
@@ -61,8 +64,10 @@ amplitudes = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
 def test_spectral_displacement_is_the_dense_expm(n_max, c1, c2):
     space = make_space(n_max)
     dense = dense_displacement(space, c1, c2)
-    assert_close(displacement_operator(space, c1, c2, tail_tol=1.0), dense)
-    assert_close(coherent_state(space, c1, c2, tail_tol=1.0), dense[:, 0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twomode.fock, "TAIL_TOL", 1.0)
+        assert_close(displacement_operator(space, c1, c2), dense)
+        assert_close(coherent_state(space, c1, c2), dense[:, 0])
 
 
 def test_coherent_states_on_arrays_are_the_one_pair_states():
@@ -227,25 +232,21 @@ def test_ladder_check_matches_dense_annihilators():
     for spec in (CoherentStateSpec(z0=0.6, alpha0=math.sqrt(0.3),
                                    beta0=math.sqrt(0.7) * 1j),
                  CoherentStateSpec(z0=0j, alpha0=0.8, beta0=-0.6j)):
-        for coefficients in (None, (0.8, 0.6j)):
-            lams, residuals = ladder_eigenvalue_checks(space, spec, c1, c2,
-                                                       coefficients)
-            for a, b, lam, res in zip(c1, c2, lams, residuals):
-                (row_lam,), (row_res,) = ladder_eigenvalue_checks(
-                    space, spec, a, b, coefficients)
-                assert abs(row_lam - lam) <= 1e-14
-                assert abs(row_res - res) <= 1e-14
-                if coefficients is not None:
-                    u1, u2 = coefficients
-                elif spec.z0 == 0:
-                    u1, u2 = np.conj(spec.alpha0), np.conj(spec.beta0)
-                else:
-                    u1, u2 = np.conj((a, b)) / np.conj(spec.z0)
-                op = u1 * a1 + u2 * a2
-                psi = (dense_displacement(space, a, b)
-                       @ basis_state(space, 0, 0))
-                want = np.vdot(psi, op @ psi) / np.vdot(psi, psi)
-                assert abs(lam - want) <= 1e-14
-                want_res = (np.linalg.norm(op @ psi - want * psi)
-                            / np.linalg.norm(psi))
-                assert abs(res - want_res) <= 1e-14
+        lams, residuals = ladder_eigenvalue_checks(space, spec, c1, c2)
+        for a, b, lam, res in zip(c1, c2, lams, residuals):
+            (row_lam,), (row_res,) = ladder_eigenvalue_checks(space, spec,
+                                                              a, b)
+            assert abs(row_lam - lam) <= 1e-14
+            assert abs(row_res - res) <= 1e-14
+            if spec.z0 == 0:
+                # the dressed lowering operator alpha0 a1 + beta0 a2
+                u1, u2 = spec.alpha0, spec.beta0
+            else:
+                u1, u2 = np.conj((a, b)) / np.conj(spec.z0)
+            op = u1 * a1 + u2 * a2
+            psi = dense_displacement(space, a, b) @ basis_state(space, 0, 0)
+            want = np.vdot(psi, op @ psi) / np.vdot(psi, psi)
+            assert abs(lam - want) <= 1e-14
+            want_res = (np.linalg.norm(op @ psi - want * psi)
+                        / np.linalg.norm(psi))
+            assert abs(res - want_res) <= 1e-14
