@@ -333,16 +333,19 @@ def flow(scenario, t: float, tol: float, samples=(),
         return Flow(scenario, edges, _identity(3 if drives else 2)[None])
     # a step's error goes as (h ||W||)^7: start near where it meets tol
     left, h = _mesh(edges, np.ones(edges.size - 1, dtype=int))
-    norm = _norm(scenario, _nodes(left, h))
+    with np.errstate(over="ignore"):
+        norm = _norm(scenario, _nodes(left, h))
     cap = min(STEP_CAP, 2.0 * tol ** (1.0 / 6.0))
-    counts = np.maximum(
-        np.ceil(np.diff(edges) * norm.max(axis=0) / cap).astype(int), 1)
+    # counted in floats: a count past int64 would wrap in the cast, and an
+    # infinite norm gives an infinite count, refused like any other
+    counts = np.maximum(np.ceil(np.diff(edges) * norm.max(axis=0) / cap), 1.0)
     while True:
-        if 2 * counts.sum() > MAX_STEPS:
+        if not 2.0 * counts.sum() <= MAX_STEPS:
             raise ValueError(
                 f"Magnus flow to t = {t:.6g} needs more than {MAX_STEPS} "
                 f"steps to reach tol {tol:.3e}")
-        ts, coarse, fine = _march_pair(scenario, edges, counts, drives)
+        ts, coarse, fine = _march_pair(scenario, edges, counts.astype(int),
+                                       drives)
         gap = float(np.max(np.abs(fine[..., 1::2] - coarse)))
         if gap <= tol:
             return Flow(scenario, ts, _values(fine))

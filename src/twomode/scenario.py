@@ -10,6 +10,8 @@ coupling entering the off-diagonal Riccati flow is
 
 and the named closed-form families fix the phase of eta:
 constant, linear in s, quadratic in s, or slaved to a mixing angle rho(s).
+The constant phase is the linear one at w0 = 0, a parameter point of
+LinearPhaseScenario, not a second implementation.
 Each family's coupling is written so that its raw phase theta12 meets
 theta12(s) = phi(s) + pi/2 - rho(s) (mod 2pi) for its eta phase model phi.
 
@@ -184,39 +186,6 @@ class Scenario:
 # closed-form families: constant / linear / general phase of eta
 
 @dataclass(frozen=True)
-class ConstantPhaseScenario(Scenario):
-    """Coupling norm eta0 with a time-independent eta phase phi0.
-
-    w12(s) = eta0 e^{i(phi0 + pi/2 - (w11-w22)s)}; diagonals are constant.
-    """
-
-    eta0: float
-    phi0: float = 0.0
-    w11: float = 0.0
-    w22: float = 0.0
-
-    case = "ConstantPhase"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.eta0 < 0:
-            raise ValueError("eta0 must be non-negative")
-
-    def coupling(self, t):
-        theta12 = self.phi0 + math.pi / 2.0 - (self.w11 - self.w22) * t
-        return self.w11, self.w22, self.eta0 * np.exp(1j * theta12)
-
-    def diag_integrals(self, t):
-        return (self.w11 + self.w22) * t, (self.w11 - self.w22) * t
-
-    def phase_family(self):
-        return PhaseFamily(self.eta0, 0.0, 1, self.phi0, self.phi_tilde)
-
-    def phi_tilde(self, t):
-        return 0.0
-
-
-@dataclass(frozen=True)
 class LinearPhaseScenario(Scenario):
     """eta = eta0 e^{i(phi0 + w0 s)}: linearly drifting phase, constant norm."""
 
@@ -246,6 +215,17 @@ class LinearPhaseScenario(Scenario):
 
     def phi_tilde(self, t):
         return self.w0 * t
+
+
+@dataclass(frozen=True)
+class ConstantPhaseScenario(LinearPhaseScenario):
+    """Coupling norm eta0 with a time-independent eta phase phi0: w12(s) =
+    eta0 e^{i(phi0 + pi/2 - (w11-w22)s)}, the linear phase at w0 = 0 (where
+    w0 t adds exactly 0); diagonals are constant."""
+
+    w0: float = field(default=0.0, init=False)
+
+    case = "ConstantPhase"
 
 
 @dataclass(frozen=True)

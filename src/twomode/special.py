@@ -1,6 +1,9 @@
 """Special functions by power series with compensated summation, trusted
 only where doubles carry them: |z| <= 30, and a sum whose terms' rounding,
-eps sum |t_n|, stays within 1e-9 max(1, |value|)."""
+eps sum |t_n|, stays within 1e-9 max(1, |value|).  One series serves
+both: the Fresnel integral C(x) is the real part of the Kummer series
+x 1F1(1/2; 3/2; i pi x^2 / 2), so its domain is |pi x^2 / 2| <= 30, and
+the roundoff rule stops it near |x| = 3.5."""
 
 from __future__ import annotations
 
@@ -87,33 +90,13 @@ def kummer_1f1(a: complex, b: complex, z: complex,
 
 
 def fresnel_c(x: float, tol: float = 1e-14) -> SpecialValue:
-    """Fresnel cosine integral C(x) = int_0^x cos(pi u^2 / 2) du by series:
-    sum over n of (-1)^n (pi/2)^{2n} x^{4n+1} / ((2n)! (4n+1)).  A
-    non-finite x is refused with ValueError."""
+    """Fresnel cosine integral C(x) = int_0^x cos(pi u^2 / 2) du, the real
+    part of x 1F1(1/2; 3/2; i pi x^2 / 2) = int_0^x e^{i pi u^2 / 2} du
+    (DLMF 7.2, 13.2: the series terms carry (1/2)_n / (3/2)_n = 1/(2n+1)),
+    summed by kummer_1f1 under its domain |pi x^2 / 2| <= 30 and roundoff
+    rule.  A non-finite x is refused with ValueError."""
     if not math.isfinite(x):
         raise ValueError(f"Fresnel argument x = {x} is not finite")
-    if abs(x) > _SERIES_DOMAIN:
-        raise SeriesDivergence(f"|x| = {abs(x):.3g} outside series domain "
-                               f"{_SERIES_DOMAIN}")
-    x = float(x)
-    y2 = (math.pi / 2.0) * x * x
-    term = float(x)
-    coeff = float(x)
-    terms = [term]
-    n = 0
-    while n < _SERIES_MAX_TERMS:
-        # coeff_{n+1}/coeff_n for the x^{4n+1}/(2n)! part
-        coeff = -coeff * y2 * y2 / ((2 * n + 1) * (2 * n + 2))
-        n += 1
-        term = coeff / (4 * n + 1)
-        terms.append(term)
-        if abs(term) <= tol * max(1.0, abs(math.fsum(terms))):
-            break
-    else:
-        raise SeriesDivergence("Fresnel series did not settle within "
-                               f"{_SERIES_MAX_TERMS} terms")
-    value = math.fsum(terms)
-    _check_roundoff(terms, value)
-    bound = abs(coeff * y2 * y2 / ((2 * n + 1) * (2 * n + 2)) / (4 * n + 5))
-    return SpecialValue(value=complex(value), terms=n + 1,
-                        truncation_bound=bound)
+    m = kummer_1f1(0.5, 1.5, 0.5j * math.pi * x * x, tol)
+    return SpecialValue(value=complex(x * m.value.real), terms=m.terms,
+                        truncation_bound=abs(x) * m.truncation_bound)

@@ -860,6 +860,17 @@ def test_non_finite_scenario_value_is_rejected(tmp_path, capsys, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[Tabulated]\n", "[Tabulated]\ndata =\n"],
+                         ids=["no-key", "empty"])
+def test_tabulated_section_without_data_is_rejected(tmp_path, capsys, text):
+    out = tmp_path / "run"
+    assert main(["factors", "--scenario", write_ini(tmp_path, text),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [Tabulated] needs a 'data' key pointing at a sample CSV\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,message", [
     ("[F1]\nkind = cosine\namp = 0.3\nomega = 0.9\n",
      "unsupported drive kind 'cosine' in [F1]"),

@@ -149,6 +149,43 @@ def test_lazy_path_matches_the_warm_process(tmp_path, capsys, command, case,
 
 def _without_seconds(text):
     payload = json.loads(text)
+    del payload["setup_seconds"]
     for check in payload["checks"]:
         del check["seconds"]
     return payload
+
+
+# runs main() on its JSON argument list with the CLI's clock recording the
+# modules loaded at each reading, and prints the exit code and, for each
+# reading after the second, the modules loaded since the one before it
+CLOCK_PROBE = """\
+import json, sys, time, types
+from twomode import cli
+readings = []
+def perf_counter():
+    readings.append(set(sys.modules))
+    return time.perf_counter()
+cli.time = types.SimpleNamespace(perf_counter=perf_counter)
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, [sorted(now - before) for before, now
+                         in zip(readings[1:], readings[2:])]]))
+"""
+
+
+@pytest.mark.parametrize("case,t_end", [("AllConstant", "1.0"),
+                                        ("FresnelNorm", "1.5"),
+                                        ("Tabulated", "1.5")])
+def test_verify_loads_its_modules_before_the_first_check(tmp_path, case,
+                                                         t_end):
+    # the clock reads at the start, after the setup and after each of the
+    # five checks; no check loads a module, so none of their seconds holds
+    # an import (FresnelNorm to 1.5 crosses a kink of |cos(nu s^2)|)
+    argv = ["verify", "--scenario", _scenario(tmp_path, case), "--t-end",
+            t_end, "--grid", "11", "--nmax", "6", "--steps", "256",
+            "--out", str(tmp_path / "verify")]
+    code, loaded = json.loads(
+        _cold(tmp_path, CLOCK_PROBE, json.dumps(argv)).splitlines()[-1])
+    assert code == 0
+    assert loaded == [[]] * 5
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["setup_seconds"] >= 0.0

@@ -373,3 +373,36 @@ def test_fused_march_matches_the_sequential_march():
         if name == "three-levels":
             assert levels >= 3
     assert worst <= 1e-15, f"largest deviation {worst:.3g} on {where}"
+
+
+@pytest.mark.parametrize("w12,points", [(1e5, 2), (1e19, 5), (1e19, 101),
+                                        (1e200, 5)],
+                         ids=["past-the-cap", "past-int64", "past-int64-101",
+                              "infinite-norm"])
+def test_a_step_count_past_the_cap_is_refused_before_any_march(
+        monkeypatch, w12, points):
+    # counted in floats, a count past int64 or an infinite norm is refused
+    # like any count past MAX_STEPS, with no RuntimeWarning and no march
+    def march(*args):
+        raise AssertionError("marched a flow it should refuse")
+
+    monkeypatch.setattr(magnus, "_march_pair", march)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=(
+                r"^Magnus flow to t = 1 needs more than 65536 steps to "
+                r"reach tol 1\.000e-10$")):
+            smatrix_numeric_grid(AllConstantScenario(0.1, 0.2, w12),
+                                 np.linspace(0.0, 1.0, points))
+
+
+def test_a_flow_that_is_not_finite_is_refused():
+    # a NaN drive is invisible to the coupling-only pre-pass; its steps
+    # are NaN, which no refinement cures
+    scenario = AllConstantScenario(0.1, 0.2, 0.3,
+                                   f1=ConstantDrive(complex(math.nan, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^Magnus flow to t = 1 is not finite$"):
+            magnus.flow(scenario, 1.0, TOL, drives=True)

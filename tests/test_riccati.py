@@ -2,11 +2,13 @@ import ast
 import cmath
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import twomode
@@ -82,6 +84,44 @@ def test_linear_phase_zero_slope_collapses():
         got = closed_factors(lin, t)
         want = closed_factors(base, t)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(eta0=st.floats(min_value=0.0, max_value=2.0),
+       phi0=st.floats(min_value=-math.pi, max_value=math.pi),
+       w11=st.floats(min_value=-1.0, max_value=1.0),
+       w22=st.floats(min_value=-1.0, max_value=1.0),
+       times=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1,
+                      max_size=6))
+def test_constant_phase_is_the_linear_phase_at_zero_drift(eta0, phi0, w11,
+                                                          w22, times):
+    # one parameter point of one implementation, to the last bit, also past
+    # the pole at eta0 t = pi/2, and w0 is not settable
+    cp = ConstantPhaseScenario(eta0, phi0, w11, w22)
+    lp = LinearPhaseScenario(eta0, 0.0, phi0, w11, w22)
+    grid = np.sort(np.array(times))
+    for t in (*times, grid):
+        for got, want in zip(cp.coupling(t) + cp.diag_integrals(t),
+                             lp.coupling(t) + lp.diag_integrals(t)):
+            _same_bits(got, want)
+    np.testing.assert_array_equal(smatrix_closed(cp, grid).mat,
+                                  smatrix_closed(lp, grid).mat)
+    for got, want in zip(closed_factors(cp, grid), closed_factors(lp, grid)):
+        np.testing.assert_array_equal(got, want)
+    got = factors_on_grid(cp, grid, "alternative")
+    want = factors_on_grid(lp, grid, "alternative")
+    for name in ("alpha", "rho", "lam", "omega", "gamma", "valid"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.singular_time == want.singular_time
+    assert [f.name for f in fields(cp) if not f.init] == ["w0"]
+    with pytest.raises(TypeError):
+        ConstantPhaseScenario(eta0, w0=0.0)
 
 
 def test_general_phase_zero_curvature_collapses():

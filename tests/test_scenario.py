@@ -179,6 +179,23 @@ def test_general_phase_validation():
     GeneralPhaseScenario(eta0=1.0, w0=1.0, theta0=-1.0, nu=-0.2)
 
 
+@pytest.mark.parametrize("cls,kwargs,message", [
+    (LinearPhaseScenario, dict(eta0=-0.1, w0=1.0),
+     "eta0 must be non-negative"),
+    (ConstantPhaseScenario, dict(eta0=-0.1), "eta0 must be non-negative"),
+    (LogRhoScenario, dict(t0=1.0, eta0=0.0, w0=1.0),
+     "eta0 and w0 must be positive"),
+    (LogRhoScenario, dict(t0=1.0, eta0=0.9, w0=-0.7),
+     "eta0 and w0 must be positive"),
+    (QuadraticPhaseScenario, dict(eta0=0.0, theta0=0.5),
+     "eta0 must be positive"),
+], ids=["LinearPhase-eta0", "ConstantPhase-eta0", "LogRho-eta0",
+        "LogRho-w0", "QuadraticPhase-eta0"])
+def test_out_of_range_parameters_are_refused(cls, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(**kwargs)
+
+
 def test_general_phase_reduces_to_linear():
     gp = GeneralPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3, theta0=1.0, nu=0.0)
     lp = LinearPhaseScenario(eta0=1.0, w0=1.0, phi0=0.3)

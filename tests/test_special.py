@@ -92,6 +92,33 @@ def test_fresnel_series_policy():
         fresnel_c(40.0)
 
 
+def test_kummer_series_that_does_not_settle_is_refused():
+    # |z| = 20 lets the stop test pass only once n >= 20, and with a = 1e6
+    # the terms still grow at n = 600
+    with pytest.raises(SeriesDivergence,
+                       match="^1F1 series did not settle within 600 terms$"):
+        kummer_1f1(1e6, 1.0, 20.0)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_fresnel_is_the_kummer_series_to_roundoff():
+    # C(x) = Re x 1F1(1/2; 3/2; i pi x^2 / 2); on |x| <= 2.5 the terms'
+    # rounding leaves about 1e-13 (1.02e-13 at x = 2.493); the roundoff
+    # rule refuses the series from |x| = 3.5 on, and the domain
+    # |pi x^2 / 2| <= 30 from |x| = 4.38 on
+    mpmath.mp.dps = 30
+    for x in np.linspace(0.0, 2.5, 2501):
+        got = fresnel_c(x).value
+        assert got.imag == 0.0
+        assert abs(got.real - float(mpmath.fresnelc(x))) <= 1.5e-13
+    for x, message in ((3.5, "cancels to roundoff"),
+                       (-3.5, "cancels to roundoff"),
+                       (4.37, "cancels to roundoff"),
+                       (4.38, r"^\|z\| = 30.1 outside series domain 30.0$")):
+        with pytest.raises(SeriesDivergence, match=message):
+            fresnel_c(x)
+
+
 def test_series_refuse_non_finite_arguments():
     # refused at once, naming the argument, not after 600 terms of NaN
     nan, inf = math.nan, math.inf
